@@ -186,8 +186,8 @@ def g_raw(psi: float, cfg: ClusterConfig, coupling: PhaseCouplingSet) -> float:
 def ab_coefficients(cfg: ClusterConfig, coupling: PhaseCouplingSet) -> ClusterCoefficients:
     """Coefficients A1, B1, A2, B2 of the factored form of G.
 
-    Computed from the cluster fractions; in debug mode the equivalent
-    alpha-substituted form is asserted to agree.
+    Computed from the cluster fractions p and q; alpha_polynomials gives the
+    same coefficients as polynomials in the imbalance alpha.
     """
     b, g = coupling.beta, coupling.gamma
     r2 = coupling.r_star_sq
@@ -208,24 +208,6 @@ def ab_coefficients(cfg: ClusterConfig, coupling: PhaseCouplingSet) -> ClusterCo
                             + (1.0 - 3.0 * pq) * c[11]))
     a2 = r2 * (s[6] + (p * p + q * q) * s[7] + 2.0 * pq * s[9] + pq * s[11])
     b2 = (q - p) * r2 * (c[6] + c[7] + pq * c[11])
-
-    if __debug__:
-        al = cfg.alpha
-        al2 = al * al
-        a1_alpha = (s[-1] - sd
-                    + r2 * (-s[2] + s[3] + s[6] + s[8] + s[10]
-                            + 0.5 * (1.0 + al2) * s[9]
-                            + 0.5 * (3.0 - al2) * s[7]
-                            + 0.25 * (3.0 + al2) * s[11]))
-        b1_alpha = (al * (c[-1] - cd
-                          + r2 * (c[2] + c[3] + c[6] + c[7] + c[8] + c[9] + c[10]))
-                    + r2 * 0.25 * (al + 3.0 * al ** 3) * c[11])
-        a2_alpha = r2 * (s[6] + 0.5 * (1.0 + al2) * s[7]
-                         + 0.5 * (1.0 - al2) * s[9] + 0.25 * (1.0 - al2) * s[11])
-        b2_alpha = r2 * (al * (c[6] + c[7]) + 0.25 * (al - al ** 3) * c[11])
-        scale = max(1.0, abs(a1), abs(b1), abs(a2), abs(b2))
-        assert max(abs(a1 - a1_alpha), abs(b1 - b1_alpha),
-                   abs(a2 - a2_alpha), abs(b2 - b2_alpha)) < 1e-9 * scale
 
     return ClusterCoefficients(a1, b1, a2, b2)
 

@@ -109,10 +109,12 @@ class SystemParams:
             raise ValueError(f"n_osc must be at least 2, got {self.n_osc}")
         if self.n_osc < 4:
             # the thirteen monomials are only proven independent for N >= 4
+            # stacklevel 3 skips the dataclass-generated __init__
             warnings.warn(
                 "n_osc < 4: the symmetry-adapted basis may be linearly "
-                "dependent, coefficients are then not uniquely identifiable",
-                UserWarning, stacklevel=2)
+                "dependent, coefficients are then not uniquely identifiable "
+                f"(config field 'n_osc' = {self.n_osc})",
+                UserWarning, stacklevel=3)
 
 
 @dataclass
@@ -218,33 +220,32 @@ def full_rhs_array(v: np.ndarray, params: SystemParams) -> np.ndarray:
 
     No validation; the hot path for integration. Component j equals the
     uncoupled field at z_j plus epsilon times the coupling field with
-    coordinate j distinguished, which reduces to a handful of shared
-    mean-field sums because every monomial depends on the undistinguished
-    coordinates only through symmetric means.
+    coordinate j distinguished. Every monomial depends on the
+    undistinguished coordinates only through four symmetric means, so the
+    eleven coupling terms fold into scalar prefactors of z_j, z_j^2,
+    |z_j|^2 and conj(z_j) plus a constant, applied in one pass each.
     """
     c = params.coeffs
-    m1 = v.mean()
-    m1c = np.conj(m1)
-    msq = np.mean(v * v)
+    eps = params.epsilon
+    vsq = v * v
     abs2 = v.real * v.real + v.imag * v.imag
-    mabs = abs2.mean()
-    mcube = np.mean(abs2 * v)
-    vb = np.conj(v)
+    m1 = complex(v.mean())
+    msq = complex(vsq.mean())
+    mabs = float(abs2.mean())
+    mcube = complex(np.mean(abs2 * v))
+    m1c = m1.conjugate()
+    m1sq = m1 * m1
 
-    coupling = c.a_minus1 * m1
-    coupling = coupling + c.a2 * (v * v) * m1c
-    coupling = coupling + c.a3 * abs2 * m1
-    coupling = coupling + c.a4 * v * mabs
-    coupling = coupling + c.a5 * v * (m1.real * m1.real + m1.imag * m1.imag)
-    coupling = coupling + c.a6 * vb * msq
-    coupling = coupling + c.a7 * vb * (m1 * m1)
-    coupling = coupling + c.a8 * mcube
-    coupling = coupling + c.a9 * msq * m1c
-    coupling = coupling + c.a10 * m1 * mabs
-    coupling = coupling + c.a11 * (m1 * m1) * m1c
-
-    uncoupled = (params.lam + 1j * params.omega + c.a1 * abs2) * v
-    return uncoupled + params.epsilon * coupling
+    lin = params.lam + 1j * params.omega + eps * (
+        c.a4 * mabs + c.a5 * (m1.real * m1.real + m1.imag * m1.imag))
+    const = eps * (c.a_minus1 * m1 + c.a8 * mcube + c.a9 * msq * m1c
+                   + c.a10 * m1 * mabs + c.a11 * m1sq * m1c)
+    out = (lin + c.a1 * abs2) * v
+    out += (eps * c.a2 * m1c) * vsq
+    out += (eps * c.a3 * m1) * abs2
+    out += (eps * (c.a6 * msq + c.a7 * m1sq)) * np.conj(v)
+    out += const
+    return out
 
 
 def full_rhs(z, params: SystemParams) -> FullState:

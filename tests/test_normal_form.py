@@ -265,6 +265,15 @@ def test_params_warn_below_stated_size():
         SystemParams(lam=0.1, omega=1.0, epsilon=0.1, n_osc=3, coeffs=coeffs)
 
 
+def test_params_warning_names_the_calling_file():
+    coeffs = NormalFormCoefficients(a1=-1.0)
+    with pytest.warns(UserWarning,
+                      match=r"n_osc < 4.*\(config field 'n_osc' = 3\)") as rec:
+        SystemParams(lam=0.1, omega=1.0, epsilon=0.1, n_osc=3, coeffs=coeffs)
+    # not "<string>", the dataclass-generated __init__
+    assert rec[0].filename == __file__
+
+
 def test_full_state_validation():
     with pytest.raises(ValueError):
         FullState(np.array([[1.0 + 0j]]))

@@ -74,6 +74,16 @@ def test_moments_compensated_path_matches_vector_path():
     assert abs(m.z2 - (e1 * e1).mean()) < 1e-13
 
 
+def test_moments_large_n_match_exactly_rounded_sums():
+    n = 100_000
+    phi = make_rng(23).uniform(0, TAU, n)
+    m = moments(phi)
+    z1 = complex(math.fsum(np.cos(phi)), math.fsum(np.sin(phi))) / n
+    z2 = complex(math.fsum(np.cos(2 * phi)), math.fsum(np.sin(2 * phi))) / n
+    assert abs(m.z1 - z1) < 1e-14
+    assert abs(m.z2 - z2) < 1e-14
+
+
 def test_moments_accepts_phase_state():
     state = PhaseState(np.array([0.2, 1.1, 4.0]))
     direct = moments(state.phi)
