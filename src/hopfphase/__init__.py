@@ -6,9 +6,10 @@ from .angles import TAU, wrap_angle, wrap_positive
 from .cluster import (AlphaRootResult, ClusterCoefficients, ClusterConfig,
                       PsiRoot, RootScanResult, ab_coefficients,
                       alpha_polynomials, alpha_roots_for_psi, find_roots,
-                      find_roots_from_coefficients, g_factored, g_raw,
-                      polynomial_alpha_roots, sync_frequency, sync_stability,
-                      two_cluster_H)
+                      find_roots_batch, find_roots_from_coefficients,
+                      g_factored, g_raw, polynomial_alpha_roots,
+                      polynomial_alpha_roots_batch, sync_frequency,
+                      sync_stability, two_cluster_H)
 from .config import (ClusterScanSpec, ConfigError, InitialSpec, RunConfig,
                      SyntheticAB, initial_full_state, initial_phases,
                      normalize_config_text, parse_config, serialize_config)
@@ -44,8 +45,9 @@ __all__ = [
     "ClusterConfig", "ClusterCoefficients", "PsiRoot", "RootScanResult",
     "AlphaRootResult", "two_cluster_H", "g_raw", "ab_coefficients",
     "g_factored", "find_roots", "find_roots_from_coefficients",
-    "sync_stability", "sync_frequency", "alpha_polynomials",
-    "alpha_roots_for_psi", "polynomial_alpha_roots",
+    "find_roots_batch", "sync_stability", "sync_frequency",
+    "alpha_polynomials", "alpha_roots_for_psi", "polynomial_alpha_roots",
+    "polynomial_alpha_roots_batch",
     "RunConfig", "InitialSpec", "ClusterScanSpec", "SyntheticAB",
     "ConfigError", "parse_config", "serialize_config", "normalize_config_text",
     "initial_phases", "initial_full_state",

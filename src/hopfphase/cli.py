@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .cluster import (ClusterConfig, ab_coefficients, alpha_roots_for_psi,
-                      find_roots_from_coefficients, polynomial_alpha_roots,
+from .cluster import (ClusterConfig, ab_coefficients, alpha_polynomials,
+                      find_roots_batch, polynomial_alpha_roots_batch,
                       sync_frequency, sync_stability)
 from .config import ConfigError, RunConfig, initial_full_state, initial_phases, parse_config
 from .integrator import (AmplitudeCollapseError, IntegrationError, compare,
@@ -156,11 +156,10 @@ def _alpha_scan_lines(cfg: RunConfig, coupling) -> list:
              "# columns: alpha, psi_root, stability_of_sync, tangential_flag"]
     n_alpha = cfg.cluster.alpha_grid
     alphas = np.linspace(-1.0, 1.0, n_alpha + 1)[1:-1]
-    for alpha in alphas:
-        ccfg = ClusterConfig.from_alpha(float(alpha))
-        cc = ab_coefficients(ccfg, coupling)
+    ccs = [ab_coefficients(ClusterConfig.from_alpha(float(alpha)), coupling)
+           for alpha in alphas]
+    for alpha, cc, scan in zip(alphas, ccs, find_roots_batch(ccs)):
         stability = sync_stability(cc)
-        scan = find_roots_from_coefficients(cc)
         if scan.identically_zero:
             lines.append(f"{_fmt(alpha)}, nan, {stability}, identically-zero")
             continue
@@ -178,13 +177,11 @@ def _psi_scan_lines(cfg: RunConfig, coupling) -> list:
     n_psi = cfg.cluster.psi_grid
     psis = np.linspace(0.0, 2.0 * np.pi, n_psi, endpoint=False)[1:]
     synth = cfg.cluster.synthetic_ab
-    for psi in psis:
-        if synth is not None:
-            result = polynomial_alpha_roots(float(psi), synth.a1_poly,
-                                            synth.b1_poly, synth.a2_poly,
-                                            synth.b2_poly)
-        else:
-            result = alpha_roots_for_psi(float(psi), coupling)
+    if synth is not None:
+        polys = (synth.a1_poly, synth.b1_poly, synth.a2_poly, synth.b2_poly)
+    else:
+        polys = alpha_polynomials(coupling)
+    for psi, result in zip(psis, polynomial_alpha_roots_batch(psis, *polys)):
         if result.identically_zero:
             lines.append(f"{_fmt(psi)}, nan, identically-zero")
         elif not result.roots:

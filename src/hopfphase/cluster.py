@@ -11,8 +11,9 @@ identities as
 
 with coefficients polynomial in the cluster imbalance alpha = q - p. The
 module evaluates H1/H2 and G directly, assembles the A/B coefficients,
-finds roots of G in Psi and of the bracket in alpha, and reports synchrony
-stability sign(A1 + A2) and the synchronized frequency.
+finds roots of G in Psi and of the bracket in alpha (each scan batched over
+many alphas or separations), and reports synchrony stability sign(A1 + A2)
+and the synchronized frequency.
 """
 from __future__ import annotations
 
@@ -28,6 +29,8 @@ from .reduction import PhaseCouplingSet
 _IDENTICALLY_ZERO_TOL = 1e-15
 _TANGENT_TOL = 1e-8
 _PSI_ROOT_TOL = 1e-10
+# coefficient sets whose Psi grid is held in memory at once
+_SCAN_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -253,34 +256,79 @@ def sync_frequency(coupling: PhaseCouplingSet, coeffs: NormalFormCoefficients,
 
 # ---------------------------------------------------------------------------
 # root finding
+#
+# Each scan collects the brackets of all its rows and refines them together.
+# f(x, coef) evaluates the function of row coef[i] at x[i]; the refiners
+# repeat the scalar iteration per element, so a bracket gets the same
+# midpoints, exits and stopping tests whatever else is refined with it.
 
 
-def _bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
-    while hi - lo > tol:
+def _bisect(f, coef, lo, hi, f_lo, tol):
+    """Bisect every sign-changing bracket [lo[i], hi[i]] to width tol.
+
+    An element whose midpoint evaluates to exactly zero stops there.
+    """
+    root = 0.5 * (lo + hi)
+    live = np.flatnonzero(hi - lo > tol)
+    lo, hi, f_lo, coef = lo[live], hi[live], f_lo[live], coef[live]
+    while live.size:
         mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0) != (f_mid < 0):
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+        f_mid = f(mid, coef)
+        # an exact zero collapses the bracket onto mid, which ends it
+        zero = f_mid == 0.0
+        flip = (f_lo < 0) != (f_mid < 0)
+        hi = np.where(flip | zero, mid, hi)
+        lo = np.where(flip & ~zero, lo, mid)
+        f_lo = np.where(flip, f_lo, f_mid)
+        wide = hi - lo > tol
+        if not wide.all():
+            root[live[~wide]] = 0.5 * (lo[~wide] + hi[~wide])
+            live, lo, hi, f_lo, coef = (x[wide] for x in (live, lo, hi, f_lo, coef))
+    return root
 
 
-def _ternary_min_abs(f, lo: float, hi: float, iters: int = 200):
-    """Locate the minimum of |f| on [lo, hi] assuming a single dip."""
+def _ternary_min_abs(f, coef, lo, hi, iters: int = 200):
+    """Locate the minimum of |f| on every [lo[i], hi[i]], assuming a single dip."""
+    out_lo, out_hi = lo.copy(), hi.copy()
+    live, c = np.arange(lo.size), coef
     for _ in range(iters):
+        if not live.size:
+            break
         third = (hi - lo) / 3.0
         m1, m2 = lo + third, hi - third
-        if abs(f(m1)) <= abs(f(m2)):
-            hi = m2
-        else:
-            lo = m1
-        if hi - lo < 1e-13:
-            break
-    mid = 0.5 * (lo + hi)
-    return mid, abs(f(mid))
+        left = np.abs(f(m1, c)) <= np.abs(f(m2, c))
+        hi, lo = np.where(left, m2, hi), np.where(left, lo, m1)
+        wide = ~(hi - lo < 1e-13)
+        if not wide.all():
+            out_lo[live], out_hi[live] = lo, hi
+            live, lo, hi, c = (x[wide] for x in (live, lo, hi, c))
+    out_lo[live], out_hi[live] = lo, hi
+    mid = 0.5 * (out_lo + out_hi)
+    return mid, np.abs(f(mid, coef))
+
+
+def _g_rows(psi, coef):
+    """g_factored with coefficient rows coef[..., :] in (A1, B1, A2, B2) order."""
+    return g_factored(psi, ClusterCoefficients(*np.moveaxis(coef, -1, 0)))
+
+
+def _grid_brackets(psis, coef):
+    """Scan G of the coefficient rows coef on the grid psis.
+
+    Returns (row, grid index, G there) of every grid zero and sign change,
+    the index naming the left end of its interval, and (row, grid index)
+    of every local minimum of |G| without a sign change.
+    """
+    vals = _g_rows(psis, coef[:, None, :])
+    fa, fb = vals[:, :-1], vals[:, 1:]
+    # an exact grid zero is a root; the interval ending in it is skipped
+    r, i = np.nonzero((fa == 0.0) | ((fb != 0.0) & ((fa < 0) != (fb < 0))))
+    absvals = np.abs(vals)
+    dip = ((absvals[:, 1:-1] <= absvals[:, :-2])
+           & (absvals[:, 1:-1] <= absvals[:, 2:])
+           & ((vals[:, :-2] < 0) == (vals[:, 2:] < 0)))
+    dr, di = np.nonzero(dip)
+    return (r, i, fa[r, i]), (dr, di + 1)
 
 
 def find_roots(cfg: ClusterConfig, coupling: PhaseCouplingSet,
@@ -291,7 +339,8 @@ def find_roots(cfg: ClusterConfig, coupling: PhaseCouplingSet,
     Grazing (non-sign-changing) roots are sought at local minima of |G| and
     accepted when the refined minimum lies below 1e-8; they are flagged
     tangential. A G that vanishes for every Psi is reported through the
-    identically_zero flag instead of a root list.
+    identically_zero flag instead of a root list. This is a one-row call of
+    find_roots_batch.
     """
     return find_roots_from_coefficients(ab_coefficients(cfg, coupling), grid_size)
 
@@ -299,54 +348,65 @@ def find_roots(cfg: ClusterConfig, coupling: PhaseCouplingSet,
 def find_roots_from_coefficients(cc: ClusterCoefficients,
                                  grid_size: int = 720) -> RootScanResult:
     """find_roots on explicitly given factored-form coefficients."""
+    return find_roots_batch([cc], grid_size)[0]
+
+
+def find_roots_batch(ccs, grid_size: int = 720) -> list:
+    """find_roots_from_coefficients for every coefficient set in ccs.
+
+    G is evaluated on the grid for up to _SCAN_BLOCK coefficient sets at a
+    time; the sign changes and grazing candidates of all of them are then
+    refined together. Row i of the result equals a scan of ccs[i] alone.
+    """
     if grid_size < 360:
         raise ValueError(f"grid_size must be at least 360, got {grid_size}")
-    amax = max(abs(cc.a1_coef), abs(cc.b1_coef), abs(cc.a2_coef), abs(cc.b2_coef))
-    if amax < _IDENTICALLY_ZERO_TOL:
-        return RootScanResult(roots=(), identically_zero=True)
-
-    def f(x):
-        return g_factored(x, cc)
-
+    coef = np.array([(cc.a1_coef, cc.b1_coef, cc.a2_coef, cc.b2_coef)
+                     for cc in ccs], dtype=float).reshape(-1, 4)
+    degenerate = np.max(np.abs(coef), axis=1) < _IDENTICALLY_ZERO_TOL
     psis = np.linspace(0.0, 2.0 * np.pi, grid_size + 1)
-    vals = g_factored(psis, cc)
     edge = 1e-8
 
-    roots = []
-    for i in range(grid_size):
-        a, b_ = psis[i], psis[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            if edge < a < 2.0 * np.pi - edge:
-                roots.append(PsiRoot(float(a), False))
-            continue
-        if fb == 0.0:
-            continue  # handled as the left endpoint of the next interval
-        if (fa < 0) != (fb < 0):
-            r = _bisect(f, a, b_, fa, _PSI_ROOT_TOL)
-            if edge < r < 2.0 * np.pi - edge:
-                roots.append(PsiRoot(float(r), False))
+    empty = np.empty(0, dtype=np.intp)
+    crossings, dips = [(empty, empty, np.empty(0))], [(empty, empty)]
+    scanned = np.flatnonzero(~degenerate)
+    for start in range(0, scanned.size, _SCAN_BLOCK):
+        rows = scanned[start:start + _SCAN_BLOCK]
+        (r, i, f_lo), (dr, di) = _grid_brackets(psis, coef[rows])
+        crossings.append((rows[r], i, f_lo))
+        dips.append((rows[dr], di))
 
-    # grazing roots: local minima of |G| without a sign change
-    absvals = np.abs(vals)
-    for i in range(1, grid_size):
-        if not (absvals[i] <= absvals[i - 1] and absvals[i] <= absvals[i + 1]):
-            continue
-        if (vals[i - 1] < 0) != (vals[i + 1] < 0):
-            continue  # a sign change; bisection already found it
-        x, fmin = _ternary_min_abs(f, psis[i - 1], psis[i + 1])
-        if fmin < _TANGENT_TOL and edge < x < 2.0 * np.pi - edge:
-            roots.append(PsiRoot(float(x), True))
+    c_rows, c_i, c_lo = map(np.concatenate, zip(*crossings))
+    d_rows, d_i = map(np.concatenate, zip(*dips))
+    c_psi = np.where(c_lo == 0.0, psis[c_i],
+                     _bisect(_g_rows, coef[c_rows], psis[c_i], psis[c_i + 1],
+                             c_lo, _PSI_ROOT_TOL))
+    d_psi, d_min = _ternary_min_abs(_g_rows, coef[d_rows], psis[d_i - 1],
+                                    psis[d_i + 1])
+    grazing = d_min < _TANGENT_TOL
 
-    roots.sort(key=lambda r: r.psi)
-    deduped = []
-    for r in roots:
-        if deduped and abs(r.psi - deduped[-1].psi) < 1e-7:
-            if deduped[-1].tangential and not r.tangential:
-                deduped[-1] = r
+    # each row's candidates in grid order, grid roots and crossings first
+    found = [[] for _ in range(coef.shape[0])]
+    for rows, psi, tangential in ((c_rows, c_psi, False),
+                                  (d_rows[grazing], d_psi[grazing], True)):
+        for r, x in zip(rows.tolist(), psi.tolist()):
+            if edge < x < 2.0 * np.pi - edge:
+                found[r].append(PsiRoot(x, tangential))
+
+    results = []
+    for flat, roots in zip(degenerate.tolist(), found):
+        if flat:
+            results.append(RootScanResult(roots=(), identically_zero=True))
             continue
-        deduped.append(r)
-    return RootScanResult(roots=tuple(deduped), identically_zero=False)
+        roots.sort(key=lambda r: r.psi)
+        deduped = []
+        for r in roots:
+            if deduped and abs(r.psi - deduped[-1].psi) < 1e-7:
+                if deduped[-1].tangential and not r.tangential:
+                    deduped[-1] = r
+                continue
+            deduped.append(r)
+        results.append(RootScanResult(roots=tuple(deduped), identically_zero=False))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +440,14 @@ def alpha_polynomials(coupling: PhaseCouplingSet):
             (a2_0, 0.0, a2_2, 0.0), (0.0, b2_1, 0.0, b2_3))
 
 
+def _poly_rows(x, coef):
+    """Horner evaluation of ascending coefficient rows coef[..., :] at x."""
+    acc = 0.0
+    for k in range(coef.shape[-1] - 1, -1, -1):
+        acc = acc * x + coef[..., k]
+    return acc
+
+
 def polynomial_alpha_roots(psi0: float, a1_poly, b1_poly, a2_poly,
                            b2_poly) -> AlphaRootResult:
     """Roots in alpha of A1(a)cos(Psi/2) + B1(a)sin(Psi/2) + A2(a)cos(3Psi/2)
@@ -388,13 +456,24 @@ def polynomial_alpha_roots(psi0: float, a1_poly, b1_poly, a2_poly,
     The four inputs are ascending alpha-polynomial coefficient sequences
     (length up to 4). Roots are isolated on monotone pieces between the
     closed-form critical points of the cubic and refined by bisection, so no
-    companion-matrix eigenvalue solve is involved.
+    companion-matrix eigenvalue solve is involved. This is a one-row call of
+    polynomial_alpha_roots_batch.
     """
-    if not (0.0 < psi0 < 2.0 * np.pi):
-        raise ValueError(f"psi0 must lie in (0, 2*pi), got {psi0}")
-    half = 0.5 * psi0
-    c1, s1 = math.cos(half), math.sin(half)
-    c3, s3 = math.cos(3.0 * half), math.sin(3.0 * half)
+    return polynomial_alpha_roots_batch([psi0], a1_poly, b1_poly, a2_poly,
+                                        b2_poly)[0]
+
+
+def polynomial_alpha_roots_batch(psis, a1_poly, b1_poly, a2_poly,
+                                 b2_poly) -> list:
+    """polynomial_alpha_roots at every separation in psis, same polynomials.
+
+    The brackets of all separations are bisected together; entry i of the
+    result equals a call at psis[i] alone.
+    """
+    psis = np.asarray(psis, dtype=float).reshape(-1)
+    outside = psis[~((0.0 < psis) & (psis < 2.0 * np.pi))]
+    if outside.size:
+        raise ValueError(f"psi0 must lie in (0, 2*pi), got {float(outside[0])}")
 
     def pad(poly):
         seq = list(poly) + [0.0] * (4 - len(poly))
@@ -402,73 +481,96 @@ def polynomial_alpha_roots(psi0: float, a1_poly, b1_poly, a2_poly,
             raise ValueError("alpha polynomials have degree at most 3")
         return seq
 
-    a1p, b1p, a2p, b2p = pad(a1_poly), pad(b1_poly), pad(a2_poly), pad(b2_poly)
-    coeffs = [a1p[i] * c1 + b1p[i] * s1 + a2p[i] * c3 + b2p[i] * s3
-              for i in range(4)]
+    polys = np.array([pad(a1_poly), pad(b1_poly), pad(a2_poly), pad(b2_poly)],
+                     dtype=float)
+    # the harmonics come from libm through math, as they always have: numpy's
+    # SIMD sin/cos may round differently on some CPUs and move the roots
+    c1, s1, c3, s3 = np.array([
+        (math.cos(h), math.sin(h), math.cos(3.0 * h), math.sin(3.0 * h))
+        for h in (0.5 * psis).tolist()]).reshape(-1, 4).T[:, :, None]
+    coeffs = polys[0] * c1 + polys[1] * s1 + polys[2] * c3 + polys[3] * s3
 
-    in_scale = max([1e-300] + [abs(x) for seq in (a1p, b1p, a2p, b2p) for x in seq])
-    scale = max(abs(x) for x in coeffs)
-    if scale <= 1e-14 * in_scale:
-        return AlphaRootResult(roots=(), identically_zero=True)
+    in_scale = max(1e-300, float(np.max(np.abs(polys))))
+    scale = np.max(np.abs(coeffs), axis=1)
+    flat = scale <= 1e-14 * in_scale
 
     # trim numerically-absent leading coefficients
-    degree = 3
-    while degree > 0 and abs(coeffs[degree]) <= 1e-14 * scale:
-        degree -= 1
-    p = coeffs[:degree + 1]
+    degree = np.full(psis.size, 3)
+    for d in (3, 2, 1):
+        degree[(degree == d) & (np.abs(coeffs[:, d]) <= 1e-14 * scale)] = d - 1
+    p = np.where(np.arange(4) <= degree[:, None], coeffs, 0.0)
 
-    def val(x):
-        acc = 0.0
-        for coef in reversed(p):
-            acc = acc * x + coef
-        return acc
+    found = [[] for _ in range(psis.size)]
+    curved = np.flatnonzero(~flat & (degree >= 2))
+    if curved.size:
+        rows, roots = _curved_alpha_roots(p[curved], degree[curved], scale[curved])
+        for row, x in zip(curved[rows].tolist(), roots.tolist()):
+            found[row].append(x)
 
-    lo_end, hi_end = -1.0, 1.0
-    if degree == 0:
-        return AlphaRootResult(roots=(), identically_zero=False)
-    if degree == 1:
-        r = -p[0] / p[1]
-        roots = [r] if lo_end < r < hi_end else []
-        return AlphaRootResult(roots=tuple(roots), identically_zero=False)
+    results = []
+    for is_flat, d, (p0, p1, _, _), candidates in zip(flat.tolist(), degree.tolist(),
+                                                     p.tolist(), found):
+        if is_flat:
+            results.append(AlphaRootResult(roots=(), identically_zero=True))
+            continue
+        if d < 2:
+            linear = (-p0 / p1,) if d == 1 else ()
+            results.append(AlphaRootResult(
+                roots=tuple(r for r in linear if -1.0 < r < 1.0),
+                identically_zero=False))
+            continue
+        deduped = []
+        for x in sorted(set(round(x, 14) for x in candidates)):
+            if deduped and abs(x - deduped[-1]) < 1e-9:
+                continue
+            deduped.append(float(x))
+        deduped = [x for x in deduped if -1.0 + 1e-12 < x < 1.0 - 1e-12]
+        results.append(AlphaRootResult(roots=tuple(deduped), identically_zero=False))
+    return results
 
-    # breakpoints: real critical points of the polynomial inside (-1, 1)
-    crits = []
-    if degree == 2:
-        crits = [-p[1] / (2.0 * p[2])]
-    else:
-        qa, qb, qc = 3.0 * p[3], 2.0 * p[2], p[1]
+
+def _curved_alpha_roots(q, degree, scale):
+    """Roots in (-1, 1) of polynomial rows q of degree 2 or 3, before rounding
+    and de-duplication: (row index, root) arrays.
+
+    The real critical points split (-1, 1) into monotone pieces; sign
+    changes over a piece are bisected to 1e-12, and a critical point where
+    the polynomial vanishes to 1e-12 * scale is a double root.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = -q[:, 1] / (2.0 * q[:, 2])
+        qa, qb, qc = 3.0 * q[:, 3], 2.0 * q[:, 2], q[:, 1]
         disc = qb * qb - 4.0 * qa * qc
-        if disc > 0:
-            sq = math.sqrt(disc)
-            crits = [(-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)]
-        elif disc == 0:
-            crits = [-qb / (2.0 * qa)]
-    points = sorted([lo_end] + [x for x in crits if lo_end < x < hi_end] + [hi_end])
+        sq = np.sqrt(disc)
+        lower, upper = (-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)
+        double = -qb / (2.0 * qa)
+    crits = np.full((q.shape[0], 2), np.nan)
+    quad, cubic = degree == 2, degree == 3
+    two, one = cubic & (disc > 0), cubic & (disc == 0)
+    crits[quad, 0] = vertex[quad]
+    crits[two, 0], crits[two, 1] = lower[two], upper[two]
+    crits[one, 0] = double[one]
+    inside = (-1.0 < crits) & (crits < 1.0)
+    # sorted breakpoints; an absent critical point leaves an empty piece [1, 1]
+    crits = np.where(inside, crits, 1.0)
+    left = np.minimum(crits[:, 0], crits[:, 1])
+    right = np.maximum(crits[:, 0], crits[:, 1])
+    ends = np.ones(q.shape[0])
+    a = np.stack([-ends, left, right], axis=1)
+    b = np.stack([left, right, ends], axis=1)
+    q_rows = q[:, None, :]
+    fa, fb = _poly_rows(a, q_rows), _poly_rows(b, q_rows)
 
-    roots = []
-    for a, b_ in zip(points[:-1], points[1:]):
-        fa, fb = val(a), val(b_)
-        if fa == 0.0:
-            if a > lo_end:
-                roots.append(a)
-            continue
-        if (fa < 0) != (fb < 0):
-            roots.append(_bisect(val, a, b_, fa, 1e-12))
-    # double roots sit at critical points where the value itself vanishes
-    for x in crits:
-        if lo_end < x < hi_end and abs(val(x)) <= 1e-12 * scale:
-            roots.append(x)
-    if abs(val(hi_end)) == 0.0:
-        pass  # endpoint roots are outside the open interval
-
-    roots = sorted(set(round(r, 14) for r in roots))
-    deduped = []
-    for r in roots:
-        if deduped and abs(r - deduped[-1]) < 1e-9:
-            continue
-        deduped.append(float(r))
-    deduped = [r for r in deduped if lo_end + 1e-12 < r < hi_end - 1e-12]
-    return AlphaRootResult(roots=tuple(deduped), identically_zero=False)
+    r, k = np.nonzero((fa == 0.0) & (-1.0 < a) & (a < 1.0))
+    rows, roots = [r], [a[r, k]]
+    r, k = np.nonzero((fa != 0.0) & ((fa < 0) != (fb < 0)))
+    rows.append(r)
+    roots.append(_bisect(_poly_rows, q[r], a[r, k], b[r, k], fa[r, k], 1e-12))
+    r, k = np.nonzero(inside & (np.abs(_poly_rows(crits, q_rows))
+                                <= 1e-12 * scale[:, None]))
+    rows.append(r)
+    roots.append(crits[r, k])
+    return np.concatenate(rows), np.concatenate(roots)
 
 
 def alpha_roots_for_psi(psi0: float, coupling: PhaseCouplingSet) -> AlphaRootResult:

@@ -10,6 +10,7 @@ structure survives N -> infinity.
 """
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, fields
 
@@ -109,12 +110,24 @@ class SystemParams:
             raise ValueError(f"n_osc must be at least 2, got {self.n_osc}")
         if self.n_osc < 4:
             # the thirteen monomials are only proven independent for N >= 4
-            # stacklevel 3 skips the dataclass-generated __init__
             warnings.warn(
                 "n_osc < 4: the symmetry-adapted basis may be linearly "
                 "dependent, coefficients are then not uniquely identifiable "
                 f"(config field 'n_osc' = {self.n_osc})",
-                UserWarning, stacklevel=3)
+                UserWarning, stacklevel=_caller_stacklevel())
+
+
+def _caller_stacklevel() -> int:
+    """warnings stack level, seen from the caller of this function, of the
+    first frame outside this module and the dataclasses module.
+
+    The skipped frames are __post_init__, the dataclass-generated __init__
+    (which runs with this module's globals) and dataclasses.replace.
+    """
+    level, frame = 1, sys._getframe(1)
+    while frame.f_globals.get("__name__") in (__name__, "dataclasses"):
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 @dataclass

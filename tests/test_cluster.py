@@ -8,14 +8,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from hopfphase import (ClusterCoefficients, ClusterConfig, ab_coefficients,
                        alpha_polynomials, alpha_roots_for_psi, build_coupling,
-                       find_roots, find_roots_from_coefficients, g_factored,
-                       g_raw, phase_rhs_naive, polynomial_alpha_roots,
-                       sync_frequency, sync_stability, two_cluster_H)
+                       find_roots, find_roots_batch,
+                       find_roots_from_coefficients, g_factored, g_raw,
+                       phase_rhs_naive, polynomial_alpha_roots,
+                       polynomial_alpha_roots_batch, sync_frequency,
+                       sync_stability, two_cluster_H)
+from hopfphase.cluster import _SCAN_BLOCK
 
 from conftest import make_rng, random_coupling, random_params
 
@@ -196,10 +199,116 @@ def test_find_roots_flags_grazing_root():
     assert len(near_anti) == 1 and not near_anti[0].tangential
 
 
+@pytest.mark.parametrize("shift", [0.001, 0.0123, -0.3])
+def test_find_roots_locates_grazing_root_off_the_grid(shift):
+    # the grazing case with h replaced by h - shift: the double zero moves
+    # to psi = pi/2 + 2*shift, between grid points, the crossing to pi + 2*shift
+    c, s = math.cos(shift), math.sin(shift)
+    c3, s3 = math.cos(3 * shift), math.sin(3 * shift)
+    scan = find_roots_from_coefficients(
+        ClusterCoefficients(-2.0 * c - s, -2.0 * s + c, -s3, c3))
+    grazing = [r for r in scan.roots if r.tangential]
+    crossing = [r for r in scan.roots if not r.tangential]
+    assert len(grazing) == 1 and abs(grazing[0].psi - (math.pi / 2 + 2 * shift)) < 1e-6
+    assert len(crossing) == 1 and abs(crossing[0].psi - (math.pi + 2 * shift)) < 1e-9
+
+
 def test_find_roots_grid_must_resolve():
     with pytest.raises(ValueError, match="grid_size"):
         find_roots_from_coefficients(ClusterCoefficients(1.0, 0.0, 0.0, 0.0),
                                      grid_size=100)
+
+
+def companion_psi_roots(cc):
+    """Roots of G in (0, 2*pi) as unit-circle roots of a degree-6 polynomial,
+    or None where a root sits too close to another, to the circle or to the
+    ends of the interval for the comparison to be well posed.
+
+    With w = exp(i Psi/2), w^3 times the bracket A1 cos(Psi/2) + B1 sin(Psi/2)
+    + A2 cos(3Psi/2) + B2 sin(3Psi/2) is a polynomial in w; since sin(Psi/2)
+    > 0 inside the interval, G vanishes exactly where it has a root with
+    |w| = 1 and arg(w) in (0, pi) (Boyd's companion-matrix approach).
+    Roots near Psi = 0 are left out because the grid scan skips its first
+    interval, which ends in the exact zero G(0) = 0.
+    """
+    a1, b1, a2, b2 = cc.a1_coef, cc.b1_coef, cc.a2_coef, cc.b2_coef
+    w = np.roots([(a2 - 1j * b2) / 2, 0.0, (a1 - 1j * b1) / 2, 0.0,
+                  (a1 + 1j * b1) / 2, 0.0, (a2 + 1j * b2) / 2])
+    off = np.abs(np.abs(w) - 1.0)
+    # a near-double root leaves the circle as a close pair, or grazes it
+    if np.any((off >= 1e-9) & (off < 1e-3)):
+        return None
+    arg = np.angle(w[off < 1e-9])
+    psi = np.sort(2.0 * arg[arg > 0.0])
+    if np.any(np.diff(psi) < 0.05) or np.any(np.minimum(psi, TAU - psi) < 0.05):
+        return None
+    return psi
+
+
+coefficient = st.one_of(st.just(0.0), st.floats(0.05, 1.0), st.floats(-1.0, -0.05))
+
+
+@given(coefficient, coefficient, coefficient, coefficient)
+def test_psi_roots_against_companion_oracle(a1, b1, a2, b2):
+    cc = ClusterCoefficients(a1, b1, a2, b2)
+    assume(max(abs(a1), abs(b1), abs(a2), abs(b2)) > 0.0)
+    want = companion_psi_roots(cc)
+    assume(want is not None)
+    scan = find_roots_from_coefficients(cc)
+    assert not scan.identically_zero
+    got = np.array([r.psi for r in scan.roots])
+    # every oracle root is found, and every reported root is an oracle root
+    for x in want:
+        assert np.min(np.abs(got - x), initial=np.inf) < 1e-8
+    for x in got:
+        assert np.min(np.abs(want - x), initial=np.inf) < 1e-8
+    assert not any(r.tangential for r in scan.roots)
+
+
+BATCH_SIZES = (1, _SCAN_BLOCK, _SCAN_BLOCK + 1, 3 * _SCAN_BLOCK + 5)
+
+
+def with_special_rows(rows, specials):
+    """rows with specials placed at the front, the middle and the end."""
+    rows = list(rows)
+    for k, pos in enumerate((0, len(rows) // 2, len(rows) - 1)):
+        rows[pos] = specials[k % len(specials)]
+    return rows
+
+
+@pytest.mark.parametrize("m", BATCH_SIZES)
+def test_root_scan_batch_rows_are_independent(m):
+    rng = make_rng(400 + m)
+    special = [ClusterCoefficients(0.0, 0.0, 0.0, 0.0),
+               ClusterCoefficients(-2.0, 1.0, 0.0, 1.0),
+               ClusterCoefficients(0.375, -0.375, 0.0, 0.0)]
+    rows = with_special_rows(
+        (ClusterCoefficients(*rng.normal(size=4)) for _ in range(m)),
+        special[m % 3:] + special[:m % 3])
+    batch = find_roots_batch(rows)
+    assert batch == [find_roots_from_coefficients(cc) for cc in rows]
+    if m > 1:
+        assert any(r.identically_zero for r in batch)
+        assert any(root.tangential for r in batch for root in r.roots)
+
+
+@pytest.mark.parametrize("m", BATCH_SIZES)
+def test_alpha_root_batch_rows_are_independent(rng, m):
+    coupling = random_coupling(rng, 6)
+    poly_sets = [
+        alpha_polynomials(coupling),
+        # the synthetic quadratic: roots 0.25 and 0.5 at Psi = pi/2
+        ((0.125, 0.0, 1.0), (0.0, -0.75), (), ()),
+        # cubic except at Psi = pi, where the cubic and quadratic terms cancel
+        ((0.1, 0.0, 0.5), (0.0, 0.3, 0.0, 0.2), (0.2,), (0.0, 0.0, 0.0, 0.2)),
+        # identically zero at Psi = pi, constant elsewhere
+        ((1.0,), (), (), ()),
+    ]
+    psis = with_special_rows(rng.uniform(0.01, TAU - 0.01, m),
+                             [math.pi / 2, math.pi, 1e-6])
+    for polys in poly_sets:
+        batch = polynomial_alpha_roots_batch(psis, *polys)
+        assert batch == [polynomial_alpha_roots(psi, *polys) for psi in psis]
 
 
 # ---------------------------------------------------------------------------

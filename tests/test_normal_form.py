@@ -5,6 +5,7 @@ over all index tuples, written directly from the defining sums without any
 of the mean-value shortcuts the implementation uses.
 """
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
@@ -271,6 +272,12 @@ def test_params_warning_names_the_calling_file():
                       match=r"n_osc < 4.*\(config field 'n_osc' = 3\)") as rec:
         SystemParams(lam=0.1, omega=1.0, epsilon=0.1, n_osc=3, coeffs=coeffs)
     # not "<string>", the dataclass-generated __init__
+    assert rec[0].filename == __file__
+
+    params = SystemParams(lam=0.1, omega=1.0, epsilon=0.1, n_osc=4, coeffs=coeffs)
+    with pytest.warns(UserWarning, match="n_osc < 4") as rec:
+        dataclasses.replace(params, n_osc=3)
+    # not dataclasses.py, where replace builds the new instance
     assert rec[0].filename == __file__
 
 
