@@ -11,8 +11,8 @@ import argparse
 import numpy as np
 
 from hopfphase import (ClusterConfig, NormalFormCoefficients, SystemParams,
-                       ab_coefficients, build_coupling,
-                       find_roots_from_coefficients, sync_stability)
+                       ab_coefficients, build_coupling, find_roots_batch,
+                       sync_stability)
 
 
 def main():
@@ -31,10 +31,11 @@ def main():
                           coeffs=coeffs)
     coupling = build_coupling(params)
 
+    alphas = np.linspace(-0.9, 0.9, args.alpha_steps)
+    ccs = [ab_coefficients(ClusterConfig.from_alpha(float(alpha)), coupling)
+           for alpha in alphas]
     print(f"{'alpha':>7s}  {'sync':>10s}  roots (Psi)")
-    for alpha in np.linspace(-0.9, 0.9, args.alpha_steps):
-        cc = ab_coefficients(ClusterConfig.from_alpha(float(alpha)), coupling)
-        scan = find_roots_from_coefficients(cc)
+    for alpha, cc, scan in zip(alphas, ccs, find_roots_batch(ccs)):
         if scan.identically_zero:
             desc = "coupling vanishes on this subspace"
         elif not scan.roots:

@@ -14,9 +14,9 @@ from .config import (ClusterScanSpec, ConfigError, InitialSpec, RunConfig,
                      SyntheticAB, initial_full_state, initial_phases,
                      normalize_config_text, parse_config, serialize_config)
 from .integrator import (AmplitudeCollapseError, ComparisonReport,
-                         IntegrationError, Trajectory, compare, default_dt,
-                         extract_phases, integrate, mean_winding_rate,
-                         trajectory_text, write_trajectory)
+                         IntegrationError, Trajectory, TrajectoryTooLargeError,
+                         compare, default_dt, extract_phases, integrate,
+                         mean_winding_rate, trajectory_text, write_trajectory)
 from .normal_form import (FullState, NormalFormCoefficients, SystemParams,
                           as_state_vector, coupling_field, equivariant_basis,
                           full_rhs, full_rhs_array, uncoupled_field)
@@ -40,8 +40,9 @@ __all__ = [
     "PhaseState", "CircularMoments", "as_phase_vector", "moments",
     "phase_rhs_naive", "phase_rhs_fast",
     "Trajectory", "ComparisonReport", "IntegrationError",
-    "AmplitudeCollapseError", "default_dt", "integrate", "extract_phases",
-    "mean_winding_rate", "compare", "trajectory_text", "write_trajectory",
+    "AmplitudeCollapseError", "TrajectoryTooLargeError", "default_dt",
+    "integrate", "extract_phases", "mean_winding_rate", "compare",
+    "trajectory_text", "write_trajectory",
     "ClusterConfig", "ClusterCoefficients", "PsiRoot", "RootScanResult",
     "AlphaRootResult", "two_cluster_H", "g_raw", "ab_coefficients",
     "g_factored", "find_roots", "find_roots_from_coefficients",

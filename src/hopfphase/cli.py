@@ -4,7 +4,8 @@ Verbs: derive (coefficient report), simulate (one model run), compare
 (full-model vs phase-model deviation report), cluster-scan (two-cluster root
 and stability tables). All output is JSON or columnar text ready for external
 plotting; every file records the seed, so a fixed config gives byte-identical
-results. Exit codes: 0 success, 2 configuration problem, 3 numerical failure.
+results. Exit codes: 0 success, 2 configuration problem (including a
+trajectory too large for physical memory), 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -21,8 +22,9 @@ from .cluster import (ClusterConfig, ab_coefficients, alpha_polynomials,
                       find_roots_batch, polynomial_alpha_roots_batch,
                       sync_frequency, sync_stability)
 from .config import ConfigError, RunConfig, initial_full_state, initial_phases, parse_config
-from .integrator import (AmplitudeCollapseError, IntegrationError, compare,
-                         integrate, trajectory_text)
+from .integrator import (AmplitudeCollapseError, IntegrationError,
+                         TrajectoryTooLargeError, compare, integrate,
+                         trajectory_text)
 from .normal_form import full_rhs_array
 from .phase_model import phase_rhs_fast
 from .reduction import (build_coupling, canonical_xi_chi, coupling_to_text,
@@ -254,7 +256,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         return args.handler(cfg, args)
-    except ConfigError as exc:
+    except (ConfigError, TrajectoryTooLargeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (IntegrationError, AmplitudeCollapseError) as exc:

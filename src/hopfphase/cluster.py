@@ -320,14 +320,18 @@ def _grid_brackets(psis, coef):
     of every local minimum of |G| without a sign change.
     """
     vals = _g_rows(psis, coef[:, None, :])
-    fa, fb = vals[:, :-1], vals[:, 1:]
-    # an exact grid zero is a root; the interval ending in it is skipped
-    r, i = np.nonzero((fa == 0.0) | ((fb != 0.0) & ((fa < 0) != (fb < 0))))
     absvals = np.abs(vals)
     dip = ((absvals[:, 1:-1] <= absvals[:, :-2])
            & (absvals[:, 1:-1] <= absvals[:, 2:])
            & ((vals[:, :-2] < 0) == (vals[:, 2:] < 0)))
     dr, di = np.nonzero(dip)
+    # G(0) is exactly 0, but G(Psi) ~ Psi (A1 + A2) just right of it: the
+    # first interval starts from that sign, so a root inside it is bracketed
+    # (A1 + A2 = 0 leaves the grid root at 0, which the scan drops)
+    vals[:, 0] = coef[:, 0] + coef[:, 2]
+    fa, fb = vals[:, :-1], vals[:, 1:]
+    # an exact grid zero is a root; the interval ending in it is skipped
+    r, i = np.nonzero((fa == 0.0) | ((fb != 0.0) & ((fa < 0) != (fb < 0))))
     return (r, i, fa[r, i]), (dr, di + 1)
 
 
@@ -335,8 +339,10 @@ def find_roots(cfg: ClusterConfig, coupling: PhaseCouplingSet,
                grid_size: int = 720) -> RootScanResult:
     """All roots of G(Psi) in the open interval (0, 2*pi).
 
-    Sign changes on a uniform grid are refined by bisection to 1e-10 in Psi.
-    Grazing (non-sign-changing) roots are sought at local minima of |G| and
+    Sign changes on a uniform grid are refined by bisection to 1e-10 in Psi;
+    the first interval starts from the sign of A1 + A2, since G(0) is an
+    exact zero. Roots within 1e-8 of either end are dropped. Grazing
+    (non-sign-changing) roots are sought at local minima of |G| and
     accepted when the refined minimum lies below 1e-8; they are flagged
     tangential. A G that vanishes for every Psi is reported through the
     identically_zero flag instead of a root list. This is a one-row call of

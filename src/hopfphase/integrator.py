@@ -8,6 +8,7 @@ deviation.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,19 @@ class IntegrationError(RuntimeError):
 
 class AmplitudeCollapseError(RuntimeError):
     """Raised when some |z_k| falls below the floor where phases are defined."""
+
+
+class TrajectoryTooLargeError(MemoryError):
+    """Raised before integrating when the dense trajectory would not fit in
+    physical memory."""
+
+
+def _physical_memory_bytes() -> int | None:
+    """Installed physical memory, or None where the platform cannot say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 @dataclass
@@ -92,10 +106,19 @@ def integrate(rhs, x0, dt: float, t_end: float) -> Trajectory:
     Output is dense at every multiple of dt up to the largest one not
     exceeding t_end (no fractional final step; the step size is part of the
     method). The trajectory kind is inferred from the state dtype: complex
-    states are 'full', real states are 'phase'.
+    states are 'full', real states are 'phase'. rhs must return a float
+    (or, for complex states, complex) array shaped like x.
+
+    At small N a step costs mostly per-call overhead, so the loop keeps
+    numpy calls to a minimum: the four stages are combined in one temporary
+    with in-place operations, in the same order as the textbook formula
+    x + dt/6 * (k1 + 2 (k2 + k3) + k4), so the result is bit-identical to it.
 
     Raises
     ------
+    TrajectoryTooLargeError
+        Before any allocation, if the dense trajectory, (steps + 1) * N *
+        itemsize bytes, exceeds the physical memory of the machine.
     IntegrationError
         If any state component becomes NaN or infinite; the exception
         carries the time of the failed step.
@@ -114,10 +137,17 @@ def integrate(rhs, x0, dt: float, t_end: float) -> Trajectory:
     else:
         x = x.astype(float)
         kind = "phase"
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("initial state contains non-finite entries")
 
     n_steps = int(np.floor(t_end / dt + 1e-9))
+    n_bytes = (n_steps + 1) * x.size * x.itemsize
+    budget = _physical_memory_bytes()
+    if budget is not None and n_bytes > budget:
+        raise TrajectoryTooLargeError(
+            f"a trajectory of {n_steps} steps x N={x.size} needs {n_bytes} "
+            f"bytes, more than the {budget} bytes of physical memory; "
+            f"shorten t_end or enlarge dt")
     times = np.arange(n_steps + 1) * dt
     states = np.empty((n_steps + 1, x.size), dtype=x.dtype)
     states[0] = x
@@ -129,8 +159,15 @@ def integrate(rhs, x0, dt: float, t_end: float) -> Trajectory:
         k2 = rhs(x + half * k1)
         k3 = rhs(x + half * k2)
         k4 = rhs(x + dt * k3)
-        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if not np.all(np.isfinite(x)):
+        # sixth * (k1 + 2.0 * (k2 + k3) + k4), operation for operation,
+        # with one temporary instead of five
+        acc = k2 + k3
+        acc *= 2.0
+        acc += k1
+        acc += k4
+        acc *= sixth
+        x = x + acc
+        if not np.isfinite(x).all():
             raise IntegrationError(
                 f"non-finite state at t={times[i]:g} (step {i})", float(times[i]))
         states[i] = x
@@ -195,10 +232,6 @@ def compare(full_traj: Trajectory, phase_traj: Trajectory) -> ComparisonReport:
 # delimited-text export
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def trajectory_text(traj: Trajectory, seed=None, r_star: float | None = None,
                     extra_header: dict | None = None) -> str:
     """Render a trajectory as delimited text.
@@ -206,7 +239,12 @@ def trajectory_text(traj: Trajectory, seed=None, r_star: float | None = None,
     Full trajectories carry columns t, re(z_k), im(z_k); phase trajectories
     carry t, phi_k and, when r_star is given, additionally r_star*cos(phi_k)
     columns for direct visual comparison with the full model. Floats are
-    written with 17 significant digits so parsing recovers them exactly.
+    written with 17 significant digits ("%.17g") so parsing recovers them
+    exactly.
+
+    Each row is formatted with one template over the row's Python floats,
+    and r_star*cos(phi) is evaluated once per row; building the whole table
+    first would hold a second copy of the trajectory as Python floats.
     """
     lines = []
     if seed is not None:
@@ -220,22 +258,21 @@ def trajectory_text(traj: Trajectory, seed=None, r_star: float | None = None,
         header = ["t"]
         for k in range(1, n + 1):
             header += [f"re(z_{k})", f"im(z_{k})"]
-        lines.append(", ".join(header))
-        for i, t in enumerate(traj.times):
-            row = [_fmt(t)]
-            for k in range(n):
-                row += [_fmt(traj.states[i, k].real), _fmt(traj.states[i, k].imag)]
-            lines.append(", ".join(row))
+        # re and im of each z_k are adjacent in memory, as in the columns
+        rows = np.ascontiguousarray(traj.states, dtype=complex).view(float)
     else:
         header = ["t"] + [f"phi_{k}" for k in range(1, n + 1)]
         if r_star is not None:
             header += [f"rcos(phi_{k})" for k in range(1, n + 1)]
-        lines.append(", ".join(header))
-        for i, t in enumerate(traj.times):
-            row = [_fmt(t)] + [_fmt(x) for x in traj.states[i]]
-            if r_star is not None:
-                row += [_fmt(r_star * np.cos(x)) for x in traj.states[i]]
-            lines.append(", ".join(row))
+        rows = traj.states
+    lines.append(", ".join(header))
+    template = ", ".join(["%.17g"] * len(header))
+    with_rcos = traj.kind == "phase" and r_star is not None
+    for t, row in zip(traj.times.tolist(), rows):
+        values = row.tolist()
+        if with_rcos:
+            values += (r_star * np.cos(row)).tolist()
+        lines.append(template % (t, *values))
     return "\n".join(lines) + "\n"
 
 

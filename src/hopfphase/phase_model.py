@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import wrap_positive
+from .normal_form import complex_mean
 from .reduction import PhaseCouplingSet
 
 
@@ -60,14 +61,14 @@ def as_phase_vector(phi) -> np.ndarray:
     v = np.asarray(phi, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("phases must form a non-empty 1-D real vector")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("phases contain non-finite entries")
     return v
 
 
 def _moments_of(e1: np.ndarray, e2: np.ndarray) -> CircularMoments:
     """Moments from the precomputed rotations e1 = e^{i phi}, e2 = e1**2."""
-    return CircularMoments(complex(e1.mean()), complex(e2.mean()))
+    return CircularMoments(complex_mean(e1), complex_mean(e2))
 
 
 def moments(phi) -> CircularMoments:

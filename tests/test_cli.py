@@ -1,6 +1,7 @@
 """End-to-end command line checks, run in process through main()."""
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,26 @@ def test_unstable_step_exits_3(tmp_path, capsys):
                     "--dt", "50", "--out", tmp_path / "x"])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", [["compare"], ["simulate", "--model", "full"],
+                                  ["simulate", "--model", "phase"]])
+def test_oversized_trajectory_exits_2(tmp_path, capsys, verb):
+    n = 100_000
+    cfg = write_config(tmp_path, n_osc=n, dt=0.5, t_end=1e13)
+    tracemalloc.start()
+    try:
+        code = run([*verb, "--config", cfg, "--out", tmp_path / "x"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{2 * 10 ** 13} steps" in err
+    assert f"N={n}" in err and " bytes" in err
+    # only the initial state was built, never a trajectory
+    assert peak < 64 * 16 * n
+    assert not (tmp_path / "x").exists()
 
 
 def test_compare_report(tmp_path):

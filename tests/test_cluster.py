@@ -18,7 +18,7 @@ from hopfphase import (ClusterCoefficients, ClusterConfig, ab_coefficients,
                        phase_rhs_naive, polynomial_alpha_roots,
                        polynomial_alpha_roots_batch, sync_frequency,
                        sync_stability, two_cluster_H)
-from hopfphase.cluster import _SCAN_BLOCK
+from hopfphase.cluster import _SCAN_BLOCK, _grid_brackets
 
 from conftest import make_rng, random_coupling, random_params
 
@@ -213,6 +213,26 @@ def test_find_roots_locates_grazing_root_off_the_grid(shift):
     assert len(crossing) == 1 and abs(crossing[0].psi - (math.pi + 2 * shift)) < 1e-9
 
 
+@pytest.mark.parametrize("d", [0.004, 1e-4, 1e-6, 3e-8])
+def test_find_roots_inside_the_first_and_last_grid_cells(d):
+    # A1 cos(h) + B1 sin(h) vanishes at tan(h) = -A1/B1: Psi = d for
+    # A1 = -tan(d/2), and Psi = 2*pi - d for A1 = tan(d/2), with B1 = 1
+    t = math.tan(d / 2)
+    for a1, want in ((-t, d), (t, TAU - d)):
+        scan = find_roots_from_coefficients(ClusterCoefficients(a1, 1.0, 0.0, 0.0))
+        assert len(scan.roots) == 1 and not scan.roots[0].tangential
+        assert abs(scan.roots[0].psi - want) < 1e-9
+
+
+def test_first_cell_sign_adds_no_grazing_candidate():
+    # G = sin(Psi) rises from the exact zero G(0) = 0 and has no grazing
+    # root; the sign taken from A1 + A2 for the first interval must not
+    # turn grid index 1 into a local minimum of |G|
+    psis = np.linspace(0.0, TAU, 721)
+    _, (_, idx) = _grid_brackets(psis, np.array([[1.0, 0.0, 0.0, 0.0]]))
+    assert idx.size == 0
+
+
 def test_find_roots_grid_must_resolve():
     with pytest.raises(ValueError, match="grid_size"):
         find_roots_from_coefficients(ClusterCoefficients(1.0, 0.0, 0.0, 0.0),
@@ -221,15 +241,16 @@ def test_find_roots_grid_must_resolve():
 
 def companion_psi_roots(cc):
     """Roots of G in (0, 2*pi) as unit-circle roots of a degree-6 polynomial,
-    or None where a root sits too close to another, to the circle or to the
-    ends of the interval for the comparison to be well posed.
+    or None where a root sits too close to another (across the ends of the
+    interval too), to the circle or to the ends of the interval for the
+    comparison to be well posed.
 
     With w = exp(i Psi/2), w^3 times the bracket A1 cos(Psi/2) + B1 sin(Psi/2)
     + A2 cos(3Psi/2) + B2 sin(3Psi/2) is a polynomial in w; since sin(Psi/2)
     > 0 inside the interval, G vanishes exactly where it has a root with
     |w| = 1 and arg(w) in (0, pi) (Boyd's companion-matrix approach).
-    Roots near Psi = 0 are left out because the grid scan skips its first
-    interval, which ends in the exact zero G(0) = 0.
+    Roots within 2e-8 of Psi = 0 or 2*pi are left out: the scan drops roots
+    within 1e-8 of the ends, and bisects to 1e-10.
     """
     a1, b1, a2, b2 = cc.a1_coef, cc.b1_coef, cc.a2_coef, cc.b2_coef
     w = np.roots([(a2 - 1j * b2) / 2, 0.0, (a1 - 1j * b1) / 2, 0.0,
@@ -238,9 +259,13 @@ def companion_psi_roots(cc):
     # a near-double root leaves the circle as a close pair, or grazes it
     if np.any((off >= 1e-9) & (off < 1e-3)):
         return None
-    arg = np.angle(w[off < 1e-9])
-    psi = np.sort(2.0 * arg[arg > 0.0])
-    if np.any(np.diff(psi) < 0.05) or np.any(np.minimum(psi, TAU - psi) < 0.05):
+    # unit-circle roots as Psi in (-2*pi, 2*pi]; a close pair, also one
+    # straddling Psi = 0 or 2*pi, is a near-double root
+    circle = np.sort(2.0 * np.angle(w[off < 1e-9]))
+    if np.any(np.diff(np.append(circle, circle[:1] + 2.0 * TAU)) < 0.05):
+        return None
+    psi = circle[circle > 0.0]
+    if np.any(np.minimum(psi, TAU - psi) < 2e-8):
         return None
     return psi
 
@@ -248,8 +273,7 @@ def companion_psi_roots(cc):
 coefficient = st.one_of(st.just(0.0), st.floats(0.05, 1.0), st.floats(-1.0, -0.05))
 
 
-@given(coefficient, coefficient, coefficient, coefficient)
-def test_psi_roots_against_companion_oracle(a1, b1, a2, b2):
+def check_scan_against_companion(a1, b1, a2, b2):
     cc = ClusterCoefficients(a1, b1, a2, b2)
     assume(max(abs(a1), abs(b1), abs(a2), abs(b2)) > 0.0)
     want = companion_psi_roots(cc)
@@ -263,6 +287,20 @@ def test_psi_roots_against_companion_oracle(a1, b1, a2, b2):
     for x in got:
         assert np.min(np.abs(want - x), initial=np.inf) < 1e-8
     assert not any(r.tangential for r in scan.roots)
+
+
+@given(coefficient, coefficient, coefficient, coefficient)
+def test_psi_roots_against_companion_oracle(a1, b1, a2, b2):
+    check_scan_against_companion(a1, b1, a2, b2)
+
+
+@given(st.floats(2e-8, 0.05), st.booleans(), coefficient, coefficient,
+       coefficient)
+def test_psi_roots_near_the_ends_against_companion_oracle(d, right, b1, a2, b2):
+    # A1 chosen so that the bracket vanishes at Psi = d or 2*pi - d
+    h = (TAU - d if right else d) / 2
+    a1 = -(b1 * math.sin(h) + a2 * math.cos(3 * h) + b2 * math.sin(3 * h)) / math.cos(h)
+    check_scan_against_companion(a1, b1, a2, b2)
 
 
 BATCH_SIZES = (1, _SCAN_BLOCK, _SCAN_BLOCK + 1, 3 * _SCAN_BLOCK + 5)

@@ -9,13 +9,16 @@ import math
 import numpy as np
 import pytest
 
+import tracemalloc
+
 from hopfphase import (AmplitudeCollapseError, IntegrationError,
                        NormalFormCoefficients, SystemParams, Trajectory,
-                       build_coupling, compare, default_dt, extract_phases,
-                       full_rhs_array, integrate, mean_winding_rate,
-                       phase_rhs_fast, trajectory_text, write_trajectory)
+                       TrajectoryTooLargeError, build_coupling, compare,
+                       default_dt, extract_phases, full_rhs_array, integrate,
+                       mean_winding_rate, phase_rhs_fast, trajectory_text,
+                       write_trajectory)
 
-from conftest import make_rng
+from conftest import make_rng, random_coupling, random_params
 
 
 def uncoupled_params(a1, lam=0.1, omega=1.0, n_osc=2):
@@ -47,6 +50,35 @@ def test_constant_rhs_is_integrated_exactly():
     assert traj.times[-1] == 1.0
     want = np.array([1.0, 3.0]) + np.outer(traj.times, [2.0, -0.5])
     assert np.max(np.abs(traj.states - want)) < 1e-14
+
+
+def textbook_rk4(rhs, x, dt, n_steps):
+    """States of the classical scheme, written out as in a textbook."""
+    out = [x]
+    for _ in range(n_steps):
+        k1 = rhs(x)
+        k2 = rhs(x + 0.5 * dt * k1)
+        k3 = rhs(x + 0.5 * dt * k2)
+        k4 = rhs(x + dt * k3)
+        x = x + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        out.append(x)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [2, 5, 64])
+def test_integrate_is_bit_identical_to_textbook_rk4(n):
+    rng = make_rng(40 + n)
+    params = random_params(rng, n, epsilon=0.1)
+    coupling = random_coupling(rng, n, epsilon=0.1)
+    phi0 = rng.uniform(0, 2 * np.pi, n)
+    z0 = 0.5 * np.exp(1j * phi0)
+    dt = 0.05
+    for rhs, x0 in ((lambda v: full_rhs_array(v, params), z0),
+                    (lambda p: phase_rhs_fast(p, coupling), phi0)):
+        traj = integrate(rhs, x0, dt, 200 * dt)
+        want = textbook_rk4(rhs, x0, dt, 200)
+        assert traj.states.dtype == want.dtype
+        assert traj.states.tobytes() == want.tobytes()
 
 
 def test_full_model_matches_logistic_closed_form():
@@ -95,6 +127,27 @@ def test_integrate_validates_arguments():
         integrate(rhs, np.array([1.0]), 2.0, 1.0)
     with pytest.raises(ValueError):
         integrate(rhs, np.array([np.nan]), 0.1, 1.0)
+
+
+def test_oversized_trajectory_is_refused_before_allocation():
+    x0 = np.zeros(100_000, dtype=complex)
+
+    def rhs(v):
+        raise AssertionError("the step loop must not start")
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(TrajectoryTooLargeError) as info:
+            integrate(rhs, x0, 0.5, 1e13)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # neither the times nor the states were allocated
+    assert peak < 10 * x0.nbytes
+    steps = 2 * 10 ** 13
+    message = str(info.value)
+    assert f"{steps} steps" in message and "N=100000" in message
+    assert f"{(steps + 1) * 100_000 * 16} bytes" in message
 
 
 def test_blowup_raises_with_failure_time():
@@ -295,3 +348,69 @@ def test_write_trajectory_to_disk(tmp_path):
     path = tmp_path / "run.txt"
     write_trajectory(phase, path, seed=7)
     assert path.read_text(encoding="utf-8") == trajectory_text(phase, seed=7)
+
+
+def per_element_text(traj, seed=None, r_star=None, extra_header=None):
+    """The export formatted one numpy scalar at a time, as the oracle."""
+    fmt = "{:.17g}".format
+    lines = []
+    if seed is not None:
+        lines.append(f"# seed={seed}")
+    lines.append(f"# model={traj.kind}")
+    for key, value in (extra_header or {}).items():
+        lines.append(f"# {key}={value}")
+    n = traj.n_osc
+    if traj.kind == "full":
+        header = ["t"]
+        for k in range(1, n + 1):
+            header += [f"re(z_{k})", f"im(z_{k})"]
+        lines.append(", ".join(header))
+        for i, t in enumerate(traj.times):
+            row = [fmt(t)]
+            for k in range(n):
+                row += [fmt(traj.states[i, k].real), fmt(traj.states[i, k].imag)]
+            lines.append(", ".join(row))
+    else:
+        header = ["t"] + [f"phi_{k}" for k in range(1, n + 1)]
+        if r_star is not None:
+            header += [f"rcos(phi_{k})" for k in range(1, n + 1)]
+        lines.append(", ".join(header))
+        for i, t in enumerate(traj.times):
+            row = [fmt(t)] + [fmt(x) for x in traj.states[i]]
+            if r_star is not None:
+                row += [fmt(r_star * np.cos(x)) for x in traj.states[i]]
+            lines.append(", ".join(row))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_VALUES = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, 1.0, -3.0,
+               2.0 ** 52, 123456789.0, 0.1, 2 * math.pi]
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_trajectory_text_matches_per_element_formatting(n):
+    rng = make_rng(50 + n)
+    rows = 12
+    times = np.concatenate([[0.0, 1.0, 1e-300], 1.0 + np.cumsum(
+        rng.uniform(0.1, 2.0, rows - 3))])
+    times.sort()
+    values = rng.normal(size=(rows, 2 * n)) * 10.0 ** rng.integers(-5, 5, (rows, 2 * n))
+    flat = values.reshape(-1)
+    flat[:len(EDGE_VALUES)] = EDGE_VALUES[:flat.size]
+    phase = Trajectory(times, values[:, :n], "phase")
+    full = Trajectory(times, values[:, :n] + 1j * values[:, n:], "full")
+    header = {"dt": "0.05"}
+    for kw in ({}, {"seed": 4, "extra_header": header}):
+        assert trajectory_text(full, **kw) == per_element_text(full, **kw)
+        for r_star in (None, 0.3, math.sqrt(0.1)):
+            assert (trajectory_text(phase, r_star=r_star, **kw)
+                    == per_element_text(phase, r_star=r_star, **kw))
+
+
+def test_trajectory_text_matches_per_element_formatting_on_runs():
+    full, phase = on_cycle_runs(NormalFormCoefficients(a1=-1.0, a2=0.3, a7=0.1j),
+                                n=4, lam=0.3, eps=0.2, t_end=3.0, seed=8)
+    assert trajectory_text(full, seed=8) == per_element_text(full, seed=8)
+    r_star = math.sqrt(0.3)
+    assert (trajectory_text(phase, seed=8, r_star=r_star)
+            == per_element_text(phase, seed=8, r_star=r_star))

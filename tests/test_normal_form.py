@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hopfphase import (FullState, NormalFormCoefficients, SystemParams,
                        coupling_field, equivariant_basis, full_rhs,
                        full_rhs_array, uncoupled_field)
+from hopfphase.normal_form import complex_mean
 
 from conftest import make_rng, random_coeffs
 
@@ -186,6 +187,45 @@ def test_full_rhs_matches_oracle():
         want = brute_rhs(z, params)
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) < 1e-12 * scale
+
+
+def mean_fold_rhs(v, params):
+    """full_rhs_array's fold with every mean taken by ndarray.mean."""
+    c, eps = params.coeffs, params.epsilon
+    vsq = v * v
+    abs2 = v.real * v.real + v.imag * v.imag
+    m1 = complex(v.mean())
+    msq = complex(vsq.mean())
+    mabs = float(abs2.mean())
+    mcube = complex(np.mean(abs2 * v))
+    m1c = m1.conjugate()
+    m1sq = m1 * m1
+    lin = params.lam + 1j * params.omega + eps * (
+        c.a4 * mabs + c.a5 * (m1.real * m1.real + m1.imag * m1.imag))
+    const = eps * (c.a_minus1 * m1 + c.a8 * mcube + c.a9 * msq * m1c
+                   + c.a10 * m1 * mabs + c.a11 * m1sq * m1c)
+    out = (lin + c.a1 * abs2) * v
+    out += (eps * c.a2 * m1c) * vsq
+    out += (eps * c.a3 * m1) * abs2
+    out += (eps * (c.a6 * msq + c.a7 * m1sq)) * np.conj(v)
+    out += const
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 8, 1000, 100_000])
+def test_means_are_bit_identical_to_ndarray_mean(n):
+    rng = make_rng(31 + n)
+    for scale in (1e-3, 1.0, 1e3):
+        v = scale * random_state(rng, n)
+        abs2 = v.real * v.real + v.imag * v.imag
+        for arr in (v, v * v, abs2 * v):
+            got, want = complex_mean(arr), complex(arr.mean())
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert float(np.add.reduce(abs2)) / n == float(abs2.mean())
+        params = SystemParams(lam=0.2, omega=0.8, epsilon=0.07, n_osc=n,
+                              coeffs=random_coeffs(rng))
+        assert (full_rhs_array(v, params).tobytes()
+                == mean_fold_rhs(v, params).tobytes())
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),

@@ -84,6 +84,16 @@ def test_moments_large_n_match_exactly_rounded_sums():
     assert abs(m.z2 - z2) < 1e-14
 
 
+@pytest.mark.parametrize("n", [3, 8, 1000, 100_000])
+def test_moments_are_bit_identical_to_ndarray_mean(n):
+    phi = make_rng(24 + n).uniform(-50.0, 50.0, n)
+    m = moments(phi)
+    e1 = np.exp(1j * phi)
+    for got, want in ((m.z1, complex(e1.mean())),
+                      (m.z2, complex((e1 * e1).mean()))):
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def test_moments_accepts_phase_state():
     state = PhaseState(np.array([0.2, 1.1, 4.0]))
     direct = moments(state.phi)
