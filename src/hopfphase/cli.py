@@ -60,12 +60,12 @@ def _load_config(args) -> RunConfig:
             raise ConfigError("field 'seed' must be nonnegative")
         overrides["seed"] = args.seed
     if args.dt is not None:
-        if args.dt <= 0:
-            raise ConfigError("field 'dt' must be positive")
+        if not 0 < args.dt < math.inf:
+            raise ConfigError("field 'dt' must be positive and finite")
         overrides["dt"] = args.dt
     if args.t_end is not None:
-        if args.t_end <= 0:
-            raise ConfigError("field 't_end' must be positive")
+        if not 0 < args.t_end < math.inf:
+            raise ConfigError("field 't_end' must be positive and finite")
         overrides["t_end"] = args.t_end
     return replace(cfg, **overrides) if overrides else cfg
 
@@ -75,6 +75,12 @@ def _require_t_end(cfg: RunConfig) -> float:
         raise ConfigError("field 't_end' is required here; set it in the "
                           "config or pass --t-end")
     return cfg.t_end
+
+
+def _check_step(dt: float, t_end: float):
+    if dt > t_end:
+        raise ConfigError(f"step 'dt' = {dt!r} exceeds the horizon "
+                          f"'t_end' = {t_end!r}; shorten dt or extend t_end")
 
 
 def cmd_derive(cfg: RunConfig, args) -> int:
@@ -114,6 +120,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     params = cfg.system_params()
     dt = cfg.resolved_dt()
     t_end = _require_t_end(cfg)
+    _check_step(dt, t_end)
     header = {"dt": _fmt(dt)}
     if args.model == "full":
         z0 = initial_full_state(cfg)
@@ -141,7 +148,13 @@ def cmd_compare(cfg: RunConfig, args) -> int:
     else:
         # the phase reduction is expected to track over times of order
         # 1/(epsilon*lambda)
-        t_end = 1.0 / (cfg.epsilon * cfg.lam)
+        rate = cfg.epsilon * cfg.lam
+        t_end = 1.0 / rate if rate > 0 else math.inf
+        if t_end == math.inf:
+            raise ConfigError(
+                f"field 't_end' is required when 'epsilon' = {cfg.epsilon!r}: "
+                f"the default horizon 1/(epsilon*lambda) is not finite")
+    _check_step(dt, t_end)
     phi0 = initial_phases(cfg)
     z0 = math.sqrt(coupling.r_star_sq) * np.exp(1j * phi0)
     full_traj = integrate(lambda v: full_rhs_array(v, params), z0, dt, t_end)

@@ -187,32 +187,15 @@ def g_raw(psi: float, cfg: ClusterConfig, coupling: PhaseCouplingSet) -> float:
 
 
 def ab_coefficients(cfg: ClusterConfig, coupling: PhaseCouplingSet) -> ClusterCoefficients:
-    """Coefficients A1, B1, A2, B2 of the factored form of G.
-
-    Computed from the cluster fractions p and q; alpha_polynomials gives the
-    same coefficients as polynomials in the imbalance alpha.
-    """
-    b, g = coupling.beta, coupling.gamma
-    r2 = coupling.r_star_sq
-    p, q = cfg.p, cfg.q
-    pq = p * q
-    s = {k: b[k] * math.sin(g[k]) for k in b}
-    c = {k: b[k] * math.cos(g[k]) for k in b}
-    sd = coupling.delta_corr * math.sin(coupling.delta_phase)
-    cd = coupling.delta_corr * math.cos(coupling.delta_phase)
-
-    a1 = (s[-1] - sd
-          + r2 * (-s[2] + s[3] + s[6] + s[8] + s[10]
-                  + (p * p + q * q) * s[9]
-                  + (p * p + 4.0 * pq + q * q) * s[7]
-                  + (1.0 - pq) * s[11]))
-    b1 = (q - p) * (c[-1] - cd
-                    + r2 * (c[2] + c[3] + c[6] + c[7] + c[8] + c[9] + c[10]
-                            + (1.0 - 3.0 * pq) * c[11]))
-    a2 = r2 * (s[6] + (p * p + q * q) * s[7] + 2.0 * pq * s[9] + pq * s[11])
-    b2 = (q - p) * r2 * (c[6] + c[7] + pq * c[11])
-
-    return ClusterCoefficients(a1, b1, a2, b2)
+    """Coefficients A1, B1, A2, B2 of the factored form of G: the
+    alpha_polynomials evaluated (Horner) at the imbalance cfg.alpha."""
+    values = []
+    for poly in alpha_polynomials(coupling):
+        acc = 0.0
+        for c in reversed(poly):
+            acc = acc * cfg.alpha + c
+        values.append(acc)
+    return ClusterCoefficients(*values)
 
 
 def g_factored(psi, cc: ClusterCoefficients):

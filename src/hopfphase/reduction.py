@@ -174,35 +174,33 @@ def beta_gamma(alpha_k: float, theta_k: float, c_ratio: float):
     return beta, gamma
 
 
-def _term_from_phasor(phasor: complex, order: int):
-    """HarmonicTerm for amplitude*cos(order*phi + arg), or None when zero."""
-    amp = abs(phasor)
-    if amp == 0.0:
-        return None
-    return HarmonicTerm(amp, cmath.phase(phasor), order)
+# coupling index -> (interaction function, harmonic order). Index -1 is the
+# linear coupling (lambda power 0); every cubic index carries the limit-cycle
+# factor r_star_sq (lambda power 1). Indices 4 and 5 only shift the common
+# frequency and have no harmonic.
+_HARMONICS = {-1: ("g2", 1), 2: ("g2", 1), 3: ("g2", 1), 8: ("g2", 1),
+              10: ("g2", 1), 6: ("g2", 2), 7: ("g3", 1), 9: ("g4", 1),
+              11: ("g5", 1)}
 
 
-def _single_term(amplitude: float, phase: float) -> HarmonicTerm:
-    if amplitude == 0.0:
-        return HarmonicTerm(0.0, 0.0, 1)
-    return HarmonicTerm(amplitude, phase, 1)
+def _phasors(beta: dict, gamma: dict) -> dict:
+    """Summed phasors beta_k e^{i gamma_k}, keyed (function, order, lambda power).
 
-
-def g2_order1_phasor(beta: dict, gamma: dict, r_star_sq: float,
-                     delta_corr: float, delta_phase: float) -> complex:
-    """Merged complex amplitude of the order-1 harmonic of g2.
-
-    The beta[2] term has a reversed argument cos(gamma_2 - phi); evenness of
-    cosine folds it in with phase -gamma_2. The fifth-order correction enters
-    with a minus sign.
+    Index 2 enters with the reversed argument cos(gamma_2 - phi), so its
+    phasor is conjugated. Each sum runs in index order, and the keys come in
+    the order of _HARMONICS.
     """
-    ph = beta[-1] * cmath.exp(1j * gamma[-1])
-    ph += r_star_sq * (beta[2] * cmath.exp(-1j * gamma[2])
-                       + beta[3] * cmath.exp(1j * gamma[3])
-                       + beta[8] * cmath.exp(1j * gamma[8])
-                       + beta[10] * cmath.exp(1j * gamma[10]))
-    ph -= delta_corr * cmath.exp(1j * delta_phase)
-    return ph
+    out = {}
+    for k, (tag, order) in _HARMONICS.items():
+        ph = beta[k] * cmath.exp((-1j if k == 2 else 1j) * gamma[k])
+        key = (tag, order, 0 if k == -1 else 1)
+        out[key] = out[key] + ph if key in out else ph
+    return out
+
+
+def _term(amplitude: float, phase: float, order: int = 1) -> HarmonicTerm:
+    """HarmonicTerm amplitude*cos(order*phi + phase); zero amplitude has phase 0."""
+    return HarmonicTerm(amplitude, phase if amplitude != 0.0 else 0.0, order)
 
 
 def build_coupling(params: SystemParams, delta: float = 0.0) -> PhaseCouplingSet:
@@ -233,14 +231,18 @@ def build_coupling(params: SystemParams, delta: float = 0.0) -> PhaseCouplingSet
     delta_corr = params.lam * float(delta) * abs(am1)
     delta_phase = cmath.phase(am1) if (delta_corr != 0.0 and am1 != 0) else 0.0
 
-    g2_terms = []
-    t1 = _term_from_phasor(
-        g2_order1_phasor(beta, gamma, r2, delta_corr, delta_phase), 1)
-    if t1 is not None:
-        g2_terms.append(t1)
-    t2 = _term_from_phasor(r2 * beta[6] * cmath.exp(1j * gamma[6]), 2)
-    if t2 is not None:
-        g2_terms.append(t2)
+    # g2's order-1 harmonic merges several indices and the correction; every
+    # other harmonic comes from one index
+    q = _phasors(beta, gamma)
+    merged = (q["g2", 1, 0] + r2 * q["g2", 1, 1]
+              - delta_corr * cmath.exp(1j * delta_phase))
+    terms = {"g2": [_term(abs(merged), cmath.phase(merged))]}
+    for k, (tag, order) in _HARMONICS.items():
+        if tag != "g2":
+            terms[tag] = (_term(r2 * beta[k], gamma[k]),)
+        elif order == 2:
+            ph = (r2 * beta[k]) * cmath.exp(1j * gamma[k])
+            terms[tag].append(_term(abs(ph), cmath.phase(ph), order))
 
     return PhaseCouplingSet(
         omega_tilde_const=om + params.epsilon * r2 * beta[4] * math.cos(gamma[4]),
@@ -249,10 +251,10 @@ def build_coupling(params: SystemParams, delta: float = 0.0) -> PhaseCouplingSet
         r_star_sq=r2,
         epsilon=params.epsilon,
         n_osc=params.n_osc,
-        g2=tuple(g2_terms),
-        g3=(_single_term(r2 * beta[7], gamma[7]),),
-        g4=(_single_term(r2 * beta[9], gamma[9]),),
-        g5=(_single_term(r2 * beta[11], gamma[11]),),
+        g2=tuple(t for t in terms["g2"] if t.amplitude != 0.0),
+        g3=terms["g3"],
+        g4=terms["g4"],
+        g5=terms["g5"],
         mean_field_freq_amp=params.epsilon * r2 * beta[5],
         delta_corr=delta_corr,
         delta_phase=delta_phase,
@@ -285,23 +287,12 @@ def xi_chi_lambda_split(coupling: PhaseCouplingSet):
     lam) divided out of their amplitude, so recombining as
     power0 + r_star_sq * power1 phasors reproduces canonical_xi_chi.
     """
-    b, g, r2 = coupling.beta, coupling.gamma, coupling.r_star_sq
-    out = []
-    lam0 = b[-1] * cmath.exp(1j * g[-1])
-    t = _term_from_phasor(lam0, 1)
-    if t is not None:
-        out.append(("g2", 0, t))
-    lam1 = (b[2] * cmath.exp(-1j * g[2]) + b[3] * cmath.exp(1j * g[3])
-            + b[8] * cmath.exp(1j * g[8]) + b[10] * cmath.exp(1j * g[10]))
-    lam1 -= (coupling.delta_corr / r2) * cmath.exp(1j * coupling.delta_phase)
-    t = _term_from_phasor(lam1, 1)
-    if t is not None:
-        out.append(("g2", 1, t))
-    for tag, k, order in (("g2", 6, 2), ("g3", 7, 1), ("g4", 9, 1), ("g5", 11, 1)):
-        t = _term_from_phasor(b[k] * cmath.exp(1j * g[k]), order)
-        if t is not None:
-            out.append((tag, 1, t))
-    return out
+    q = _phasors(coupling.beta, coupling.gamma)
+    q["g2", 1, 1] -= ((coupling.delta_corr / coupling.r_star_sq)
+                      * cmath.exp(1j * coupling.delta_phase))
+    split = [(tag, power, _term(abs(ph), cmath.phase(ph), order))
+             for (tag, order, power), ph in q.items()]
+    return [entry for entry in split if entry[2].amplitude != 0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,41 @@ def test_simulate_without_horizon_exits_2(tmp_path, capsys):
     assert "t_end" in capsys.readouterr().err
 
 
+VERBS = [["compare"], ["simulate", "--model", "full"],
+         ["simulate", "--model", "phase"]]
+
+
+@pytest.mark.parametrize("horizon, flags", [
+    ({"dt": 10.0, "t_end": 1.0}, []),
+    ({"dt": 0.05, "t_end": 2.0}, ["--dt", "10", "--t-end", "1"]),
+], ids=["config", "flags"])
+@pytest.mark.parametrize("verb", VERBS)
+def test_step_longer_than_horizon_exits_2(tmp_path, capsys, verb, horizon, flags):
+    cfg = write_config(tmp_path, **horizon)
+    assert run([*verb, "--config", cfg, *flags, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'dt' = 10.0" in err and "'t_end' = 1.0" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.5, 1e-320])
+def test_compare_without_t_end_needs_a_finite_default_horizon(tmp_path, capsys, epsilon):
+    cfg = write_config(tmp_path, epsilon=epsilon)
+    assert run(["compare", "--config", cfg, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'t_end' is required" in err
+    assert f"'epsilon' = {epsilon!r}" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("flag", ["--dt", "--t-end"])
+def test_non_finite_step_or_horizon_override_exits_2(tmp_path, capsys, flag):
+    cfg = write_config(tmp_path, dt=0.05, t_end=2.0)
+    assert run(["compare", "--config", cfg, flag, "inf",
+                "--out", tmp_path / "x"]) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+
+
 def test_unstable_step_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, t_end=500.0)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -402,6 +402,45 @@ def test_alpha_polynomials_evaluate_to_ab(rng):
             assert abs(got - want) < 1e-12
 
 
+def ab_pq_form(cfg, coupling):
+    """A1, B1, A2, B2 written out in the cluster fractions p and q."""
+    b, g = coupling.beta, coupling.gamma
+    r2 = coupling.r_star_sq
+    p, q = cfg.p, cfg.q
+    pq = p * q
+    s = {k: b[k] * math.sin(g[k]) for k in b}
+    c = {k: b[k] * math.cos(g[k]) for k in b}
+    sd = coupling.delta_corr * math.sin(coupling.delta_phase)
+    cd = coupling.delta_corr * math.cos(coupling.delta_phase)
+
+    a1 = (s[-1] - sd
+          + r2 * (-s[2] + s[3] + s[6] + s[8] + s[10]
+                  + (p * p + q * q) * s[9]
+                  + (p * p + 4.0 * pq + q * q) * s[7]
+                  + (1.0 - pq) * s[11]))
+    b1 = (q - p) * (c[-1] - cd
+                    + r2 * (c[2] + c[3] + c[6] + c[7] + c[8] + c[9] + c[10]
+                            + (1.0 - 3.0 * pq) * c[11]))
+    a2 = r2 * (s[6] + (p * p + q * q) * s[7] + 2.0 * pq * s[9] + pq * s[11])
+    b2 = (q - p) * r2 * (c[6] + c[7] + pq * c[11])
+    return a1, b1, a2, b2
+
+
+def test_ab_coefficients_match_pq_form():
+    rng = make_rng(47)
+    for trial in range(40):
+        delta = rng.uniform(0.1, 3.0) * rng.choice([-1.0, 1.0])
+        coupling = random_coupling(rng, 6, delta=delta,
+                                   scale=rng.uniform(0.05, 1.0))
+        assert coupling.delta_corr != 0.0
+        for alpha in rng.uniform(-0.99, 0.99, size=25):
+            cfg = ClusterConfig.from_alpha(float(alpha))
+            cc = ab_coefficients(cfg, coupling)
+            got = (cc.a1_coef, cc.b1_coef, cc.a2_coef, cc.b2_coef)
+            for g, want in zip(got, ab_pq_form(cfg, coupling)):
+                assert abs(g - want) <= 1e-12 * max(1.0, abs(want))
+
+
 def test_polynomial_roots_against_companion_oracle():
     rng = make_rng(31)
     checked = 0

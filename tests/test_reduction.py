@@ -18,7 +18,7 @@ from hopfphase import (HarmonicTerm, NormalFormCoefficients, PhaseCouplingSet,
                        evaluate_harmonics, limit_cycle, reduction_constants,
                        uncoupled_field, wrap_angle, xi_chi_lambda_split)
 
-from conftest import make_rng, random_coeffs, random_params
+from conftest import COUPLING_KEYS, make_rng, random_coeffs, random_params
 
 
 def params_51(a2=0.3):
@@ -294,6 +294,87 @@ def test_lambda_split_reassembles():
             assert abs(got - want) < 1e-13
         for leftover in rebuilt.values():
             assert abs(leftover) < 1e-13
+
+
+# The coupling assembly written out index by index, as build_coupling and
+# xi_chi_lambda_split once did; the table-driven code must match it bit for
+# bit.
+
+
+def _hand_term(phasor, order):
+    amp = abs(phasor)
+    if amp == 0.0:
+        return None
+    return HarmonicTerm(amp, cmath.phase(phasor), order)
+
+
+def _hand_g2_order1_phasor(beta, gamma, r_star_sq, delta_corr, delta_phase):
+    ph = beta[-1] * cmath.exp(1j * gamma[-1])
+    ph += r_star_sq * (beta[2] * cmath.exp(-1j * gamma[2])
+                       + beta[3] * cmath.exp(1j * gamma[3])
+                       + beta[8] * cmath.exp(1j * gamma[8])
+                       + beta[10] * cmath.exp(1j * gamma[10]))
+    ph -= delta_corr * cmath.exp(1j * delta_phase)
+    return ph
+
+
+def _hand_terms(coupling):
+    """(g2, g3, g4, g5) term tuples of the index-by-index assembly."""
+    b, g, r2 = coupling.beta, coupling.gamma, coupling.r_star_sq
+    g2 = [_hand_term(_hand_g2_order1_phasor(b, g, r2, coupling.delta_corr,
+                                            coupling.delta_phase), 1),
+          _hand_term(r2 * b[6] * cmath.exp(1j * g[6]), 2)]
+    single = [(HarmonicTerm(0.0, 0.0, 1) if r2 * b[k] == 0.0
+               else HarmonicTerm(r2 * b[k], g[k], 1),) for k in (7, 9, 11)]
+    return (tuple(t for t in g2 if t is not None), *single)
+
+
+def _hand_lambda_split(coupling):
+    b, g, r2 = coupling.beta, coupling.gamma, coupling.r_star_sq
+    out = []
+    t = _hand_term(b[-1] * cmath.exp(1j * g[-1]), 1)
+    if t is not None:
+        out.append(("g2", 0, t))
+    lam1 = (b[2] * cmath.exp(-1j * g[2]) + b[3] * cmath.exp(1j * g[3])
+            + b[8] * cmath.exp(1j * g[8]) + b[10] * cmath.exp(1j * g[10]))
+    lam1 -= (coupling.delta_corr / r2) * cmath.exp(1j * coupling.delta_phase)
+    t = _hand_term(lam1, 1)
+    if t is not None:
+        out.append(("g2", 1, t))
+    for tag, k, order in (("g2", 6, 2), ("g3", 7, 1), ("g4", 9, 1), ("g5", 11, 1)):
+        t = _hand_term(b[k] * cmath.exp(1j * g[k]), order)
+        if t is not None:
+            out.append((tag, 1, t))
+    return out
+
+
+def _bits(term):
+    return term.amplitude.hex(), term.phase_offset.hex(), term.order
+
+
+def test_coupling_tables_are_bit_identical_to_hand_assembly():
+    rng = make_rng(14)
+    checked_delta = 0
+    for trial in range(400):
+        if trial % 4 == 0:
+            only = COUPLING_KEYS
+        else:
+            size = int(rng.integers(0, len(COUPLING_KEYS) + 1))
+            only = list(rng.choice(COUPLING_KEYS, size=size, replace=False))
+        params = random_params(rng, n_osc=5, scale=10.0 ** rng.uniform(-3, 1),
+                               only=only)
+        delta = 0.0 if trial % 2 else rng.uniform(-2.0, 2.0)
+        coupling = build_coupling(params, delta=delta)
+        checked_delta += coupling.delta_corr != 0.0
+        got = (coupling.g2, coupling.g3, coupling.g4, coupling.g5)
+        for got_terms, want_terms in zip(got, _hand_terms(coupling)):
+            assert [_bits(t) for t in got_terms] == [_bits(t) for t in want_terms]
+        got_split = [(tag, power, _bits(t))
+                     for tag, power, t in xi_chi_lambda_split(coupling)]
+        want_split = [(tag, power, _bits(t))
+                      for tag, power, t in _hand_lambda_split(coupling)]
+        assert got_split == want_split
+    assert checked_delta > 100
 
 
 # ---------------------------------------------------------------------------
