@@ -4,8 +4,8 @@ Verbs: derive (coefficient report), simulate (one model run), compare
 (full-model vs phase-model deviation report), cluster-scan (two-cluster root
 and stability tables). All output is JSON or columnar text ready for external
 plotting; every file records the seed, so a fixed config gives byte-identical
-results. Exit codes: 0 success, 2 configuration problem (including a
-trajectory too large for physical memory), 3 numerical failure.
+results. Exit codes: 0 success, 2 configuration problem (including
+trajectories too large for physical memory), 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -18,13 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .cluster import (ClusterConfig, ab_coefficients, alpha_polynomials,
-                      find_roots_batch, polynomial_alpha_roots_batch,
-                      sync_frequency, sync_stability)
+from .cluster import (_coefficients_at, alpha_polynomials, find_roots_batch,
+                      polynomial_alpha_roots_batch, sync_frequency,
+                      sync_stability)
 from .config import ConfigError, RunConfig, initial_full_state, initial_phases, parse_config
 from .integrator import (AmplitudeCollapseError, IntegrationError,
-                         TrajectoryTooLargeError, compare, integrate,
-                         trajectory_text)
+                         TrajectoryTooLargeError, _budget_steps, compare,
+                         integrate, trajectory_text)
 from .normal_form import full_rhs_array
 from .phase_model import phase_rhs_fast
 from .reduction import (build_coupling, canonical_xi_chi, coupling_to_text,
@@ -155,6 +155,8 @@ def cmd_compare(cfg: RunConfig, args) -> int:
                 f"field 't_end' is required when 'epsilon' = {cfg.epsilon!r}: "
                 f"the default horizon 1/(epsilon*lambda) is not finite")
     _check_step(dt, t_end)
+    # both dense trajectories, complex full and real phase, are held at once
+    _budget_steps("the full and phase trajectories", dt, t_end, cfg.n_osc, 24)
     phi0 = initial_phases(cfg)
     z0 = math.sqrt(coupling.r_star_sq) * np.exp(1j * phi0)
     full_traj = integrate(lambda v: full_rhs_array(v, params), z0, dt, t_end)
@@ -166,13 +168,12 @@ def cmd_compare(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _alpha_scan_lines(cfg: RunConfig, coupling) -> list:
+def _alpha_scan_lines(cfg: RunConfig, polys) -> list:
     lines = ["# section=alpha-scan",
              "# columns: alpha, psi_root, stability_of_sync, tangential_flag"]
     n_alpha = cfg.cluster.alpha_grid
     alphas = np.linspace(-1.0, 1.0, n_alpha + 1)[1:-1]
-    ccs = [ab_coefficients(ClusterConfig.from_alpha(float(alpha)), coupling)
-           for alpha in alphas]
+    ccs = _coefficients_at(alphas, polys)
     for alpha, cc, scan in zip(alphas, ccs, find_roots_batch(ccs)):
         stability = sync_stability(cc)
         if scan.identically_zero:
@@ -187,15 +188,13 @@ def _alpha_scan_lines(cfg: RunConfig, coupling) -> list:
     return lines
 
 
-def _psi_scan_lines(cfg: RunConfig, coupling) -> list:
+def _psi_scan_lines(cfg: RunConfig, polys) -> list:
     lines = ["# section=psi-scan", "# columns: psi, alpha_root, flag"]
     n_psi = cfg.cluster.psi_grid
     psis = np.linspace(0.0, 2.0 * np.pi, n_psi, endpoint=False)[1:]
     synth = cfg.cluster.synthetic_ab
     if synth is not None:
         polys = (synth.a1_poly, synth.b1_poly, synth.a2_poly, synth.b2_poly)
-    else:
-        polys = alpha_polynomials(coupling)
     for psi, result in zip(psis, polynomial_alpha_roots_batch(psis, *polys)):
         if result.identically_zero:
             lines.append(f"{_fmt(psi)}, nan, identically-zero")
@@ -216,9 +215,10 @@ def cmd_cluster_scan(cfg: RunConfig, args) -> int:
         raise ConfigError("cluster-scan grids must be at least 64")
     params = cfg.system_params()
     coupling = build_coupling(params, cfg.delta)
+    polys = alpha_polynomials(coupling)
     lines = [f"# seed={cfg.seed}", "# model=cluster-scan"]
-    lines += _alpha_scan_lines(cfg, coupling)
-    lines += _psi_scan_lines(cfg, coupling)
+    lines += _alpha_scan_lines(cfg, polys)
+    lines += _psi_scan_lines(cfg, polys)
     _write(_out_path(cfg, args, "cluster_scan.txt"), "\n".join(lines) + "\n")
     return 0
 

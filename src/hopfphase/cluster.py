@@ -189,13 +189,14 @@ def g_raw(psi: float, cfg: ClusterConfig, coupling: PhaseCouplingSet) -> float:
 def ab_coefficients(cfg: ClusterConfig, coupling: PhaseCouplingSet) -> ClusterCoefficients:
     """Coefficients A1, B1, A2, B2 of the factored form of G: the
     alpha_polynomials evaluated (Horner) at the imbalance cfg.alpha."""
-    values = []
-    for poly in alpha_polynomials(coupling):
-        acc = 0.0
-        for c in reversed(poly):
-            acc = acc * cfg.alpha + c
-        values.append(acc)
-    return ClusterCoefficients(*values)
+    return _coefficients_at([cfg.alpha], alpha_polynomials(coupling))[0]
+
+
+def _coefficients_at(alphas, polys) -> list:
+    """ClusterCoefficients at each imbalance in alphas (see ab_coefficients)."""
+    alphas = np.asarray(alphas, dtype=float)[:, None]
+    values = _poly_rows(alphas, np.asarray(polys, dtype=float))
+    return [ClusterCoefficients(*row) for row in values.tolist()]
 
 
 def g_factored(psi, cc: ClusterCoefficients):

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import wrap_angle
+from .angles import TAU, wrap_angle
 
 # reduction below this modulus means the phase description has broken down
 _AMPLITUDE_FLOOR = 1e-8
+_BLOCK_ELEMENTS = 2 ** 16  # compare takes max(1, this // N) rows at a time
 
 
 class IntegrationError(RuntimeError):
@@ -32,7 +33,7 @@ class AmplitudeCollapseError(RuntimeError):
 
 
 class TrajectoryTooLargeError(MemoryError):
-    """Raised before integrating when the dense trajectory would not fit in
+    """Raised before integrating when the dense trajectories would not fit in
     physical memory."""
 
 
@@ -42,6 +43,20 @@ def _physical_memory_bytes() -> int | None:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return None
+
+
+def _budget_steps(subject: str, dt: float, t_end: float, n_osc: int,
+                  bytes_per_osc: int) -> int:
+    """Steps to t_end, if (steps + 1) * n_osc * bytes_per_osc fits in memory."""
+    n_steps = int(np.floor(t_end / dt + 1e-9))
+    n_bytes = (n_steps + 1) * n_osc * bytes_per_osc
+    budget = _physical_memory_bytes()
+    if budget is not None and n_bytes > budget:
+        raise TrajectoryTooLargeError(
+            f"{subject} of {n_steps} steps x N={n_osc} needs {n_bytes} "
+            f"bytes, more than the {budget} bytes of physical memory; "
+            f"shorten t_end or enlarge dt")
+    return n_steps
 
 
 @dataclass
@@ -109,11 +124,6 @@ def integrate(rhs, x0, dt: float, t_end: float) -> Trajectory:
     states are 'full', real states are 'phase'. rhs must return a float
     (or, for complex states, complex) array shaped like x.
 
-    At small N a step costs mostly per-call overhead, so the loop keeps
-    numpy calls to a minimum: the four stages are combined in one temporary
-    with in-place operations, in the same order as the textbook formula
-    x + dt/6 * (k1 + 2 (k2 + k3) + k4), so the result is bit-identical to it.
-
     Raises
     ------
     TrajectoryTooLargeError
@@ -140,14 +150,7 @@ def integrate(rhs, x0, dt: float, t_end: float) -> Trajectory:
     if not np.isfinite(x).all():
         raise ValueError("initial state contains non-finite entries")
 
-    n_steps = int(np.floor(t_end / dt + 1e-9))
-    n_bytes = (n_steps + 1) * x.size * x.itemsize
-    budget = _physical_memory_bytes()
-    if budget is not None and n_bytes > budget:
-        raise TrajectoryTooLargeError(
-            f"a trajectory of {n_steps} steps x N={x.size} needs {n_bytes} "
-            f"bytes, more than the {budget} bytes of physical memory; "
-            f"shorten t_end or enlarge dt")
+    n_steps = _budget_steps("a trajectory", dt, t_end, x.size, x.itemsize)
     times = np.arange(n_steps + 1) * dt
     states = np.empty((n_steps + 1, x.size), dtype=x.dtype)
     states[0] = x
@@ -155,18 +158,7 @@ def integrate(rhs, x0, dt: float, t_end: float) -> Trajectory:
     half = 0.5 * dt
     sixth = dt / 6.0
     for i in range(1, n_steps + 1):
-        k1 = rhs(x)
-        k2 = rhs(x + half * k1)
-        k3 = rhs(x + half * k2)
-        k4 = rhs(x + dt * k3)
-        # sixth * (k1 + 2.0 * (k2 + k3) + k4), operation for operation,
-        # with one temporary instead of five
-        acc = k2 + k3
-        acc *= 2.0
-        acc += k1
-        acc += k4
-        acc *= sixth
-        x = x + acc
+        x = _rk4_step(rhs, x, dt, half, sixth)
         if not np.isfinite(x).all():
             raise IntegrationError(
                 f"non-finite state at t={times[i]:g} (step {i})", float(times[i]))
@@ -174,21 +166,61 @@ def integrate(rhs, x0, dt: float, t_end: float) -> Trajectory:
     return Trajectory(times, states, kind)
 
 
+def _rk4_step(rhs, x, dt, half, sixth):
+    """x + dt/6 * (k1 + 2 (k2 + k3) + k4), operation for operation, with
+    in-place updates of one temporary: a step at small N costs mostly numpy
+    call overhead. The stages die on return, not in the next step."""
+    k1 = rhs(x)
+    k2 = rhs(x + half * k1)
+    k3 = rhs(x + half * k2)
+    k4 = rhs(x + dt * k3)
+    acc = k2 + k3
+    acc *= 2.0
+    acc += k1
+    acc += k4
+    acc *= sixth
+    return x + acc
+
+
+def _phase_block(states, times, carry=None):
+    """np.unwrap(np.angle(states), axis=0) continued from the carry (last
+    wrapped row, running correction) of the preceding block, and the next
+    carry. numpy's formula is kept term by term, +-pi tie rule included, and
+    corrections add up row by row as in cumsum, so blocks change no bit."""
+    mods = np.abs(states)
+    low = np.flatnonzero((mods < _AMPLITUDE_FLOOR).any(axis=1))
+    if low.size:
+        t, k = low[0], np.argmin(mods[low[0]])
+        raise AmplitudeCollapseError(
+            f"|z_{k + 1}| = {mods[t, k]:.3e} at t={times[t]:g}: "
+            f"amplitude collapsed, phases undefined")
+    wrapped = np.angle(states)
+    prev, correction = (wrapped[0], 0.0) if carry is None else carry
+    dd = np.empty_like(wrapped)
+    np.subtract(wrapped[:1], prev, out=dd[:1])
+    np.subtract(wrapped[1:], wrapped[:-1], out=dd[1:])
+    fix = np.mod(dd + np.pi, TAU) - np.pi
+    np.copyto(fix, np.pi, where=(fix == -np.pi) & (dd > 0))
+    fix -= dd
+    np.copyto(fix, 0, where=np.abs(dd) < np.pi)
+    fix[0] += correction
+    np.cumsum(fix, axis=0, out=fix)
+    next_carry = (wrapped[-1].copy(), fix[-1].copy())
+    fix += wrapped
+    if carry is None:  # np.unwrap leaves the first row as it is
+        fix[0] = wrapped[0]
+    return fix, next_carry
+
+
 def extract_phases(traj: Trajectory) -> Trajectory:
     """Unwrapped phase paths arg z_k(t) of a full-model trajectory.
 
-    Raises AmplitudeCollapseError if any modulus gets within 1e-8 of zero,
-    where the phase is meaningless.
+    Raises AmplitudeCollapseError at the earliest time some modulus gets
+    within 1e-8 of zero, where the phase is meaningless.
     """
     if traj.kind != "full":
         raise ValueError("extract_phases expects a full-model trajectory")
-    mods = np.abs(traj.states)
-    if mods.min() < _AMPLITUDE_FLOOR:
-        bad_t, bad_k = np.unravel_index(int(np.argmin(mods)), mods.shape)
-        raise AmplitudeCollapseError(
-            f"|z_{bad_k + 1}| = {mods[bad_t, bad_k]:.3e} at t="
-            f"{traj.times[bad_t]:g}: amplitude collapsed, phases undefined")
-    phases = np.unwrap(np.angle(traj.states), axis=0)
+    phases, _ = _phase_block(traj.states, traj.times)
     return Trajectory(traj.times, phases, "phase")
 
 
@@ -206,6 +238,9 @@ def compare(full_traj: Trajectory, phase_traj: Trajectory) -> ComparisonReport:
     is not an observable of the reduced model), and the largest residual
     circular distance over all times and oscillators is reported together
     with both mean winding rates.
+
+    Rows are processed in blocks of max(1, 2**16 // N) with the unwrap
+    carried over, so memory beyond the two trajectories is O(N).
     """
     if phase_traj.kind != "phase":
         raise ValueError("second argument must be a phase trajectory")
@@ -215,15 +250,24 @@ def compare(full_traj: Trajectory, phase_traj: Trajectory) -> ComparisonReport:
     if full_traj.n_osc != phase_traj.n_osc:
         raise ValueError("oscillator counts differ between the two trajectories")
 
-    extracted = extract_phases(full_traj)
-    diff = extracted.states - phase_traj.states
-    mean_vec = np.exp(1j * diff).mean(axis=1)
-    rotation = np.angle(mean_vec)
-    residual = wrap_angle(diff - rotation[:, None])
+    block = max(1, _BLOCK_ELEMENTS // full_traj.n_osc)
+    carry = None
+    max_dev = 0.0
+    for start in range(0, full_traj.times.size, block):
+        rows = slice(start, start + block)
+        diff, carry = _phase_block(full_traj.states[rows],
+                                   full_traj.times[rows], carry)
+        diff -= phase_traj.states[rows]
+        rotation = np.angle(np.exp(1j * diff).mean(axis=1))
+        diff -= rotation[:, None]
+        max_dev = np.maximum(max_dev, np.max(np.abs(wrap_angle(diff))))
+    # the final extracted row is the last wrapped row plus its correction
+    winding = carry[0] + carry[1] - np.angle(full_traj.states[0])
+    horizon = full_traj.times[-1] - full_traj.times[0]
     return ComparisonReport(
-        horizon=float(full_traj.times[-1] - full_traj.times[0]),
-        max_phase_dev=float(np.max(np.abs(residual))),
-        freq_full=mean_winding_rate(extracted),
+        horizon=float(horizon),
+        max_phase_dev=float(max_dev),
+        freq_full=float(np.mean(winding) / horizon),
         freq_phase=mean_winding_rate(phase_traj),
     )
 

@@ -6,6 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import hopfphase.cli as cli
+import hopfphase.cluster as cluster
+import hopfphase.integrator as integrator
 from hopfphase.cli import main
 
 RICH_COEFFS = {"a1": [-1.0, 0.3], "a_minus1": [0.1, 0.05], "a2": [0.2, -0.1]}
@@ -169,6 +172,52 @@ def test_oversized_trajectory_exits_2(tmp_path, capsys, verb):
     # only the initial state was built, never a trajectory
     assert peak < 64 * 16 * n
     assert not (tmp_path / "x").exists()
+
+
+def test_compare_budgets_both_trajectories_before_integrating(
+        tmp_path, capsys, monkeypatch):
+    n, steps = 1000, 100
+    cfg = write_config(tmp_path, n_osc=n, dt=0.1, t_end=steps * 0.1)
+    full_bytes = (steps + 1) * n * 16
+    both_bytes = (steps + 1) * n * (16 + 8)
+    calls = []
+    for name in ("full_rhs_array", "phase_rhs_fast"):
+        rhs = getattr(cli, name)
+
+        def counted(*args, rhs=rhs):
+            calls.append(rhs)
+            return rhs(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    # each trajectory fits on its own, the two together do not
+    monkeypatch.setattr(integrator, "_physical_memory_bytes",
+                        lambda: (full_bytes + both_bytes) // 2)
+    out = tmp_path / "cmp.json"
+    assert run(["compare", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{steps} steps" in err
+    assert f"N={n}" in err and f"{both_bytes} bytes" in err
+    assert calls == [] and not out.exists()
+
+    monkeypatch.setattr(integrator, "_physical_memory_bytes", lambda: both_bytes)
+    assert run(["compare", "--config", cfg, "--out", out]) == 0
+    assert calls and out.exists()
+
+
+def test_cluster_scan_builds_the_alpha_polynomials_once(tmp_path, monkeypatch):
+    calls = []
+    build = cluster.alpha_polynomials
+
+    def counted(coupling):
+        calls.append(coupling)
+        return build(coupling)
+
+    monkeypatch.setattr(cluster, "alpha_polynomials", counted)
+    monkeypatch.setattr(cli, "alpha_polynomials", counted)
+    cfg = write_config(tmp_path, seed=1, coefficients=RICH_COEFFS)
+    assert run(["cluster-scan", "--config", cfg,
+                "--out", tmp_path / "scan.txt"]) == 0
+    assert len(calls) == 1
 
 
 def test_compare_report(tmp_path):

@@ -17,6 +17,8 @@ from hopfphase import (AmplitudeCollapseError, IntegrationError,
                        default_dt, extract_phases, full_rhs_array, integrate,
                        mean_winding_rate, phase_rhs_fast, trajectory_text,
                        write_trajectory)
+from hopfphase.angles import wrap_angle
+from hopfphase.integrator import _BLOCK_ELEMENTS
 
 from conftest import make_rng, random_coupling, random_params
 
@@ -305,6 +307,115 @@ def test_perturbed_states_return_to_limit_cycle():
                          radii * np.exp(1j * phi0), 0.05, 300.0)
         final_dev = np.max(np.abs(np.abs(traj.states[-1]) - r_star))
         assert final_dev < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# row-block comparison against the one-pass formulas
+
+
+def one_pass_phases(full):
+    return np.unwrap(np.angle(full.states), axis=0)
+
+
+def one_pass_compare(full, phase):
+    """compare() as whole-array post-processing: every (steps, N) temporary
+    held at once."""
+    extracted = one_pass_phases(full)
+    diff = extracted - phase.states
+    rotation = np.angle(np.exp(1j * diff).mean(axis=1))
+    residual = wrap_angle(diff - rotation[:, None])
+    horizon = full.times[-1] - full.times[0]
+    return (float(horizon), float(np.max(np.abs(residual))),
+            float(np.mean(extracted[-1] - extracted[0]) / horizon),
+            float(np.mean(phase.states[-1] - phase.states[0]) / horizon))
+
+
+# consecutive wrapped values that differ by exactly pi or 2*pi: the tie rule
+# keeps the sign of a +-pi jump, and |dd| = pi is not below the threshold
+EXACT_JUMPS = [(1 + 0j, -1 + 0j), (complex(1, 0), complex(-1, -0.0)),
+               (-1 + 0j, complex(-1, -0.0)), (complex(-1, -0.0), -1 + 0j)]
+
+
+def block_boundary_runs(n, seed):
+    """A full and a phase trajectory with wraps, near-pi crossings and exact
+    +-pi jumps between the last row of a block and the first of the next."""
+    block = max(1, _BLOCK_ELEMENTS // n)
+    rows = 4 * block + 2
+    rng = make_rng(seed)
+    theta = np.cumsum(rng.uniform(-4.0, 4.0, (rows, n)), axis=0)
+    states = rng.uniform(0.5, 1.5, (rows, n)) * np.exp(1j * theta)
+    for m, (before, after) in enumerate(EXACT_JUMPS, start=1):
+        states[m * block - 1, (m - 1) % n] = before
+        states[m * block, (m - 1) % n] = after
+        # a crossing of the branch cut just off the tie
+        states[m * block - 1, m % n] = np.exp(1j * (np.pi - 0.01))
+        states[m * block, m % n] = np.exp(1j * (0.02 - np.pi))
+    times = np.arange(rows) * 0.1
+    phases = theta + rng.normal(0.0, 0.8, (rows, n))
+    return (Trajectory(times, states, "full"),
+            Trajectory(times, phases, "phase"))
+
+
+@pytest.mark.parametrize("n", [3, 8, 64, 1000, 70_000])
+def test_block_pass_equals_one_pass_formulas(n):
+    full, phase = block_boundary_runs(n, seed=60 + n % 97)
+    report = compare(full, phase)
+    assert (report.horizon, report.max_phase_dev, report.freq_full,
+            report.freq_phase) == one_pass_compare(full, phase)
+    extracted = extract_phases(full).states
+    assert extracted.tobytes() == one_pass_phases(full).tobytes()
+
+
+def test_extract_phases_keeps_the_sign_of_a_zero_first_phase():
+    states = np.array([[complex(1, -0.0)], [1j], [-1 + 0j]])
+    extracted = extract_phases(Trajectory(np.arange(3.0), states, "full"))
+    assert extracted.states.tobytes() == one_pass_phases(
+        Trajectory(np.arange(3.0), states, "full")).tobytes()
+    assert math.copysign(1.0, extracted.states[0, 0]) == -1.0
+
+
+def _compare_peak(n, steps):
+    rng = make_rng(7)
+    theta = np.cumsum(rng.uniform(-1.0, 1.0, (steps + 1, n)), axis=0)
+    states = np.empty(theta.shape, dtype=complex)
+    np.multiply(theta, 1j, out=states)
+    np.exp(states, out=states)
+    times = np.arange(steps + 1) * 0.1
+    full = Trajectory(times, states, "full")
+    phase = Trajectory(times, theta, "phase")
+    tracemalloc.start()
+    try:
+        compare(full, phase)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_compare_transient_memory_does_not_grow_with_the_run():
+    # beyond the two trajectories, compare holds O(N): ten times the rows
+    # must not cost ten times the memory
+    n = 20_000
+    assert _compare_peak(n, 400) <= 1.2 * _compare_peak(n, 40)
+
+
+@pytest.mark.parametrize("n", [2, 70_000])
+def test_amplitude_collapse_names_the_earliest_row(n):
+    times = np.arange(5.0)
+    states = np.full((5, n), 0.3 + 0j)
+    states[1, 0] = 5e-9       # shallow, early
+    states[3, 1] = 1e-12      # deeper, later
+    full = Trajectory(times, states, "full")
+    phase = Trajectory(times, np.zeros((5, n)), "phase")
+    for run in (lambda: extract_phases(full), lambda: compare(full, phase)):
+        with pytest.raises(AmplitudeCollapseError,
+                           match=r"\|z_1\| = 5\.000e-09 at t=1:"):
+            run()
+    # within the earliest row, the smallest modulus is named
+    states[1, 1] = 2e-9
+    with pytest.raises(AmplitudeCollapseError,
+                       match=r"\|z_2\| = 2\.000e-09 at t=1:"):
+        compare(Trajectory(times, states, "full"), phase)
 
 
 # ---------------------------------------------------------------------------
