@@ -2,12 +2,10 @@
 reduction to a phase model with three- and four-phase interactions, and
 synchrony/two-cluster analysis."""
 
-from .angles import TAU, wrap_angle, wrap_positive
+from .angles import TAU, wrap_angle
 from .cluster import (AlphaRootResult, ClusterCoefficients, ClusterConfig,
                       PsiRoot, RootScanResult, ab_coefficients,
-                      alpha_polynomials, alpha_roots_for_psi, find_roots,
-                      find_roots_batch, find_roots_from_coefficients,
-                      g_factored, g_raw, polynomial_alpha_roots,
+                      alpha_polynomials, find_roots_batch, g_factored, g_raw,
                       polynomial_alpha_roots_batch, sync_frequency,
                       sync_stability, two_cluster_H)
 from .config import (ClusterScanSpec, ConfigError, InitialSpec, RunConfig,
@@ -17,11 +15,11 @@ from .integrator import (AmplitudeCollapseError, ComparisonReport,
                          IntegrationError, Trajectory, TrajectoryTooLargeError,
                          compare, default_dt, extract_phases, integrate,
                          mean_winding_rate, trajectory_text, write_trajectory)
-from .normal_form import (FullState, NormalFormCoefficients, SystemParams,
+from .normal_form import (NormalFormCoefficients, SystemParams,
                           as_state_vector, coupling_field, equivariant_basis,
-                          full_rhs, full_rhs_array, uncoupled_field)
-from .phase_model import (CircularMoments, PhaseState, as_phase_vector,
-                          moments, phase_rhs_fast, phase_rhs_naive)
+                          full_rhs_array, uncoupled_field)
+from .phase_model import (as_phase_vector, moments, phase_rhs_fast,
+                          phase_rhs_naive)
 from .reduction import (HarmonicTerm, PhaseCouplingSet, ReductionConstants,
                         abc_constants, beta_gamma, build_coupling,
                         canonical_xi_chi, coupling_from_text, coupling_to_text,
@@ -29,26 +27,22 @@ from .reduction import (HarmonicTerm, PhaseCouplingSet, ReductionConstants,
                         xi_chi_lambda_split)
 
 __all__ = [
-    "TAU", "wrap_angle", "wrap_positive",
-    "NormalFormCoefficients", "SystemParams", "FullState", "as_state_vector",
-    "equivariant_basis", "coupling_field", "uncoupled_field", "full_rhs",
-    "full_rhs_array",
+    "TAU", "wrap_angle",
+    "NormalFormCoefficients", "SystemParams", "as_state_vector",
+    "equivariant_basis", "coupling_field", "uncoupled_field", "full_rhs_array",
     "ReductionConstants", "HarmonicTerm", "PhaseCouplingSet", "limit_cycle",
     "abc_constants", "reduction_constants", "beta_gamma", "build_coupling",
     "canonical_xi_chi", "xi_chi_lambda_split", "evaluate_harmonics",
     "coupling_to_text", "coupling_from_text",
-    "PhaseState", "CircularMoments", "as_phase_vector", "moments",
-    "phase_rhs_naive", "phase_rhs_fast",
+    "as_phase_vector", "moments", "phase_rhs_naive", "phase_rhs_fast",
     "Trajectory", "ComparisonReport", "IntegrationError",
     "AmplitudeCollapseError", "TrajectoryTooLargeError", "default_dt",
     "integrate", "extract_phases", "mean_winding_rate", "compare",
     "trajectory_text", "write_trajectory",
     "ClusterConfig", "ClusterCoefficients", "PsiRoot", "RootScanResult",
     "AlphaRootResult", "two_cluster_H", "g_raw", "ab_coefficients",
-    "g_factored", "find_roots", "find_roots_from_coefficients",
-    "find_roots_batch", "sync_stability", "sync_frequency",
-    "alpha_polynomials", "alpha_roots_for_psi", "polynomial_alpha_roots",
-    "polynomial_alpha_roots_batch",
+    "g_factored", "find_roots_batch", "sync_stability", "sync_frequency",
+    "alpha_polynomials", "polynomial_alpha_roots_batch",
     "RunConfig", "InitialSpec", "ClusterScanSpec", "SyntheticAB",
     "ConfigError", "parse_config", "serialize_config", "normalize_config_text",
     "initial_phases", "initial_full_state",

@@ -1,8 +1,7 @@
-"""Angle normalization helpers shared across the package.
+"""Angle normalization shared across the package.
 
-Two conventions appear in the model: reported phases (coupling phases,
-canonical offsets) live in (-pi, pi], while phase-state vectors live in
-[0, 2*pi). Both wrappers accept scalars or numpy arrays.
+Reported phases (coupling phases, canonical offsets) live in (-pi, pi].
+wrap_angle accepts scalars or numpy arrays.
 """
 from __future__ import annotations
 
@@ -15,16 +14,6 @@ def wrap_angle(x):
     """Reduce an angle to (-pi, pi]; ties at -pi map to +pi."""
     y = np.mod(np.asarray(x, dtype=float) + np.pi, TAU) - np.pi
     y = np.where(y == -np.pi, np.pi, y)
-    if np.ndim(x) == 0:
-        return float(y)
-    return y
-
-
-def wrap_positive(x):
-    """Reduce an angle to [0, 2*pi)."""
-    y = np.mod(np.asarray(x, dtype=float), TAU)
-    # mod can return TAU itself for inputs just below a multiple of 2*pi
-    y = np.where(y >= TAU, 0.0, y)
     if np.ndim(x) == 0:
         return float(y)
     return y

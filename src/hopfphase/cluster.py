@@ -319,9 +319,8 @@ def _grid_brackets(psis, coef):
     return (r, i, fa[r, i]), (dr, di + 1)
 
 
-def find_roots(cfg: ClusterConfig, coupling: PhaseCouplingSet,
-               grid_size: int = 720) -> RootScanResult:
-    """All roots of G(Psi) in the open interval (0, 2*pi).
+def find_roots_batch(ccs, grid_size: int = 720) -> list:
+    """All roots in (0, 2*pi) of G(Psi) for every coefficient set in ccs.
 
     Sign changes on a uniform grid are refined by bisection to 1e-10 in Psi;
     the first interval starts from the sign of A1 + A2, since G(0) is an
@@ -329,20 +328,7 @@ def find_roots(cfg: ClusterConfig, coupling: PhaseCouplingSet,
     (non-sign-changing) roots are sought at local minima of |G| and
     accepted when the refined minimum lies below 1e-8; they are flagged
     tangential. A G that vanishes for every Psi is reported through the
-    identically_zero flag instead of a root list. This is a one-row call of
-    find_roots_batch.
-    """
-    return find_roots_from_coefficients(ab_coefficients(cfg, coupling), grid_size)
-
-
-def find_roots_from_coefficients(cc: ClusterCoefficients,
-                                 grid_size: int = 720) -> RootScanResult:
-    """find_roots on explicitly given factored-form coefficients."""
-    return find_roots_batch([cc], grid_size)[0]
-
-
-def find_roots_batch(ccs, grid_size: int = 720) -> list:
-    """find_roots_from_coefficients for every coefficient set in ccs.
+    identically_zero flag instead of a root list.
 
     G is evaluated on the grid for up to _SCAN_BLOCK coefficient sets at a
     time; the sign changes and grazing candidates of all of them are then
@@ -438,27 +424,20 @@ def _poly_rows(x, coef):
     return acc
 
 
-def polynomial_alpha_roots(psi0: float, a1_poly, b1_poly, a2_poly,
-                           b2_poly) -> AlphaRootResult:
-    """Roots in alpha of A1(a)cos(Psi/2) + B1(a)sin(Psi/2) + A2(a)cos(3Psi/2)
-    + B2(a)sin(3Psi/2) inside (-1, 1).
-
-    The four inputs are ascending alpha-polynomial coefficient sequences
-    (length up to 4). Roots are isolated on monotone pieces between the
-    closed-form critical points of the cubic and refined by bisection, so no
-    companion-matrix eigenvalue solve is involved. This is a one-row call of
-    polynomial_alpha_roots_batch.
-    """
-    return polynomial_alpha_roots_batch([psi0], a1_poly, b1_poly, a2_poly,
-                                        b2_poly)[0]
-
-
 def polynomial_alpha_roots_batch(psis, a1_poly, b1_poly, a2_poly,
                                  b2_poly) -> list:
-    """polynomial_alpha_roots at every separation in psis, same polynomials.
+    """Roots in alpha of A1(a)cos(Psi/2) + B1(a)sin(Psi/2) + A2(a)cos(3Psi/2)
+    + B2(a)sin(3Psi/2) inside (-1, 1), at every separation Psi in psis.
 
-    The brackets of all separations are bisected together; entry i of the
-    result equals a call at psis[i] alone.
+    The four inputs are ascending alpha-polynomial coefficient sequences
+    (length up to 4), shared by every separation; alpha_polynomials gives
+    them for a coupling set (degree at most 3, at most 1 when the three-
+    and four-phase couplings vanish). Roots are isolated on monotone pieces
+    between the closed-form critical points of the cubic and refined by
+    bisection, so no companion-matrix eigenvalue solve is involved. A
+    bracket that vanishes for every alpha is reported through the
+    identically_zero flag. The brackets of all separations are bisected
+    together; entry i of the result equals a call with psis[i] alone.
     """
     psis = np.asarray(psis, dtype=float).reshape(-1)
     outside = psis[~((0.0 < psis) & (psis < 2.0 * np.pi))]
@@ -562,13 +541,3 @@ def _curved_alpha_roots(q, degree, scale):
     roots.append(crits[r, k])
     return np.concatenate(rows), np.concatenate(roots)
 
-
-def alpha_roots_for_psi(psi0: float, coupling: PhaseCouplingSet) -> AlphaRootResult:
-    """Cluster imbalances alpha in (-1, 1) for which Psi = psi0 solves G = 0.
-
-    Builds the exact alpha polynomial of the factored bracket (degree at
-    most 3; at most 1 when the three- and four-phase couplings vanish) and
-    returns its real roots in the open interval.
-    """
-    a1p, b1p, a2p, b2p = alpha_polynomials(coupling)
-    return polynomial_alpha_roots(psi0, a1p, b1p, a2p, b2p)

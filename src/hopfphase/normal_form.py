@@ -130,24 +130,6 @@ def _caller_stacklevel() -> int:
     return level
 
 
-@dataclass
-class FullState:
-    """Length-N vector of complex oscillator amplitudes."""
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=complex)
-        if z.ndim != 1 or z.size == 0:
-            raise ValueError("state must be a non-empty 1-D complex vector")
-        if not np.all(np.isfinite(z)):
-            raise ValueError("state contains non-finite entries")
-        self.z = z
-
-    def __len__(self) -> int:
-        return self.z.size
-
-
 def complex_mean(a: np.ndarray) -> complex:
     """complex(a.mean()) of a 1-D complex array, bit for bit.
 
@@ -161,10 +143,13 @@ def complex_mean(a: np.ndarray) -> complex:
 
 
 def as_state_vector(z) -> np.ndarray:
-    """Accept a FullState or array-like, return a validated complex vector."""
-    if isinstance(z, FullState):
-        return z.z
-    return FullState(np.asarray(z)).z
+    """Return z as a complex vector: 1-D, non-empty and finite."""
+    v = np.asarray(z, dtype=complex)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError("state must be a non-empty 1-D complex vector")
+    if not np.isfinite(v).all():
+        raise ValueError("state contains non-finite entries")
+    return v
 
 
 def equivariant_basis(z, k: int) -> complex:
@@ -177,7 +162,7 @@ def equivariant_basis(z, k: int) -> complex:
 
     Parameters
     ----------
-    z : FullState or array-like of complex
+    z : array-like of complex
     k : int
         Basis index in {-1, 0, 1, ..., 11}.
 
@@ -274,11 +259,3 @@ def full_rhs_array(v: np.ndarray, params: SystemParams) -> np.ndarray:
     out += const
     return out
 
-
-def full_rhs(z, params: SystemParams) -> FullState:
-    """Full coupled vector field; validates the state length against n_osc."""
-    v = as_state_vector(z)
-    if v.size != params.n_osc:
-        raise ValueError(
-            f"state has length {v.size}, params expect n_osc={params.n_osc}")
-    return FullState(full_rhs_array(v, params))

@@ -15,49 +15,19 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import wrap_positive
 from .normal_form import complex_mean
 from .reduction import PhaseCouplingSet
 
 
-@dataclass
-class PhaseState:
-    """Length-N phase vector, reduced to [0, 2*pi) on construction."""
-
-    phi: np.ndarray
-
-    def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
-        if phi.ndim != 1 or phi.size == 0:
-            raise ValueError("phases must form a non-empty 1-D real vector")
-        if not np.all(np.isfinite(phi)):
-            raise ValueError("phases contain non-finite entries")
-        self.phi = wrap_positive(phi)
-
-    def __len__(self) -> int:
-        return self.phi.size
-
-
-@dataclass(frozen=True)
-class CircularMoments:
-    """First and second circular moments Z1, Z2 of a phase vector."""
-
-    z1: complex
-    z2: complex
-
-
 def as_phase_vector(phi) -> np.ndarray:
-    """Accept a PhaseState or array-like, return a float vector.
+    """Return phi as a float vector: 1-D, non-empty and finite.
 
-    Arrays are passed through unreduced; the right-hand side is 2*pi
+    The values are passed through unreduced; the right-hand side is 2*pi
     periodic, and integration keeps winding information in the raw values.
     """
-    if isinstance(phi, PhaseState):
-        return phi.phi
     v = np.asarray(phi, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("phases must form a non-empty 1-D real vector")
@@ -66,20 +36,15 @@ def as_phase_vector(phi) -> np.ndarray:
     return v
 
 
-def _moments_of(e1: np.ndarray, e2: np.ndarray) -> CircularMoments:
-    """Moments from the precomputed rotations e1 = e^{i phi}, e2 = e1**2."""
-    return CircularMoments(complex_mean(e1), complex_mean(e2))
-
-
-def moments(phi) -> CircularMoments:
-    """First and second circular moments of the phase vector.
+def moments(phi) -> tuple:
+    """First and second circular moments (Z1, Z2) of the phase vector.
 
     One e^{i phi} evaluation and numpy's pairwise mean serve every N; at
     N = 10^5 the result differs from exactly rounded (math.fsum) sums by
     about 1e-18.
     """
     e1 = np.exp(1j * as_phase_vector(phi))
-    return _moments_of(e1, e1 * e1)
+    return complex_mean(e1), complex_mean(e1 * e1)
 
 
 def _check_size(v: np.ndarray, coupling: PhaseCouplingSet):
@@ -149,8 +114,7 @@ def phase_rhs_fast(phi, coupling: PhaseCouplingSet) -> np.ndarray:
     _check_size(v, coupling)
     e1 = np.exp(1j * v)
     e2 = e1 * e1
-    m = _moments_of(e1, e2)
-    z1, z2 = m.z1, m.z2
+    z1, z2 = complex_mean(e1), complex_mean(e2)
 
     base = coupling.omega_tilde_const
     if coupling.mean_field_freq_amp != 0.0:

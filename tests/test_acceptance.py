@@ -10,12 +10,12 @@ import time
 import numpy as np
 
 from hopfphase import (PhaseCouplingSet, abc_constants, ab_coefficients,
-                       beta_gamma, build_coupling, ClusterConfig,
-                       alpha_roots_for_psi, compare, extract_phases,
-                       full_rhs_array, g_factored, g_raw, integrate,
-                       limit_cycle, NormalFormCoefficients, phase_rhs_fast,
-                       phase_rhs_naive, polynomial_alpha_roots,
-                       sync_frequency, SystemParams)
+                       alpha_polynomials, beta_gamma, build_coupling,
+                       ClusterConfig, compare, extract_phases, full_rhs_array,
+                       g_factored, g_raw, integrate, limit_cycle,
+                       NormalFormCoefficients, phase_rhs_fast, phase_rhs_naive,
+                       polynomial_alpha_roots_batch, sync_frequency,
+                       SystemParams)
 
 from conftest import make_rng, random_coupling, random_params
 
@@ -140,8 +140,8 @@ def test_criterion_06_structural_zeros():
 
 
 def test_criterion_07_imbalance_root_structure():
-    result = polynomial_alpha_roots(math.pi / 2, (0.125, 0.0, 1.0),
-                                    (0.0, -0.75), (), ())
+    result = polynomial_alpha_roots_batch([math.pi / 2], (0.125, 0.0, 1.0),
+                                          (0.0, -0.75), (), ())[0]
     assert len(result.roots) == 2
     assert abs(result.roots[0] - 0.25) < 1e-9
     assert abs(result.roots[1] - 0.5) < 1e-9
@@ -150,8 +150,8 @@ def test_criterion_07_imbalance_root_structure():
     grid = np.linspace(0.0, TAU, 362)[1:-1]
     for trial in range(100):
         coupling = random_coupling(rng, 4, only=PAIRWISE_KEYS)
-        for psi0 in grid:
-            found = alpha_roots_for_psi(float(psi0), coupling)
+        for found in polynomial_alpha_roots_batch(
+                grid, *alpha_polynomials(coupling)):
             assert len(found.roots) <= 1
     print("PASS: criterion 7 — synthetic imbalance roots {0.25, 0.5}; "
           "pairwise coupling never admits two roots (100 draws x 360 psi)")

@@ -12,10 +12,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from hopfphase import (ClusterCoefficients, ClusterConfig, ab_coefficients,
-                       alpha_polynomials, alpha_roots_for_psi, build_coupling,
-                       find_roots, find_roots_batch,
-                       find_roots_from_coefficients, g_factored, g_raw,
-                       phase_rhs_naive, polynomial_alpha_roots,
+                       alpha_polynomials, build_coupling, find_roots_batch,
+                       g_factored, g_raw, phase_rhs_naive,
                        polynomial_alpha_roots_batch, sync_frequency,
                        sync_stability, two_cluster_H)
 from hopfphase.cluster import _SCAN_BLOCK, _grid_brackets
@@ -166,7 +164,8 @@ def test_find_roots_zero_coupling_is_degenerate():
     from hopfphase import NormalFormCoefficients, SystemParams
     params = SystemParams(lam=0.1, omega=1.0, epsilon=0.1, n_osc=4,
                           coeffs=NormalFormCoefficients(a1=-1.0))
-    scan = find_roots(ClusterConfig.from_alpha(0.2), build_coupling(params))
+    cc = ab_coefficients(ClusterConfig.from_alpha(0.2), build_coupling(params))
+    scan = find_roots_batch([cc])[0]
     assert scan.identically_zero
     assert scan.roots == ()
 
@@ -174,15 +173,15 @@ def test_find_roots_zero_coupling_is_degenerate():
 def test_balanced_clusters_always_have_antiphase_root(rng):
     for trial in range(5):
         coupling = random_coupling(rng, 6)
-        scan = find_roots(ClusterConfig.from_alpha(0.0), coupling)
+        scan = find_roots_batch(
+            [ab_coefficients(ClusterConfig.from_alpha(0.0), coupling)])[0]
         assert not scan.identically_zero
         assert any(abs(r.psi - math.pi) < 1e-9 for r in scan.roots)
 
 
 def test_find_roots_synthetic_quarter_turn():
     # bracket 3/8*(cos - sin) of the half angle vanishes only at psi = pi/2
-    scan = find_roots_from_coefficients(
-        ClusterCoefficients(0.375, -0.375, 0.0, 0.0))
+    scan = find_roots_batch([ClusterCoefficients(0.375, -0.375, 0.0, 0.0)])[0]
     assert len(scan.roots) == 1
     root = scan.roots[0]
     assert abs(root.psi - math.pi / 2) < 1e-9
@@ -192,7 +191,7 @@ def test_find_roots_synthetic_quarter_turn():
 def test_find_roots_flags_grazing_root():
     # the bracket -2cos(h)+sin(h)+sin(3h) has a double zero at h=pi/4 and a
     # simple one at h=pi/2: a tangential root at psi=pi/2, a crossing at pi
-    scan = find_roots_from_coefficients(ClusterCoefficients(-2.0, 1.0, 0.0, 1.0))
+    scan = find_roots_batch([ClusterCoefficients(-2.0, 1.0, 0.0, 1.0)])[0]
     near_quarter = [r for r in scan.roots if abs(r.psi - math.pi / 2) < 1e-6]
     near_anti = [r for r in scan.roots if abs(r.psi - math.pi) < 1e-9]
     assert len(near_quarter) == 1 and near_quarter[0].tangential
@@ -205,8 +204,8 @@ def test_find_roots_locates_grazing_root_off_the_grid(shift):
     # to psi = pi/2 + 2*shift, between grid points, the crossing to pi + 2*shift
     c, s = math.cos(shift), math.sin(shift)
     c3, s3 = math.cos(3 * shift), math.sin(3 * shift)
-    scan = find_roots_from_coefficients(
-        ClusterCoefficients(-2.0 * c - s, -2.0 * s + c, -s3, c3))
+    scan = find_roots_batch(
+        [ClusterCoefficients(-2.0 * c - s, -2.0 * s + c, -s3, c3)])[0]
     grazing = [r for r in scan.roots if r.tangential]
     crossing = [r for r in scan.roots if not r.tangential]
     assert len(grazing) == 1 and abs(grazing[0].psi - (math.pi / 2 + 2 * shift)) < 1e-6
@@ -219,7 +218,7 @@ def test_find_roots_inside_the_first_and_last_grid_cells(d):
     # A1 = -tan(d/2), and Psi = 2*pi - d for A1 = tan(d/2), with B1 = 1
     t = math.tan(d / 2)
     for a1, want in ((-t, d), (t, TAU - d)):
-        scan = find_roots_from_coefficients(ClusterCoefficients(a1, 1.0, 0.0, 0.0))
+        scan = find_roots_batch([ClusterCoefficients(a1, 1.0, 0.0, 0.0)])[0]
         assert len(scan.roots) == 1 and not scan.roots[0].tangential
         assert abs(scan.roots[0].psi - want) < 1e-9
 
@@ -235,8 +234,8 @@ def test_first_cell_sign_adds_no_grazing_candidate():
 
 def test_find_roots_grid_must_resolve():
     with pytest.raises(ValueError, match="grid_size"):
-        find_roots_from_coefficients(ClusterCoefficients(1.0, 0.0, 0.0, 0.0),
-                                     grid_size=100)
+        find_roots_batch([ClusterCoefficients(1.0, 0.0, 0.0, 0.0)],
+                         grid_size=100)
 
 
 def companion_psi_roots(cc):
@@ -278,7 +277,7 @@ def check_scan_against_companion(a1, b1, a2, b2):
     assume(max(abs(a1), abs(b1), abs(a2), abs(b2)) > 0.0)
     want = companion_psi_roots(cc)
     assume(want is not None)
-    scan = find_roots_from_coefficients(cc)
+    scan = find_roots_batch([cc])[0]
     assert not scan.identically_zero
     got = np.array([r.psi for r in scan.roots])
     # every oracle root is found, and every reported root is an oracle root
@@ -324,7 +323,7 @@ def test_root_scan_batch_rows_are_independent(m):
         (ClusterCoefficients(*rng.normal(size=4)) for _ in range(m)),
         special[m % 3:] + special[:m % 3])
     batch = find_roots_batch(rows)
-    assert batch == [find_roots_from_coefficients(cc) for cc in rows]
+    assert batch == [find_roots_batch([cc])[0] for cc in rows]
     if m > 1:
         assert any(r.identically_zero for r in batch)
         assert any(root.tangential for r in batch for root in r.roots)
@@ -346,7 +345,8 @@ def test_alpha_root_batch_rows_are_independent(rng, m):
                              [math.pi / 2, math.pi, 1e-6])
     for polys in poly_sets:
         batch = polynomial_alpha_roots_batch(psis, *polys)
-        assert batch == [polynomial_alpha_roots(psi, *polys) for psi in psis]
+        assert batch == [polynomial_alpha_roots_batch([psi], *polys)[0]
+                         for psi in psis]
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +461,7 @@ def test_polynomial_roots_against_companion_oracle():
         if any(b - a < 1e-6 for a, b in zip(real, real[1:])):
             continue
         inside = [r for r in real if -1.0 < r < 1.0]
-        result = polynomial_alpha_roots(psi0, *polys)
+        result = polynomial_alpha_roots_batch([psi0], *polys)[0]
         assert not result.identically_zero
         assert len(result.roots) == len(inside)
         for got, want in zip(result.roots, inside):
@@ -471,8 +471,8 @@ def test_polynomial_roots_against_companion_oracle():
 
 
 def test_polynomial_roots_synthetic_quadratic():
-    result = polynomial_alpha_roots(math.pi / 2, (0.125, 0.0, 1.0),
-                                    (0.0, -0.75), (), ())
+    result = polynomial_alpha_roots_batch([math.pi / 2], (0.125, 0.0, 1.0),
+                                          (0.0, -0.75), (), ())[0]
     assert not result.identically_zero
     assert len(result.roots) == 2
     assert abs(result.roots[0] - 0.25) < 1e-9
@@ -481,27 +481,29 @@ def test_polynomial_roots_synthetic_quadratic():
 
 def test_polynomial_roots_validate_psi0():
     with pytest.raises(ValueError, match="psi0"):
-        polynomial_alpha_roots(0.0, (1.0,), (), (), ())
+        polynomial_alpha_roots_batch([0.0], (1.0,), (), (), ())
     with pytest.raises(ValueError, match="psi0"):
-        polynomial_alpha_roots(TAU, (1.0,), (), (), ())
+        polynomial_alpha_roots_batch([TAU], (1.0,), (), (), ())
 
 
 def test_alpha_roots_zero_coupling_is_degenerate():
     from hopfphase import NormalFormCoefficients, SystemParams
     params = SystemParams(lam=0.1, omega=1.0, epsilon=0.1, n_osc=4,
                           coeffs=NormalFormCoefficients(a1=-1.0))
-    result = alpha_roots_for_psi(1.0, build_coupling(params))
+    result = polynomial_alpha_roots_batch(
+        [1.0], *alpha_polynomials(build_coupling(params)))[0]
     assert result.identically_zero
 
 
 def test_pairwise_coupling_admits_at_most_one_alpha(rng):
     # degree collapses to one without three- and four-phase terms, so a
     # given separation can be balanced by at most one cluster imbalance
+    psis = np.linspace(0, TAU, 74)[1:-1]
     for trial in range(20):
         coupling = random_coupling(rng, 4, only=PAIRWISE_KEYS)
         a1p, b1p, a2p, b2p = alpha_polynomials(coupling)
-        for psi0 in np.linspace(0, TAU, 74)[1:-1]:
-            result = alpha_roots_for_psi(float(psi0), coupling)
+        results = polynomial_alpha_roots_batch(psis, a1p, b1p, a2p, b2p)
+        for psi0, result in zip(psis, results):
             assert len(result.roots) <= 1
             if result.roots and not result.identically_zero:
                 half = 0.5 * psi0

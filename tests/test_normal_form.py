@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopfphase import (FullState, NormalFormCoefficients, SystemParams,
-                       coupling_field, equivariant_basis, full_rhs,
-                       full_rhs_array, uncoupled_field)
+from hopfphase import (NormalFormCoefficients, SystemParams, as_state_vector,
+                       coupling_field, equivariant_basis, full_rhs_array,
+                       uncoupled_field)
 from hopfphase.normal_form import complex_mean
 
 from conftest import make_rng, random_coeffs
@@ -265,15 +265,6 @@ def test_full_rhs_diagonal_invariance():
     assert np.max(np.abs(out - out[0])) < 1e-14
 
 
-def test_full_rhs_wrapper_checks_length():
-    params = SystemParams(lam=0.1, omega=1.0, epsilon=0.0, n_osc=4,
-                          coeffs=NormalFormCoefficients(a1=-1.0))
-    with pytest.raises(ValueError):
-        full_rhs(np.ones(3, dtype=complex), params)
-    out = full_rhs(np.ones(4, dtype=complex), params)
-    assert len(out) == 4
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -323,7 +314,9 @@ def test_params_warning_names_the_calling_file():
 
 def test_full_state_validation():
     with pytest.raises(ValueError):
-        FullState(np.array([[1.0 + 0j]]))
+        as_state_vector(np.array([[1.0 + 0j]]))
     with pytest.raises(ValueError):
-        FullState(np.array([1.0 + 0j, complex(np.inf, 0)]))
-    assert len(FullState(np.array([1j, 2j]))) == 2
+        as_state_vector(np.array([], dtype=complex))
+    with pytest.raises(ValueError):
+        as_state_vector(np.array([1.0 + 0j, complex(np.inf, 0)]))
+    assert len(as_state_vector(np.array([1j, 2j]))) == 2
