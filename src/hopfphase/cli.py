@@ -5,7 +5,8 @@ Verbs: derive (coefficient report), simulate (one model run), compare
 and stability tables). All output is JSON or columnar text ready for external
 plotting; every file records the seed, so a fixed config gives byte-identical
 results. Exit codes: 0 success, 2 configuration problem (including
-trajectories too large for physical memory), 3 numerical failure.
+trajectories too large for physical memory and output files that cannot be
+made), 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -22,9 +23,10 @@ from .cluster import (_coefficients_at, alpha_polynomials, find_roots_batch,
                       polynomial_alpha_roots_batch, sync_frequency,
                       sync_stability)
 from .config import ConfigError, RunConfig, initial_full_state, initial_phases, parse_config
-from .integrator import (AmplitudeCollapseError, IntegrationError,
-                         TrajectoryTooLargeError, _budget_steps, compare,
-                         integrate, trajectory_text)
+from .integrator import (_TEXT_ELEMENTS, AmplitudeCollapseError,
+                         IntegrationError, TrajectoryTooLargeError,
+                         _budget_steps, _row_blocks, compare, integrate,
+                         trajectory_text)
 from .normal_form import full_rhs_array
 from .phase_model import phase_rhs_fast
 from .reduction import (build_coupling, canonical_xi_chi, coupling_to_text,
@@ -35,17 +37,43 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _unwritable(path: Path, reason: str) -> ConfigError:
+    return ConfigError(f"cannot write output file '{path}': {reason}")
+
+
+def _open_out(path: Path):
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _unwritable(path, exc.strerror or exc) from exc
+
+
 def _write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    with _open_out(path) as fh:
+        fh.write(text)
 
 
 def _out_path(cfg: RunConfig, args, default: str) -> Path:
+    """The verb's output file, checked before any work is done: it must not
+    be a directory, and its nearest existing ancestor must be one."""
     if args.out is not None:
-        return Path(args.out)
-    if cfg.output is not None:
-        return Path(cfg.output)
-    return Path(default)
+        path = Path(args.out)
+    elif cfg.output is not None:
+        path = Path(cfg.output)
+    else:
+        path = Path(default)
+    try:
+        ancestor = next(p for p in path.parents if p.exists())
+        if path.is_dir():
+            reason = "it is a directory"
+        elif not ancestor.is_dir():
+            reason = f"'{ancestor}' is not a directory"
+        else:
+            return path
+    except OSError as exc:
+        reason = exc.strerror
+    raise _unwritable(path, reason)
 
 
 def _load_config(args) -> RunConfig:
@@ -84,6 +112,7 @@ def _check_step(dt: float, t_end: float):
 
 
 def cmd_derive(cfg: RunConfig, args) -> int:
+    out = _out_path(cfg, args, "derive.json")
     params = cfg.system_params()
     consts = reduction_constants(params, cfg.delta)
     coupling = build_coupling(params, cfg.delta)
@@ -111,8 +140,7 @@ def cmd_derive(cfg: RunConfig, args) -> int:
         ],
         "sync_frequency": sync_frequency(coupling, cfg.coeffs, cfg.delta, cfg.lam),
     }
-    _write(_out_path(cfg, args, "derive.json"),
-           json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -121,21 +149,20 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     dt = cfg.resolved_dt()
     t_end = _require_t_end(cfg)
     _check_step(dt, t_end)
-    header = {"dt": _fmt(dt)}
+    out = _out_path(cfg, args, f"trajectory_{args.model}.txt")
+    text_args = {"seed": cfg.seed, "extra_header": {"dt": _fmt(dt)}}
     if args.model == "full":
         z0 = initial_full_state(cfg)
         traj = integrate(lambda v: full_rhs_array(v, params), z0, dt, t_end)
-        text = trajectory_text(traj, seed=cfg.seed, extra_header=header)
-        default = "trajectory_full.txt"
     else:
         coupling = build_coupling(params, cfg.delta)
         phi0 = initial_phases(cfg)
         traj = integrate(lambda p: phase_rhs_fast(p, coupling), phi0, dt, t_end)
-        r_star = math.sqrt(coupling.r_star_sq)
-        text = trajectory_text(traj, seed=cfg.seed, r_star=r_star,
-                               extra_header=header)
-        default = "trajectory_phase.txt"
-    _write(_out_path(cfg, args, default), text)
+        text_args["r_star"] = math.sqrt(coupling.r_star_sq)
+    # a block of rows at a time: the text in memory is O(N), not the run's
+    with _open_out(out) as fh:
+        for rows in _row_blocks(traj.times.size, traj.n_osc, _TEXT_ELEMENTS):
+            fh.write(trajectory_text(traj, rows=rows, **text_args))
     return 0
 
 
@@ -155,6 +182,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
                 f"field 't_end' is required when 'epsilon' = {cfg.epsilon!r}: "
                 f"the default horizon 1/(epsilon*lambda) is not finite")
     _check_step(dt, t_end)
+    out = _out_path(cfg, args, "compare.json")
     # both dense trajectories, complex full and real phase, are held at once
     _budget_steps("the full and phase trajectories", dt, t_end, cfg.n_osc, 24)
     phi0 = initial_phases(cfg)
@@ -163,8 +191,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
     phase_traj = integrate(lambda p: phase_rhs_fast(p, coupling), phi0, dt, t_end)
     report = compare(full_traj, phase_traj)
     doc = {"seed": cfg.seed, "dt": dt, **report.as_dict()}
-    _write(_out_path(cfg, args, "compare.json"),
-           json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -213,13 +240,14 @@ def cmd_cluster_scan(cfg: RunConfig, args) -> int:
         cfg = replace(cfg, cluster=replace(cfg.cluster, psi_grid=args.psi_grid))
     if cfg.cluster.alpha_grid < 64 or cfg.cluster.psi_grid < 64:
         raise ConfigError("cluster-scan grids must be at least 64")
+    out = _out_path(cfg, args, "cluster_scan.txt")
     params = cfg.system_params()
     coupling = build_coupling(params, cfg.delta)
     polys = alpha_polynomials(coupling)
     lines = [f"# seed={cfg.seed}", "# model=cluster-scan"]
     lines += _alpha_scan_lines(cfg, polys)
     lines += _psi_scan_lines(cfg, polys)
-    _write(_out_path(cfg, args, "cluster_scan.txt"), "\n".join(lines) + "\n")
+    _write(out, "\n".join(lines) + "\n")
     return 0
 
 

@@ -18,6 +18,7 @@ from .angles import TAU, wrap_angle
 # reduction below this modulus means the phase description has broken down
 _AMPLITUDE_FLOOR = 1e-8
 _BLOCK_ELEMENTS = 2 ** 16  # compare takes max(1, this // N) rows at a time
+_TEXT_ELEMENTS = 2 ** 12  # text is written max(1, this // N) rows at a time
 
 
 class IntegrationError(RuntimeError):
@@ -166,6 +167,14 @@ def integrate(rhs, x0, dt: float, t_end: float) -> Trajectory:
     return Trajectory(times, states, kind)
 
 
+def _row_blocks(n_rows: int, n_osc: int, elements: int):
+    """Row slices of max(1, elements // n_osc) rows covering n_rows rows;
+    at least one, so an empty trajectory still gets its text header."""
+    block = max(1, elements // n_osc)
+    for start in range(0, max(n_rows, 1), block):
+        yield slice(start, start + block)
+
+
 def _rk4_step(rhs, x, dt, half, sixth):
     """x + dt/6 * (k1 + 2 (k2 + k3) + k4), operation for operation, with
     in-place updates of one temporary: a step at small N costs mostly numpy
@@ -250,11 +259,10 @@ def compare(full_traj: Trajectory, phase_traj: Trajectory) -> ComparisonReport:
     if full_traj.n_osc != phase_traj.n_osc:
         raise ValueError("oscillator counts differ between the two trajectories")
 
-    block = max(1, _BLOCK_ELEMENTS // full_traj.n_osc)
     carry = None
     max_dev = 0.0
-    for start in range(0, full_traj.times.size, block):
-        rows = slice(start, start + block)
+    for rows in _row_blocks(full_traj.times.size, full_traj.n_osc,
+                            _BLOCK_ELEMENTS):
         diff, carry = _phase_block(full_traj.states[rows],
                                    full_traj.times[rows], carry)
         diff -= phase_traj.states[rows]
@@ -277,51 +285,60 @@ def compare(full_traj: Trajectory, phase_traj: Trajectory) -> ComparisonReport:
 
 
 def trajectory_text(traj: Trajectory, seed=None, r_star: float | None = None,
-                    extra_header: dict | None = None) -> str:
-    """Render a trajectory as delimited text.
+                    extra_header: dict | None = None,
+                    rows: slice = slice(None)) -> str:
+    """Render a trajectory, or the rows selected by a slice of it, as
+    delimited text.
 
     Full trajectories carry columns t, re(z_k), im(z_k); phase trajectories
     carry t, phi_k and, when r_star is given, additionally r_star*cos(phi_k)
     columns for direct visual comparison with the full model. Floats are
     written with 17 significant digits ("%.17g") so parsing recovers them
-    exactly.
+    exactly. The header lines come first when the rows start at row 0, so
+    the texts of consecutive row blocks join to the text of the whole
+    trajectory.
 
     Each row is formatted with one template over the row's Python floats,
     and r_star*cos(phi) is evaluated once per row; building the whole table
     first would hold a second copy of the trajectory as Python floats.
     """
-    lines = []
-    if seed is not None:
-        lines.append(f"# seed={seed}")
-    lines.append(f"# model={traj.kind}")
-    for key, value in (extra_header or {}).items():
-        lines.append(f"# {key}={value}")
-
     n = traj.n_osc
-    if traj.kind == "full":
-        header = ["t"]
-        for k in range(1, n + 1):
-            header += [f"re(z_{k})", f"im(z_{k})"]
-        # re and im of each z_k are adjacent in memory, as in the columns
-        rows = np.ascontiguousarray(traj.states, dtype=complex).view(float)
-    else:
-        header = ["t"] + [f"phi_{k}" for k in range(1, n + 1)]
-        if r_star is not None:
-            header += [f"rcos(phi_{k})" for k in range(1, n + 1)]
-        rows = traj.states
-    lines.append(", ".join(header))
-    template = ", ".join(["%.17g"] * len(header))
     with_rcos = traj.kind == "phase" and r_star is not None
-    for t, row in zip(traj.times.tolist(), rows):
+    lines = []
+    if rows.indices(traj.times.size)[0] == 0:
+        if seed is not None:
+            lines.append(f"# seed={seed}")
+        lines.append(f"# model={traj.kind}")
+        for key, value in (extra_header or {}).items():
+            lines.append(f"# {key}={value}")
+        header = ["t"]
+        if traj.kind == "full":
+            for k in range(1, n + 1):
+                header += [f"re(z_{k})", f"im(z_{k})"]
+        else:
+            header += [f"phi_{k}" for k in range(1, n + 1)]
+            if with_rcos:
+                header += [f"rcos(phi_{k})" for k in range(1, n + 1)]
+        lines.append(", ".join(header))
+    states = traj.states[rows]
+    if traj.kind == "full":
+        # re and im of each z_k are adjacent in memory, as in the columns
+        states = np.ascontiguousarray(states, dtype=complex).view(float)
+    width = 1 + states.shape[1] + (n if with_rcos else 0)
+    template = ", ".join(["%.17g"] * width)
+    for t, row in zip(traj.times[rows].tolist(), states):
         values = row.tolist()
         if with_rcos:
             values += (r_star * np.cos(row)).tolist()
         lines.append(template % (t, *values))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 def write_trajectory(traj: Trajectory, path, seed=None, r_star=None,
                      extra_header=None) -> None:
+    """Write trajectory_text(traj, ...) to path, a block of max(1, 2**12 // N)
+    rows at a time, so the text in memory is O(N) whatever the run length."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(trajectory_text(traj, seed=seed, r_star=r_star,
-                                 extra_header=extra_header))
+        for rows in _row_blocks(traj.times.size, traj.n_osc, _TEXT_ELEMENTS):
+            fh.write(trajectory_text(traj, seed=seed, r_star=r_star,
+                                     extra_header=extra_header, rows=rows))

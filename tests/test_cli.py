@@ -12,6 +12,7 @@ import hopfphase.cluster as cluster
 import hopfphase.integrator as integrator
 import hopfphase.phase_model as phase_model
 from hopfphase.cli import main
+from hopfphase.integrator import _TEXT_ELEMENTS
 
 RICH_COEFFS = {"a1": [-1.0, 0.3], "a_minus1": [0.1, 0.05], "a2": [0.2, -0.1]}
 
@@ -334,3 +335,120 @@ def test_public_names_resolve():
                          (cli, "integrate"), (cli, "main"),
                          (hopfphase, "parse_config")):
         assert callable(getattr(module, name, None)), name
+
+
+def count_rhs_calls(monkeypatch):
+    """Wrap both right-hand sides the cli module calls; returns the call log."""
+    calls = []
+    for name in ("full_rhs_array", "phase_rhs_fast"):
+        rhs = getattr(cli, name)
+
+        def counted(*args, rhs=rhs):
+            calls.append(rhs)
+            return rhs(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+ALL_VERBS = [["derive"], ["cluster-scan"], *VERBS]
+
+
+@pytest.mark.parametrize("case", ["directory", "under-a-file", "deep-under-a-file"])
+@pytest.mark.parametrize("verb", ALL_VERBS)
+def test_unwritable_output_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, verb, case):
+    cfg = write_config(tmp_path, dt=0.05, t_end=2.0)
+    blocker = tmp_path / "blocker"
+    if case == "directory":
+        blocker.mkdir()
+        out = blocker
+    else:
+        blocker.write_text("keep", encoding="utf-8")
+        out = blocker / "out.txt" if case == "under-a-file" else blocker / "a" / "out.txt"
+    calls = count_rhs_calls(monkeypatch)
+    assert run([*verb, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot write output file '{out}': " in err
+    assert "Traceback" not in err
+    assert calls == []
+    assert blocker.is_dir() or blocker.read_text(encoding="utf-8") == "keep"
+
+
+@pytest.mark.parametrize("verb", ALL_VERBS)
+def test_overlong_output_name_exits_2(tmp_path, capsys, verb):
+    cfg = write_config(tmp_path, dt=0.05, t_end=2.0)
+    out = tmp_path / ("x" * 300)
+    assert run([*verb, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot write output file '{out}': " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", VERBS[:2])
+def test_failed_run_leaves_no_output_file(tmp_path, capsys, verb):
+    cfg = write_config(tmp_path, t_end=500.0)
+    out = tmp_path / "new" / "x.txt"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run([*verb, "--config", cfg, "--dt", "50", "--out", out])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+    # the output directory is made only when there is something to write
+    assert not (tmp_path / "new").exists()
+
+
+def simulated(tmp_path, monkeypatch, model, n, rows):
+    """Run simulate with `rows` output rows; return the file's bytes, the
+    trajectory it integrated and its r_star (None for the full model)."""
+    cfg = write_config(tmp_path, n_osc=n, seed=5, dt=0.25, t_end=0.25 * (rows - 1),
+                       coefficients=RICH_COEFFS)
+    trajs = []
+    integrate = cli.integrate
+
+    def capture(*args):
+        trajs.append(integrate(*args))
+        return trajs[-1]
+
+    monkeypatch.setattr(cli, "integrate", capture)
+    out = tmp_path / f"{model}.txt"
+    assert run(["simulate", "--model", model, "--config", cfg, "--out", out]) == 0
+    monkeypatch.setattr(cli, "integrate", integrate)
+    run_cfg = hopfphase.parse_config(cfg.read_text(encoding="utf-8"))
+    r_star = None
+    if model == "phase":
+        r_star = math.sqrt(hopfphase.build_coupling(run_cfg.system_params()).r_star_sq)
+    traj, = trajs
+    assert traj.times.size == rows
+    return out.read_bytes(), traj, r_star
+
+
+@pytest.mark.parametrize("n", [2, 64, 4096, 4097])
+@pytest.mark.parametrize("model", ["full", "phase"])
+def test_streamed_simulate_file_equals_the_whole_text(tmp_path, monkeypatch, model, n):
+    block = max(1, _TEXT_ELEMENTS // n)
+    for rows in sorted({block - 1, block, block + 1, 3 * block + 5} - {0, 1}):
+        data, traj, r_star = simulated(tmp_path, monkeypatch, model, n, rows)
+        whole = integrator.trajectory_text(traj, seed=5, r_star=r_star,
+                                           extra_header={"dt": "0.25"})
+        assert data == whole.encode("utf-8")
+
+
+def test_simulate_text_goes_through_trajectory_text_in_blocks(tmp_path, monkeypatch):
+    # the benchmark tracer times and sizes simulate's text by wrapping
+    # cli.trajectory_text; each block must pass through it as one str
+    texts = []
+    render = cli.trajectory_text
+
+    def counted(*args, **kwargs):
+        texts.append(render(*args, **kwargs))
+        return texts[-1]
+
+    monkeypatch.setattr(cli, "trajectory_text", counted)
+    n = 64
+    for model in ("full", "phase"):
+        texts.clear()
+        data, _, _ = simulated(tmp_path, monkeypatch, model, n,
+                               rows=3 * (_TEXT_ELEMENTS // n) + 5)
+        assert len(texts) == 4
+        assert all(isinstance(text, str) for text in texts)
+        assert "".join(texts).encode("utf-8") == data

@@ -18,7 +18,7 @@ from hopfphase import (AmplitudeCollapseError, IntegrationError,
                        mean_winding_rate, phase_rhs_fast, trajectory_text,
                        write_trajectory)
 from hopfphase.angles import wrap_angle
-from hopfphase.integrator import _BLOCK_ELEMENTS
+from hopfphase.integrator import _BLOCK_ELEMENTS, _TEXT_ELEMENTS
 
 from conftest import make_rng, random_coupling, random_params
 
@@ -525,3 +525,64 @@ def test_trajectory_text_matches_per_element_formatting_on_runs():
     r_star = math.sqrt(0.3)
     assert (trajectory_text(phase, seed=8, r_star=r_star)
             == per_element_text(phase, seed=8, r_star=r_star))
+
+
+def _edge_trajectories(n, rows, seed):
+    """Full and phase trajectories of random rows seeded with edge values."""
+    rng = make_rng(seed)
+    values = rng.normal(size=(rows, 2 * n)) * 10.0 ** rng.integers(-5, 5, (rows, 2 * n))
+    edges = [-0.0, 5e-324, 1e300, -1e300]
+    values.reshape(-1)[:len(edges)] = edges[:values.size]
+    values[-1, -len(edges):] = edges[-values.shape[1]:]
+    times = np.arange(rows) * 0.1
+    return (Trajectory(times, values[:, :n] + 1j * values[:, n:], "full"),
+            Trajectory(times, values[:, :n], "phase"))
+
+
+def text_block_rows(n):
+    """1, block - 1, block, block + 1 and 3 block + 5 rows, where a block is
+    the rows written at a time; no empty run."""
+    block = max(1, _TEXT_ELEMENTS // n)
+    return sorted({1, block - 1, block, block + 1, 3 * block + 5} - {0})
+
+
+@pytest.mark.parametrize("n", [2, 64, 4096, 4097])
+def test_written_trajectory_equals_the_whole_text(tmp_path, n):
+    # write_trajectory writes row blocks; the file must be the one-piece text
+    path = tmp_path / "run.txt"
+    for rows in text_block_rows(n):
+        full, phase = _edge_trajectories(n, rows, seed=rows)
+        for kw in ({}, {"seed": 4, "extra_header": {"dt": "0.05"}}):
+            for traj, r_star in ((full, None), (phase, None), (phase, 0.3)):
+                write_trajectory(traj, path, r_star=r_star, **kw)
+                assert path.read_bytes() == trajectory_text(
+                    traj, r_star=r_star, **kw).encode("utf-8")
+
+
+def test_text_of_an_empty_trajectory_is_its_header(tmp_path):
+    empty = Trajectory(np.zeros(0), np.zeros((0, 2)), "phase")
+    path = tmp_path / "run.txt"
+    write_trajectory(empty, path, seed=1)
+    assert path.read_text(encoding="utf-8") == "# seed=1\n# model=phase\nt, phi_1, phi_2\n"
+    assert trajectory_text(empty, seed=1) == path.read_text(encoding="utf-8")
+
+
+def _write_peak(path, traj, **kw):
+    tracemalloc.start()
+    try:
+        write_trajectory(traj, path, **kw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_writing_text_memory_does_not_grow_with_the_run(tmp_path):
+    # the text is written in O(N) blocks: ten times the rows must not cost
+    # ten times the memory (40 rows already span more than one block here)
+    n = 128
+    full, phase = _edge_trajectories(n, 400, seed=9)
+    for traj, kw in ((full, {}), (phase, {"r_star": 0.3})):
+        short = Trajectory(traj.times[:40], traj.states[:40], traj.kind)
+        path = tmp_path / f"{traj.kind}.txt"
+        assert _write_peak(path, traj, **kw) <= 1.2 * _write_peak(path, short, **kw)
