@@ -3,8 +3,8 @@ reduction to a phase model with three- and four-phase interactions, and
 synchrony/two-cluster analysis."""
 
 from .angles import TAU, wrap_angle
-from .cluster import (AlphaRootResult, ClusterCoefficients, ClusterConfig,
-                      PsiRoot, RootScanResult, ab_coefficients,
+from .cluster import (ClusterCoefficients, ClusterConfig, PsiRoot,
+                      RootScanResult, ab_coefficients,
                       alpha_polynomials, find_roots_batch, g_factored, g_raw,
                       polynomial_alpha_roots_batch, sync_frequency,
                       sync_stability, two_cluster_H)
@@ -40,7 +40,7 @@ __all__ = [
     "integrate", "extract_phases", "mean_winding_rate", "compare",
     "trajectory_text", "write_trajectory",
     "ClusterConfig", "ClusterCoefficients", "PsiRoot", "RootScanResult",
-    "AlphaRootResult", "two_cluster_H", "g_raw", "ab_coefficients",
+    "two_cluster_H", "g_raw", "ab_coefficients",
     "g_factored", "find_roots_batch", "sync_stability", "sync_frequency",
     "alpha_polynomials", "polynomial_alpha_roots_batch",
     "RunConfig", "InitialSpec", "ClusterScanSpec", "SyntheticAB",

@@ -138,7 +138,7 @@ def cmd_derive(cfg: RunConfig, args) -> int:
              "xi": term.amplitude, "chi": term.phase_offset}
             for tag, power, term in xi_chi_lambda_split(coupling)
         ],
-        "sync_frequency": sync_frequency(coupling, cfg.coeffs, cfg.delta, cfg.lam),
+        "sync_frequency": sync_frequency(coupling),
     }
     _write(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0

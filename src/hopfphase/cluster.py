@@ -17,13 +17,11 @@ and the synchronized frequency.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .normal_form import NormalFormCoefficients
 from .reduction import PhaseCouplingSet
 
 _IDENTICALLY_ZERO_TOL = 1e-15
@@ -82,15 +80,9 @@ class PsiRoot:
 
 @dataclass(frozen=True)
 class RootScanResult:
-    """Roots of G on (0, 2*pi); identically_zero marks a degenerate G."""
-
-    roots: tuple
-    identically_zero: bool = False
-
-
-@dataclass(frozen=True)
-class AlphaRootResult:
-    """Roots in alpha of the factored bracket at fixed Psi."""
+    """Roots of one scan: of G in Psi on (0, 2*pi), or of the factored
+    bracket in alpha on (-1, 1) at fixed Psi. identically_zero marks a
+    function that vanishes everywhere."""
 
     roots: tuple
     identically_zero: bool = False
@@ -220,22 +212,15 @@ def sync_stability(cc: ClusterCoefficients) -> str:
     return "stable" if s < 0 else "unstable"
 
 
-def sync_frequency(coupling: PhaseCouplingSet, coeffs: NormalFormCoefficients,
-                   delta: float, lam: float) -> float:
+def sync_frequency(coupling: PhaseCouplingSet) -> float:
     """Common frequency of the fully synchronized state.
 
-    Base frequency plus every coupling harmonic evaluated at zero separation,
-    minus the fifth-order pairwise correction.
+    The prefactor kernel at Z1 = Z2 = 1 and phi = 0, so every coupling
+    harmonic, the fifth-order correction folded into g2 included, enters as
+    it does in phase_rhs_fast.
     """
-    b, g = coupling.beta, coupling.gamma
-    eps, r2 = coupling.epsilon, coupling.r_star_sq
-    omega = coupling.omega_tilde_const - eps * r2 * b[4] * math.cos(g[4])
-    total = omega + eps * b[-1] * math.cos(g[-1])
-    total += eps * r2 * sum(b[k] * math.cos(g[k]) for k in range(2, 12))
-    am1 = coeffs.a_minus1
-    theta = cmath.phase(am1) if am1 != 0 else 0.0
-    total -= eps * lam * delta * abs(am1) * math.cos(theta)
-    return total
+    base, c1, c2 = coupling.prefactors(1 + 0j, 1 + 0j)
+    return base + coupling.epsilon * (c1.real + c2.real)
 
 
 # ---------------------------------------------------------------------------
@@ -480,11 +465,11 @@ def polynomial_alpha_roots_batch(psis, a1_poly, b1_poly, a2_poly,
     for is_flat, d, (p0, p1, _, _), candidates in zip(flat.tolist(), degree.tolist(),
                                                      p.tolist(), found):
         if is_flat:
-            results.append(AlphaRootResult(roots=(), identically_zero=True))
+            results.append(RootScanResult(roots=(), identically_zero=True))
             continue
         if d < 2:
             linear = (-p0 / p1,) if d == 1 else ()
-            results.append(AlphaRootResult(
+            results.append(RootScanResult(
                 roots=tuple(r for r in linear if -1.0 < r < 1.0),
                 identically_zero=False))
             continue
@@ -494,7 +479,7 @@ def polynomial_alpha_roots_batch(psis, a1_poly, b1_poly, a2_poly,
                 continue
             deduped.append(float(x))
         deduped = [x for x in deduped if -1.0 + 1e-12 < x < 1.0 - 1e-12]
-        results.append(AlphaRootResult(roots=tuple(deduped), identically_zero=False))
+        results.append(RootScanResult(roots=tuple(deduped), identically_zero=False))
     return results
 
 

@@ -117,6 +117,8 @@ def _parse_complex(value, key: str) -> complex:
         if extra:
             raise ConfigError(f"field '{key}' has unknown keys {sorted(extra)}")
         mod = _as_float(value.get("modulus", 0.0), f"{key}.modulus")
+        if mod < 0:
+            raise ConfigError(f"field '{key}.modulus' must be nonnegative")
         ph = _as_float(value.get("phase", 0.0), f"{key}.phase")
         return mod * cmath.exp(1j * ph)
     raise ConfigError(f"field '{key}' must be [re, im] or {{modulus, phase}}")

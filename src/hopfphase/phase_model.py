@@ -13,9 +13,6 @@ exactly rounded sums at every N, so there is no separate compensated path.
 """
 from __future__ import annotations
 
-import cmath
-import math
-
 import numpy as np
 
 from .normal_form import complex_mean
@@ -102,7 +99,7 @@ def phase_rhs_fast(phi, coupling: PhaseCouplingSet) -> np.ndarray:
     """O(N) evaluation of the phase right-hand side via circular moments.
 
     Every interaction sum separates into a per-oscillator rotation applied
-    to a state-level complex prefactor:
+    to a state-level complex prefactor (PhaseCouplingSet.prefactors):
 
         pairwise order m   -> Re{ Z_m e^{i chi} e^{-i m phi_j} }
         three-phase (g3)   -> Re{ Z_1^2 e^{i chi} e^{-2 i phi_j} }
@@ -116,26 +113,7 @@ def phase_rhs_fast(phi, coupling: PhaseCouplingSet) -> np.ndarray:
     e2 = e1 * e1
     z1, z2 = complex_mean(e1), complex_mean(e2)
 
-    base = coupling.omega_tilde_const
-    if coupling.mean_field_freq_amp != 0.0:
-        base += (coupling.mean_field_freq_amp * abs(z1) ** 2
-                 * math.cos(coupling.gamma[5]))
-
-    c1 = 0j  # prefactor of e^{-i phi_j}
-    c2 = 0j  # prefactor of e^{-2 i phi_j}
-    for t in coupling.g2:
-        phasor = cmath.rect(t.amplitude, t.phase_offset)
-        if t.order == 1:
-            c1 += phasor * z1
-        else:
-            c2 += phasor * z2
-    t = coupling.g3[0]
-    c2 += cmath.rect(t.amplitude, t.phase_offset) * z1 * z1
-    t = coupling.g4[0]
-    c1 += cmath.rect(t.amplitude, t.phase_offset) * z2 * z1.conjugate()
-    t = coupling.g5[0]
-    c1 += cmath.rect(t.amplitude, t.phase_offset) * z1 * (abs(z1) ** 2)
-
+    base, c1, c2 = coupling.prefactors(z1, z2)
     # Re{c e^{-i m phi}} = Re(c) cos(m phi) + Im(c) sin(m phi)
     interaction = ((c1.real * e1.real + c1.imag * e1.imag)
                    + (c2.real * e2.real + c2.imag * e2.imag))

@@ -11,6 +11,7 @@ the coefficients, and assembles the full coupling set.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -112,6 +113,31 @@ class PhaseCouplingSet:
         orders = [t.order for t in self.g2]
         if sorted(orders) != sorted(set(orders)) or any(o > 2 for o in orders):
             raise ValueError("g2 may hold at most one order-1 and one order-2 term")
+
+    @functools.cached_property
+    def _harmonic_phasors(self) -> tuple:
+        """amplitude*e^{i offset} of g2 order 1 (0j if absent), g2 order 2
+        (likewise), g3, g4 and g5; cached outside the dataclass fields."""
+        g2 = {t.order: cmath.rect(t.amplitude, t.phase_offset) for t in self.g2}
+        return (g2.get(1, 0j), g2.get(2, 0j),
+                *(cmath.rect(t.amplitude, t.phase_offset)
+                  for (t,) in (self.g3, self.g4, self.g5)))
+
+    def prefactors(self, z1: complex, z2: complex) -> tuple:
+        """Coupling at circular moments Z1, Z2 as (base, c1, c2).
+
+        The phase model's drift of oscillator j is
+        base + epsilon * Re{c1 e^{-i phi_j} + c2 e^{-2 i phi_j}}: base is the
+        common frequency with the mean-field shift, c1 collects pairwise
+        order 1, g4 and g5, and c2 pairwise order 2 and g3.
+        """
+        g21, g22, g3, g4, g5 = self._harmonic_phasors
+        base = self.omega_tilde_const
+        if self.mean_field_freq_amp != 0.0:
+            base += self.mean_field_freq_amp * abs(z1) ** 2 * math.cos(self.gamma[5])
+        c1 = g21 * z1 + g4 * z2 * z1.conjugate() + g5 * z1 * (abs(z1) ** 2)
+        c2 = g22 * z2 + g3 * z1 * z1
+        return base, c1, c2
 
 
 def limit_cycle(params: SystemParams):

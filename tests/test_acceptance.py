@@ -202,7 +202,7 @@ def test_criterion_09_sync_frequency():
         delta = rng.uniform(-0.5, 0.5)
         coupling = build_coupling(params, delta=delta)
         value = phase_rhs_naive(np.full(n, rng.uniform(0, TAU)), coupling)[0]
-        predicted = sync_frequency(coupling, params.coeffs, delta, params.lam)
+        predicted = sync_frequency(coupling)
         assert abs(predicted - value) < 1e-12
     print("PASS: criterion 9 — synchronized frequency matches the phase "
           "model on 100 coefficient sets at 1e-12")

@@ -364,7 +364,7 @@ def test_sync_frequency_zero_coupling():
     coeffs = NormalFormCoefficients(a1=-1.0)
     params = SystemParams(lam=0.1, omega=1.7, epsilon=0.2, n_osc=4, coeffs=coeffs)
     coupling = build_coupling(params)
-    assert sync_frequency(coupling, coeffs, 0.0, 0.1) == 1.7
+    assert sync_frequency(coupling) == 1.7
 
 
 def test_sync_frequency_worked_example():
@@ -372,7 +372,7 @@ def test_sync_frequency_worked_example():
     coeffs = NormalFormCoefficients(a1=-1.0, a2=0.3)
     params = SystemParams(lam=0.1, omega=1.0, epsilon=0.5, n_osc=3, coeffs=coeffs)
     coupling = build_coupling(params)
-    assert abs(sync_frequency(coupling, coeffs, 0.0, 0.1) - 1.0) < 1e-15
+    assert abs(sync_frequency(coupling) - 1.0) < 1e-15
 
 
 def test_sync_frequency_matches_phase_model(rng):
@@ -382,7 +382,7 @@ def test_sync_frequency_matches_phase_model(rng):
         delta = rng.uniform(-0.5, 0.5)
         coupling = build_coupling(params, delta=delta)
         value = phase_rhs_naive(np.full(n, rng.uniform(0, TAU)), coupling)[0]
-        predicted = sync_frequency(coupling, params.coeffs, delta, params.lam)
+        predicted = sync_frequency(coupling)
         assert abs(predicted - value) < 1e-12
 
 

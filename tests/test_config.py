@@ -91,6 +91,25 @@ def test_error_messages_name_the_field():
         assert needle in str(exc_info.value), (needle, str(exc_info.value))
 
 
+def test_negative_modulus_exits_as_config_error():
+    # a negative modulus would flip the phase by pi; for a1 it would even
+    # pass as a supercritical coefficient
+    cases = [
+        (doc_text(coefficients={"a1": [-1.0, 0.0],
+                                "a2": {"modulus": -0.3, "phase": 0.0}}),
+         "coefficients.a2.modulus"),
+        (doc_text(coefficients={"a1": {"modulus": -1}}), "coefficients.a1.modulus"),
+        (doc_text(n_osc=2, initial={"kind": "explicit",
+                                    "z": [{"modulus": -0.3, "phase": 1.0},
+                                          [0.3, 0.0]]}),
+         "initial.z.modulus"),
+    ]
+    for text, key in cases:
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(text)
+        assert str(exc_info.value) == f"field '{key}' must be nonnegative"
+
+
 def test_initial_phases_explicit_and_splay():
     cfg = parse_config(doc_text(
         initial={"kind": "explicit", "phases": [0.1, 2.0, -0.4]}))

@@ -3,6 +3,8 @@
 phase_rhs_naive is itself the oracle for phase_rhs_fast, so the naive path
 is checked here against closed-form cases small enough to work by hand.
 """
+import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from hopfphase import (HarmonicTerm, PhaseCouplingSet, as_phase_vector,
                        moments, phase_rhs_fast, phase_rhs_naive)
+from hopfphase.normal_form import complex_mean
 
 from conftest import make_rng, random_coupling
 
@@ -208,3 +211,67 @@ def test_rhs_rejects_size_mismatch(rng):
         phase_rhs_naive(phi, coupling)
     with pytest.raises(ValueError, match="n_osc"):
         phase_rhs_fast(phi, coupling)
+
+
+# ---------------------------------------------------------------------------
+# the prefactor kernel
+
+
+def _inline_prefactors(coupling, z1, z2):
+    """The prefactors as phase_rhs_fast wrote them inline before
+    PhaseCouplingSet.prefactors: one cmath.rect per term on every call,
+    accumulated into c1 and c2 in this order."""
+    base = coupling.omega_tilde_const
+    if coupling.mean_field_freq_amp != 0.0:
+        base += (coupling.mean_field_freq_amp * abs(z1) ** 2
+                 * math.cos(coupling.gamma[5]))
+    c1 = 0j
+    c2 = 0j
+    for t in coupling.g2:
+        phasor = cmath.rect(t.amplitude, t.phase_offset)
+        if t.order == 1:
+            c1 += phasor * z1
+        else:
+            c2 += phasor * z2
+    t = coupling.g3[0]
+    c2 += cmath.rect(t.amplitude, t.phase_offset) * z1 * z1
+    t = coupling.g4[0]
+    c1 += cmath.rect(t.amplitude, t.phase_offset) * z2 * z1.conjugate()
+    t = coupling.g5[0]
+    c1 += cmath.rect(t.amplitude, t.phase_offset) * z1 * (abs(z1) ** 2)
+    return base, c1, c2
+
+
+def test_fast_is_bit_identical_to_inline_prefactors():
+    rng = make_rng(31)
+    couplings = [sin_pair_coupling()]
+    for trial in range(20):
+        n = int(rng.integers(2, 12))
+        delta = rng.uniform(-0.5, 0.5) if trial % 2 else 0.0
+        couplings.append(random_coupling(rng, n, delta=delta))
+    couplings.append(dataclasses.replace(couplings[-1],
+                                         g2=(HarmonicTerm(0.4, 1.1, 2),)))
+    for coupling in couplings:
+        for _ in range(10):
+            phi = rng.uniform(-TAU, TAU, coupling.n_osc)
+            e1 = np.exp(1j * phi)
+            e2 = e1 * e1
+            z1, z2 = complex_mean(e1), complex_mean(e2)
+            base, c1, c2 = _inline_prefactors(coupling, z1, z2)
+            assert coupling.prefactors(z1, z2) == (base, c1, c2)
+            want = base + coupling.epsilon * (
+                (c1.real * e1.real + c1.imag * e1.imag)
+                + (c2.real * e2.real + c2.imag * e2.imag))
+            assert np.array_equal(phase_rhs_fast(phi, coupling), want)
+
+
+def test_replaced_coupling_does_not_reuse_cached_phasors(rng):
+    coupling = random_coupling(rng, 5, delta=0.2)
+    phi = rng.uniform(0, TAU, 5)
+    before = phase_rhs_fast(phi, coupling)
+    assert coupling == dataclasses.replace(coupling)
+    swapped = dataclasses.replace(coupling, g2=(HarmonicTerm(0.7, -0.4, 1),
+                                                HarmonicTerm(0.2, 2.5, 2)))
+    fast = phase_rhs_fast(phi, swapped)
+    assert np.max(np.abs(fast - phase_rhs_naive(phi, swapped))) < 1e-10
+    assert np.max(np.abs(fast - before)) > 1e-3
