@@ -156,6 +156,12 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         traj = integrate(lambda v: full_rhs_array(v, params), z0, dt, t_end)
     else:
         coupling = build_coupling(params, cfg.delta)
+        speed = coupling.speed_bound()
+        if dt * speed > math.pi:
+            raise ConfigError(
+                f"step 'dt' = {dt!r} can advance a phase by dt*B = {dt * speed:.6g}, "
+                f"more than half a turn, where B = {speed:.6g} bounds the phase "
+                f"speed; shorten dt to at most {math.pi / speed:.6g}")
         phi0 = initial_phases(cfg)
         traj = integrate(lambda p: phase_rhs_fast(p, coupling), phi0, dt, t_end)
         text_args["r_star"] = math.sqrt(coupling.r_star_sq)
@@ -188,7 +194,9 @@ def cmd_compare(cfg: RunConfig, args) -> int:
     phi0 = initial_phases(cfg)
     z0 = math.sqrt(coupling.r_star_sq) * np.exp(1j * phi0)
     full_traj = integrate(lambda v: full_rhs_array(v, params), z0, dt, t_end)
+    del z0  # each initial state is freed once its model has run
     phase_traj = integrate(lambda p: phase_rhs_fast(p, coupling), phi0, dt, t_end)
+    del phi0
     report = compare(full_traj, phase_traj)
     doc = {"seed": cfg.seed, "dt": dt, **report.as_dict()}
     _write(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")

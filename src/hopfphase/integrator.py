@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import TAU, wrap_angle
+from .angles import TAU
 
 # reduction below this modulus means the phase description has broken down
 _AMPLITUDE_FLOOR = 1e-8
@@ -123,7 +123,10 @@ def integrate(rhs, x0, dt: float, t_end: float) -> Trajectory:
     exceeding t_end (no fractional final step; the step size is part of the
     method). The trajectory kind is inferred from the state dtype: complex
     states are 'full', real states are 'phase'. rhs must return a float
-    (or, for complex states, complex) array shaped like x.
+    (or, for complex states, complex) array shaped like x, new or its
+    argument, and must not modify its argument. Each step reads the previous
+    trajectory row and writes the next; beyond the trajectory, one stage
+    input and two stages plus what rhs allocates are alive at once.
 
     Raises
     ------
@@ -143,10 +146,10 @@ def integrate(rhs, x0, dt: float, t_end: float) -> Trajectory:
 
     x = np.atleast_1d(np.asarray(x0))
     if np.iscomplexobj(x):
-        x = x.astype(complex)
+        x = x.astype(complex, copy=False)
         kind = "full"
     else:
-        x = x.astype(float)
+        x = x.astype(float, copy=False)
         kind = "phase"
     if not np.isfinite(x).all():
         raise ValueError("initial state contains non-finite entries")
@@ -155,15 +158,17 @@ def integrate(rhs, x0, dt: float, t_end: float) -> Trajectory:
     times = np.arange(n_steps + 1) * dt
     states = np.empty((n_steps + 1, x.size), dtype=x.dtype)
     states[0] = x
-
+    x = states[0]
+    y = np.empty_like(x)  # the run's one stage-input buffer
     half = 0.5 * dt
     sixth = dt / 6.0
     for i in range(1, n_steps + 1):
-        x = _rk4_step(rhs, x, dt, half, sixth)
-        if not np.isfinite(x).all():
+        out = states[i]
+        _rk4_step(rhs, x, y, out, dt, half, sixth)
+        if not np.isfinite(out).all():
             raise IntegrationError(
                 f"non-finite state at t={times[i]:g} (step {i})", float(times[i]))
-        states[i] = x
+        x = out
     return Trajectory(times, states, kind)
 
 
@@ -175,20 +180,30 @@ def _row_blocks(n_rows: int, n_osc: int, elements: int):
         yield slice(start, start + block)
 
 
-def _rk4_step(rhs, x, dt, half, sixth):
-    """x + dt/6 * (k1 + 2 (k2 + k3) + k4), operation for operation, with
-    in-place updates of one temporary: a step at small N costs mostly numpy
-    call overhead. The stages die on return, not in the next step."""
+def _stage(rhs, x, scale, k, y):
+    """rhs(x + scale * k) with the input formed in y, copied if it is y."""
+    np.multiply(scale, k, out=y)
+    np.add(x, y, out=y)
+    k = rhs(y)
+    return k.copy() if k is y else k
+
+
+def _rk4_step(rhs, x, y, out, dt, half, sixth):
+    """out = x + dt/6 * (k1 + 2 (k2 + k3) + k4) in the textbook's operations
+    and operand order, folded into k2's storage; k3 dies before k4 exists."""
     k1 = rhs(x)
-    k2 = rhs(x + half * k1)
-    k3 = rhs(x + half * k2)
-    k4 = rhs(x + dt * k3)
-    acc = k2 + k3
+    k2 = _stage(rhs, x, half, k1, y)
+    k3 = _stage(rhs, x, half, k2, y)
+    np.multiply(dt, k3, out=y)
+    np.add(x, y, out=y)
+    acc = np.add(k2, k3, out=k2)
+    del k2, k3
+    k4 = rhs(y)
     acc *= 2.0
     acc += k1
     acc += k4
     acc *= sixth
-    return x + acc
+    np.add(x, acc, out=out)
 
 
 def _phase_block(states, times, carry=None):
@@ -203,15 +218,19 @@ def _phase_block(states, times, carry=None):
         raise AmplitudeCollapseError(
             f"|z_{k + 1}| = {mods[t, k]:.3e} at t={times[t]:g}: "
             f"amplitude collapsed, phases undefined")
+    del mods
     wrapped = np.angle(states)
     prev, correction = (wrapped[0], 0.0) if carry is None else carry
     dd = np.empty_like(wrapped)
     np.subtract(wrapped[:1], prev, out=dd[:1])
     np.subtract(wrapped[1:], wrapped[:-1], out=dd[1:])
-    fix = np.mod(dd + np.pi, TAU) - np.pi
-    np.copyto(fix, np.pi, where=(fix == -np.pi) & (dd > 0))
-    fix -= dd
-    np.copyto(fix, 0, where=np.abs(dd) < np.pi)
+    jumps = ~(np.abs(dd) < np.pi)  # elsewhere the correction is +0.0
+    jump = dd[jumps]
+    cut = np.mod(jump + np.pi, TAU) - np.pi
+    cut[(cut == -np.pi) & (jump > 0)] = np.pi
+    cut -= jump
+    fix = np.zeros_like(dd)
+    fix[jumps] = cut
     fix[0] += correction
     np.cumsum(fix, axis=0, out=fix)
     next_carry = (wrapped[-1].copy(), fix[-1].copy())
@@ -266,9 +285,17 @@ def compare(full_traj: Trajectory, phase_traj: Trajectory) -> ComparisonReport:
         diff, carry = _phase_block(full_traj.states[rows],
                                    full_traj.times[rows], carry)
         diff -= phase_traj.states[rows]
-        rotation = np.angle(np.exp(1j * diff).mean(axis=1))
+        turn = 1j * diff
+        np.exp(turn, out=turn)
+        rotation = np.angle(turn.mean(axis=1))
+        del turn
         diff -= rotation[:, None]
-        max_dev = np.maximum(max_dev, np.max(np.abs(wrap_angle(diff))))
+        # |wrap_angle(diff)| bit for bit: np.mod is the identity on [0, 2 pi)
+        diff += np.pi
+        far = ~((diff >= 0.0) & (diff < TAU))
+        diff[far] = np.mod(diff[far], TAU)
+        diff -= np.pi
+        max_dev = np.maximum(max_dev, np.max(np.abs(diff, out=diff)))
     # the final extracted row is the last wrapped row plus its correction
     winding = carry[0] + carry[1] - np.angle(full_traj.states[0])
     horizon = full_traj.times[-1] - full_traj.times[0]

@@ -240,7 +240,8 @@ def full_rhs_array(v: np.ndarray, params: SystemParams) -> np.ndarray:
     c = params.coeffs
     eps = params.epsilon
     vsq = v * v
-    abs2 = v.real * v.real + v.imag * v.imag
+    abs2 = v.real * v.real
+    abs2 += v.imag * v.imag
     m1 = complex_mean(v)
     msq = complex_mean(vsq)
     mabs = float(np.add.reduce(abs2)) / v.size
@@ -253,8 +254,11 @@ def full_rhs_array(v: np.ndarray, params: SystemParams) -> np.ndarray:
     const = eps * (c.a_minus1 * m1 + c.a8 * mcube + c.a9 * msq * m1c
                    + c.a10 * m1 * mabs + c.a11 * m1sq * m1c)
     out = (lin + c.a1 * abs2) * v
-    out += (eps * c.a2 * m1c) * vsq
-    out += (eps * c.a3 * m1) * abs2
+    out += np.multiply(eps * c.a2 * m1c, vsq, out=vsq)
+    out += np.multiply(eps * c.a3 * m1, abs2, out=vsq)
+    del vsq, abs2
+    # not out=: from 2**14 elements numpy elides the np.conj temporary into
+    # np.multiply(conj, s), and complex products differ by operand order
     out += (eps * (c.a6 * msq + c.a7 * m1sq)) * np.conj(v)
     out += const
     return out

@@ -109,12 +109,19 @@ def phase_rhs_fast(phi, coupling: PhaseCouplingSet) -> np.ndarray:
     """
     v = as_phase_vector(phi)
     _check_size(v, coupling)
-    e1 = np.exp(1j * v)
+    e1 = 1j * v
+    np.exp(e1, out=e1)
     e2 = e1 * e1
     z1, z2 = complex_mean(e1), complex_mean(e2)
 
     base, c1, c2 = coupling.prefactors(z1, z2)
     # Re{c e^{-i m phi}} = Re(c) cos(m phi) + Im(c) sin(m phi)
-    interaction = ((c1.real * e1.real + c1.imag * e1.imag)
-                   + (c2.real * e2.real + c2.imag * e2.imag))
-    return base + coupling.epsilon * interaction
+    out = c1.real * e1.real
+    out += c1.imag * e1.imag
+    del e1  # freed before the m = 2 terms are formed
+    second = c2.real * e2.real
+    second += c2.imag * e2.imag
+    out += second
+    out *= coupling.epsilon
+    out += base
+    return out

@@ -123,6 +123,12 @@ class PhaseCouplingSet:
                 *(cmath.rect(t.amplitude, t.phase_offset)
                   for (t,) in (self.g3, self.g4, self.g5)))
 
+    def speed_bound(self) -> float:
+        """B with |phi_j'| <= B at every state: in the drift of prefactors,
+        each term is at most its coefficient's modulus, since |Z1|, |Z2| <= 1."""
+        return (abs(self.omega_tilde_const) + abs(self.mean_field_freq_amp)
+                + abs(self.epsilon) * sum(map(abs, self._harmonic_phasors)))
+
     def prefactors(self, z1: complex, z2: complex) -> tuple:
         """Coupling at circular moments Z1, Z2 as (base, c1, c2).
 

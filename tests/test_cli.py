@@ -130,6 +130,30 @@ def test_step_longer_than_horizon_exits_2(tmp_path, capsys, verb, horizon, flags
     assert not (tmp_path / "x").exists()
 
 
+def test_phase_step_beyond_half_a_turn_exits_2(tmp_path, capsys, monkeypatch):
+    # B = 1.015 bounds the phase speed of this config, so dt = 50 could turn
+    # a phase about eight times in one step; the full model exits 3 instead
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return phase_model.phase_rhs_fast(*args)
+
+    monkeypatch.setattr(cli, "phase_rhs_fast", counted)
+    cfg = write_config(tmp_path, t_end=500.0)
+    out = tmp_path / "x"
+    assert run(["simulate", "--model", "phase", "--config", cfg,
+                "--dt", "50", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'dt' = 50.0" in err
+    assert "half a turn" in err and "B = 1.015" in err
+    assert not out.exists() and calls == []
+    # a step just inside the bound runs
+    assert run(["simulate", "--model", "phase", "--config", cfg,
+                "--dt", str(0.99 * math.pi / 1.015), "--out", out]) == 0
+    assert out.exists() and calls
+
+
 @pytest.mark.parametrize("epsilon", [0.0, -0.5, 1e-320])
 def test_compare_without_t_end_needs_a_finite_default_horizon(tmp_path, capsys, epsilon):
     cfg = write_config(tmp_path, epsilon=epsilon)

@@ -67,7 +67,7 @@ def textbook_rk4(rhs, x, dt, n_steps):
     return np.array(out)
 
 
-@pytest.mark.parametrize("n", [2, 5, 64])
+@pytest.mark.parametrize("n", [2, 5, 64, 20_000])
 def test_integrate_is_bit_identical_to_textbook_rk4(n):
     rng = make_rng(40 + n)
     params = random_params(rng, n, epsilon=0.1)
@@ -75,12 +75,36 @@ def test_integrate_is_bit_identical_to_textbook_rk4(n):
     phi0 = rng.uniform(0, 2 * np.pi, n)
     z0 = 0.5 * np.exp(1j * phi0)
     dt = 0.05
+    # the identity returns its own argument, which the stage buffer must
+    # not overwrite
     for rhs, x0 in ((lambda v: full_rhs_array(v, params), z0),
-                    (lambda p: phase_rhs_fast(p, coupling), phi0)):
+                    (lambda p: phase_rhs_fast(p, coupling), phi0),
+                    (lambda x: x, z0)):
         traj = integrate(rhs, x0, dt, 200 * dt)
         want = textbook_rk4(rhs, x0, dt, 200)
         assert traj.states.dtype == want.dtype
         assert traj.states.tobytes() == want.tobytes()
+
+
+def test_integrate_live_set_is_bounded():
+    # besides the trajectory, a run holds the stage buffer and two stages
+    # plus the right-hand side's own arrays, in units of N * itemsize
+    n = 100_000
+    rng = make_rng(1105)
+    params = random_params(rng, n, epsilon=0.1)
+    coupling = random_coupling(rng, n, epsilon=0.1)
+    phi0 = rng.uniform(0, 2 * np.pi, n)
+    z0 = np.sqrt(coupling.r_star_sq) * np.exp(1j * phi0)
+    for rhs, x0, bound in ((lambda v: full_rhs_array(v, params), z0, 6.0),
+                           (lambda p: phase_rhs_fast(p, coupling), phi0, 9.5)):
+        tracemalloc.start()
+        try:
+            traj = integrate(rhs, x0, 0.1, 0.4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.times.size == 5
+        assert peak - traj.states.nbytes <= bound * n * x0.itemsize
 
 
 def test_full_model_matches_logistic_closed_form():

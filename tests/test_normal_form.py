@@ -212,7 +212,7 @@ def mean_fold_rhs(v, params):
     return out
 
 
-@pytest.mark.parametrize("n", [3, 8, 1000, 100_000])
+@pytest.mark.parametrize("n", [3, 8, 1000, 16_384, 100_000])
 def test_means_are_bit_identical_to_ndarray_mean(n):
     rng = make_rng(31 + n)
     for scale in (1e-3, 1.0, 1e3):

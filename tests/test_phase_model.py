@@ -169,6 +169,18 @@ def test_fast_matches_naive(n, seed):
     assert np.max(np.abs(fast - naive)) < 1e-10
 
 
+@given(n=st.integers(min_value=2, max_value=16),
+       seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_speed_bound_bounds_the_drift(n, seed):
+    rng = make_rng(seed)
+    coupling = random_coupling(rng, n, delta=rng.uniform(-1, 1),
+                               epsilon=rng.uniform(-2, 2))
+    bound = coupling.speed_bound()
+    # a spread state and the synchronized one, where |Z1| = |Z2| = 1
+    for phi in (rng.uniform(-TAU, TAU, n), np.full(n, rng.uniform(-TAU, TAU))):
+        assert np.max(np.abs(phase_rhs_fast(phi, coupling))) <= bound * (1 + 1e-12)
+
+
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
        shift=st.floats(min_value=-10.0, max_value=10.0))
 def test_rhs_invariant_under_common_shift(seed, shift):
@@ -251,6 +263,10 @@ def test_fast_is_bit_identical_to_inline_prefactors():
         couplings.append(random_coupling(rng, n, delta=delta))
     couplings.append(dataclasses.replace(couplings[-1],
                                          g2=(HarmonicTerm(0.4, 1.1, 2),)))
+    # above numpy's temporary-elision threshold for both dtypes
+    big = make_rng(40_000)
+    couplings += [random_coupling(big, 40_000),
+                  random_coupling(big, 40_000, delta=0.3)]
     for coupling in couplings:
         for _ in range(10):
             phi = rng.uniform(-TAU, TAU, coupling.n_osc)
