@@ -150,6 +150,10 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     t_end = _require_t_end(cfg)
     _check_step(dt, t_end)
     out = _out_path(cfg, args, f"trajectory_{args.model}.txt")
+    # the dense trajectory, complex full or real phase, is refused before
+    # its initial state is built
+    _budget_steps("a trajectory", dt, t_end, cfg.n_osc,
+                  16 if args.model == "full" else 8)
     text_args = {"seed": cfg.seed, "extra_header": {"dt": _fmt(dt)}}
     if args.model == "full":
         z0 = initial_full_state(cfg)

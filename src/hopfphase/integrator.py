@@ -8,8 +8,10 @@ deviation.
 """
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from .angles import TAU
 _AMPLITUDE_FLOOR = 1e-8
 _BLOCK_ELEMENTS = 2 ** 16  # compare takes max(1, this // N) rows at a time
 _TEXT_ELEMENTS = 2 ** 12  # text is written max(1, this // N) rows at a time
+_TEXT_PASS = 2 ** 11  # the text kernel renders this many values per pass
 
 
 class IntegrationError(RuntimeError):
@@ -309,6 +312,176 @@ def compare(full_traj: Trajectory, phase_traj: Trajectory) -> ComparisonReport:
 
 # ---------------------------------------------------------------------------
 # delimited-text export
+#
+# The text kernel writes each value as exactly the bytes of "%.17g" % value.
+# On the fast set, 1e-4 <= |x| < 1e16, "%.17g" uses fixed notation: the 17
+# significant digits d0..d16 of D = |x| * 10**(16 - X) rounded half to even,
+# where X = floor(log10 |x|) is in [-4, 15], with the point after d_X (or
+# "0." and -X - 1 zeros before d0 when X < 0), and no trailing zeros or
+# bare point. A pass renders each value into a slot of _SLOT bytes:
+#
+#   byte 0      unused
+#   byte 1      '-'
+#   bytes 2-5   '0000'
+#   bytes 6-23  18 digits: D with a '0' inserted after d_X when X >= 0, or
+#               D after a leading '0' when X < 0
+#   byte 7+X    '.', written over the inserted or a leading '0'
+#   bytes 24-25 ', ' (a row's last value gets '\n' in byte 24)
+#   bytes 26-27 unused, so bytes 8-23 are four aligned 32-bit words
+#
+# A keep-mask table indexed by (sign, X, last nonzero digit) picks the sign,
+# one run of digits and the separator out of the slot, and one boolean index
+# joins the picked bytes of a pass.
+
+_SLOT = 28
+
+
+@functools.lru_cache(maxsize=None)
+def _text_tables() -> SimpleNamespace:
+    """The kernel's constant tables, built on first use (0.16 MB).
+
+    slots: _TEXT_PASS blank slots. keep: the keep masks, by sign, X + 4 and
+    the byte of the last nonzero digit less 6. quad_chars, pair_chars: 0 to
+    9999 and 0 to 99 as ASCII digits in a uint32 and a uint16. quad_last,
+    pair_last: the byte of the last nonzero digit of a quad, by place and
+    value, and of the pair (negative when all are zero). pow10: 10**s, s = 0
+    to 21, with its 26-bit halves pow10_hi and pow10_lo. int_div, int_nine:
+    10**(16 - X) and 9 * 10**(16 - X), or 1 and 0 when X < 0, by X + 4.
+    """
+    pos = np.arange(_SLOT)
+    neg = np.arange(2)[:, None, None, None]
+    x = np.arange(-4, 16)[:, None, None]
+    last = np.arange(6, 24)[:, None]
+    first = np.where(x < 0, 6 + x, 6)
+    end = np.where((x >= 0) & (last <= 7 + x), 6 + x, last)
+    keep = ((pos == 1) & (neg == 1)) | (pos == 24) | (pos == 25)
+    keep = keep | ((first <= pos) & (pos <= end))
+    pair = np.arange(100, dtype=np.uint32)
+    pair_chars = (pair // 10 + ord("0")) | (pair % 10 + ord("0")) << 8
+    # the last nonzero digit of a pair, as 0 or 1, or -99 for 00
+    pair_last = np.select([pair % 10 > 0, pair > 0], [1, 0], -99).astype(np.int8)
+    quad_last = np.where(pair_last >= 0, pair_last + 2, pair_last[:, None])
+    pow10 = np.array([float(10 ** s) for s in range(22)])  # exact doubles
+    split = pow10 * 134217729.0
+    pow10_hi = split - (split - pow10)
+    int_div = np.array([10 ** (16 - e) if e >= 0 else 1 for e in range(-4, 16)],
+                       dtype=np.int64)
+    tables = SimpleNamespace(
+        slots=np.tile(np.frombuffer(b"\0-0000" + b"0" * 18 + b", \0\0",
+                                    dtype=np.uint8), (_TEXT_PASS, 1)),
+        keep=keep.reshape(-1, _SLOT),
+        quad_chars=(pair_chars[:, None] | pair_chars << 16).reshape(-1),
+        pair_chars=pair_chars.astype("<u2"),
+        quad_last=(quad_last.reshape(-1) + np.arange(8, 24, 4, dtype=np.int8)[:, None]),
+        pair_last=pair_last + np.int8(6),
+        pow10=pow10, pow10_hi=pow10_hi, pow10_lo=pow10 - pow10_hi,
+        int_div=int_div, int_nine=np.where(int_div > 1, 9 * int_div, 0))
+    for table in vars(tables).values():
+        table.flags.writeable = False  # shared by every call
+    return tables
+
+
+def _significands(v):
+    """(D, X + 4, slow) for the values v: D = |v| * 10**(16 - X) rounded half
+    to even, exact on the fast set, and the indices of the values left to
+    Python, whose D and X are placeholders."""
+    tab = _text_tables()
+    a = np.abs(v)
+    fast = a >= 1e-4
+    fast &= a < 1e16
+    a[~fast] = 1.0
+    x = np.log10(a)
+    np.floor(x, out=x)
+    x = x.astype(np.intp)  # X, or one off next to a power of ten
+    s = 16 - x
+    # a * 10**s exactly as hi + lo: Dekker's product of 26-bit halves
+    hi = a * tab.pow10.take(s)
+    t = a * 134217729.0
+    a_hi = t - a
+    np.subtract(t, a_hi, out=a_hi)
+    a_lo = np.subtract(a, a_hi, out=a)
+    b_hi = tab.pow10_hi.take(s)
+    b_lo = tab.pow10_lo.take(s)
+    lo = a_hi * b_hi
+    lo -= hi
+    lo += np.multiply(a_hi, b_lo, out=t)
+    lo += np.multiply(a_lo, b_hi, out=t)
+    lo += np.multiply(a_lo, b_lo, out=t)
+    # on the fast set hi >= 10**16 > 2**53 is an even integer, so rint's
+    # ties to even round D half to even too
+    d = hi.astype(np.int64)
+    d += np.rint(lo, out=lo).astype(np.int64)
+    # D out of [10**16, 10**17) means X was one off or the value rounds up to
+    # a power of ten: those values, and all outside the fast set, fall back.
+    # (With X one too high D stays below 10**16: the closest double below a
+    # power of ten of the fast set is 0.83 units of D away from it.)
+    fast &= d >= 10 ** 16
+    fast &= d < 10 ** 17
+    slow = np.flatnonzero(~fast)
+    d[slow] = 10 ** 16 + 1
+    x[slow] = 0
+    x += 4
+    return d, x, slow
+
+
+def _digit_groups(d, x4):
+    """The 18 digits of D with a '0' put in after d_X when X >= 0 (so a
+    leading '0' when X < 0), as the leading pair and the next four quads."""
+    tab = _text_tables()
+    n = d // tab.int_div.take(x4)
+    n *= tab.int_nine.take(x4)
+    n += d
+    pair = n // 10 ** 16
+    n -= pair * 10 ** 16
+    halves = np.empty((2, d.size), dtype=np.int64)
+    np.floor_divide(n, 10 ** 8, out=halves[0])
+    np.multiply(halves[0], -10 ** 8, out=halves[1])
+    halves[1] += n
+    quads = np.empty((2, 2, d.size), dtype=np.int64)
+    np.floor_divide(halves, 10 ** 4, out=quads[:, 0])
+    np.multiply(quads[:, 0], -10 ** 4, out=quads[:, 1])
+    quads[:, 1] += halves
+    return pair, quads.reshape(4, d.size)
+
+
+def _render_pass(v, start: int, width: int, slots, keep) -> str:
+    """The text of the values v, which start at flat index start of rows of
+    width values, rendered in slots and keep (v.size x _SLOT, overwritten)."""
+    tab = _text_tables()
+    d, x4, slow = _significands(v)
+    pair, quads = _digit_groups(d, x4)
+    np.copyto(slots, tab.slots[:v.size])
+    slots.view("<u2")[:, 3] = tab.pair_chars.take(pair)
+    slots.view("<u4")[:, 2:6] = tab.quad_chars.take(quads).T
+    slots.ravel()[np.arange(3, v.size * _SLOT, _SLOT) + x4] = ord(".")
+    # the keep mask, by sign, X and the byte of the last nonzero digit
+    quads += np.arange(0, 4 * 10 ** 4, 10 ** 4)[:, None]
+    index = tab.pair_last.take(pair).astype(np.intp)
+    for place in tab.quad_last.take(quads):
+        np.maximum(index, place, out=index)
+    index += x4 * 18 - 6
+    index += np.signbit(v) * 360
+    np.take(tab.keep, index, axis=0, out=keep)
+    row_ends = np.arange((-start - 1) % width, v.size, width)
+    slots[row_ends, 24] = ord("\n")
+    keep[row_ends, 25] = False
+    for i, value in zip(slow.tolist(), v.take(slow).tolist()):
+        text = ("%.17g" % value).encode("ascii")  # at most 24 bytes
+        slots[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+        keep[i, :24] = False
+        keep[i, :len(text)] = True
+    return slots.ravel()[keep.ravel()].tobytes().decode("ascii")
+
+
+def _value_texts(values: np.ndarray, width: int):
+    """The rows of width values in the flat float64 values as "%.17g" texts,
+    ", " after each value but a row's last and "\\n" after that, one text a
+    pass of _TEXT_PASS values."""
+    slots = np.empty((min(values.size, _TEXT_PASS), _SLOT), dtype=np.uint8)
+    keep = np.empty(slots.shape, dtype=bool)
+    for start in range(0, values.size, _TEXT_PASS):
+        v = values[start:start + _TEXT_PASS]
+        yield _render_pass(v, start, width, slots[:v.size], keep[:v.size])
 
 
 def trajectory_text(traj: Trajectory, seed=None, r_star: float | None = None,
@@ -320,14 +493,19 @@ def trajectory_text(traj: Trajectory, seed=None, r_star: float | None = None,
     Full trajectories carry columns t, re(z_k), im(z_k); phase trajectories
     carry t, phi_k and, when r_star is given, additionally r_star*cos(phi_k)
     columns for direct visual comparison with the full model. Floats are
-    written with 17 significant digits ("%.17g") so parsing recovers them
-    exactly. The header lines come first when the rows start at row 0, so
-    the texts of consecutive row blocks join to the text of the whole
-    trajectory.
+    written with 17 significant digits, byte for byte as "%.17g" writes
+    them, so parsing recovers them exactly. The header lines come first when
+    the rows start at row 0, so the texts of consecutive row blocks join to
+    the text of the whole trajectory.
 
-    Each row is formatted with one template over the row's Python floats,
-    and r_star*cos(phi) is evaluated once per row; building the whole table
-    first would hold a second copy of the trajectory as Python floats.
+    The rows' values are gathered into one float array and rendered by a
+    numpy kernel, 2**11 values a pass, so its working memory is bounded
+    whatever N is. Values with 1e-4 <= |x| < 1e16 get their 17 digits
+    exactly, from Dekker's error-free product |x| * 10**(16 - X) rounded
+    half to even; the rest (zeros, tiny, huge and non-finite values, and
+    the few next to a power of ten whose decimal exponent X the logarithm
+    misjudges or that round up to one) are formatted by Python's "%.17g"
+    one at a time.
     """
     n = traj.n_osc
     with_rcos = traj.kind == "phase" and r_star is not None
@@ -347,18 +525,19 @@ def trajectory_text(traj: Trajectory, seed=None, r_star: float | None = None,
             if with_rcos:
                 header += [f"rcos(phi_{k})" for k in range(1, n + 1)]
         lines.append(", ".join(header))
+    texts = ["\n".join(lines) + "\n"] if lines else []
     states = traj.states[rows]
     if traj.kind == "full":
         # re and im of each z_k are adjacent in memory, as in the columns
         states = np.ascontiguousarray(states, dtype=complex).view(float)
-    width = 1 + states.shape[1] + (n if with_rcos else 0)
-    template = ", ".join(["%.17g"] * width)
-    for t, row in zip(traj.times[rows].tolist(), states):
-        values = row.tolist()
-        if with_rcos:
-            values += (r_star * np.cos(row)).tolist()
-        lines.append(template % (t, *values))
-    return "\n".join(lines) + "\n" if lines else ""
+    cols = states.shape[1]
+    values = np.empty((states.shape[0], 1 + cols + (n if with_rcos else 0)))
+    values[:, 0] = traj.times[rows]
+    values[:, 1:1 + cols] = states
+    if with_rcos:
+        np.multiply(r_star, np.cos(states), out=values[:, 1 + cols:])
+    texts += _value_texts(values.reshape(-1), values.shape[1])
+    return "".join(texts)
 
 
 def write_trajectory(traj: Trajectory, path, seed=None, r_star=None,

@@ -201,6 +201,34 @@ def test_oversized_trajectory_exits_2(tmp_path, capsys, verb):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("model, itemsize", [("full", 16), ("phase", 8)])
+def test_simulate_budgets_the_trajectory_before_the_initial_state(
+        tmp_path, capsys, monkeypatch, model, itemsize):
+    n, steps = 1000, 100
+    cfg = write_config(tmp_path, n_osc=n, dt=0.1, t_end=steps * 0.1)
+    calls = []
+    for name in ("initial_full_state", "initial_phases"):
+        build = getattr(cli, name)
+
+        def counted(*args, build=build):
+            calls.append(build)
+            return build(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    need = (steps + 1) * n * itemsize
+    monkeypatch.setattr(integrator, "_physical_memory_bytes", lambda: need - 1)
+    out = tmp_path / "traj.txt"
+    assert run(["simulate", "--model", model, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"a trajectory of {steps} steps" in err
+    assert f"N={n} needs {need} bytes" in err
+    assert calls == [] and not out.exists()
+
+    monkeypatch.setattr(integrator, "_physical_memory_bytes", lambda: need)
+    assert run(["simulate", "--model", model, "--config", cfg, "--out", out]) == 0
+    assert len(calls) == 1 and out.exists()
+
+
 def test_compare_budgets_both_trajectories_before_integrating(
         tmp_path, capsys, monkeypatch):
     n, steps = 1000, 100

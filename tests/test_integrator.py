@@ -18,7 +18,8 @@ from hopfphase import (AmplitudeCollapseError, IntegrationError,
                        mean_winding_rate, phase_rhs_fast, trajectory_text,
                        write_trajectory)
 from hopfphase.angles import wrap_angle
-from hopfphase.integrator import _BLOCK_ELEMENTS, _TEXT_ELEMENTS
+from hopfphase.integrator import (_BLOCK_ELEMENTS, _TEXT_ELEMENTS, _TEXT_PASS,
+                                  _text_tables)
 
 from conftest import make_rng, random_coupling, random_params
 
@@ -549,6 +550,131 @@ def test_trajectory_text_matches_per_element_formatting_on_runs():
     r_star = math.sqrt(0.3)
     assert (trajectory_text(phase, seed=8, r_star=r_star)
             == per_element_text(phase, seed=8, r_star=r_star))
+
+
+def text_difference(text, oracle):
+    """None when the texts agree, else the first field that differs in each,
+    with its line number (a short message where pytest would diff MBs)."""
+    if text == oracle:
+        return None
+    lines, expected = text.split("\n"), oracle.split("\n")
+    for i, (line, want) in enumerate(zip(lines, expected)):
+        if line != want:
+            fields = zip(line.split(", "), want.split(", "))
+            return i, next(((a, b) for a, b in fields if a != b), (line, want))
+    return len(lines), len(expected)
+
+
+def _phase_rows(values, n):
+    """A phase trajectory whose rows are the flat values, n to a row."""
+    states = np.asarray(values, dtype=float).reshape(-1, n)
+    return Trajectory(np.arange(states.shape[0]) * 0.25, states, "phase")
+
+
+def test_text_kernel_matches_per_element_on_raw_bit_patterns():
+    rng = make_rng(120)
+    bits = rng.integers(0, 2 ** 64, 2 * 10 ** 5, dtype=np.uint64)
+    # every biased exponent, subnormal (0) to inf and nan (2047), both signs
+    exponent = np.tile(np.arange(2048, dtype=np.uint64), 2)
+    sign = np.repeat(np.arange(2, dtype=np.uint64), 2048)
+    bits[:4096] &= np.uint64(2 ** 52 - 1)
+    bits[:4096] |= (sign << np.uint64(63)) | (exponent << np.uint64(52))
+    # half of the rest inside the kernel's fast set, 2**-14 to 2**54
+    fast = rng.integers(1023 - 14, 1023 + 54, 10 ** 5, dtype=np.uint64)
+    bits[-10 ** 5:] &= np.uint64(2 ** 63 + 2 ** 52 - 1)
+    bits[-10 ** 5:] |= fast << np.uint64(52)
+    values = bits.view(float)
+    values[4096:4102] = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324]
+    traj = _phase_rows(values, 400)
+    assert text_difference(trajectory_text(traj), per_element_text(traj)) is None
+
+
+def test_text_kernel_matches_per_element_next_to_powers_of_ten():
+    # 1e-4 and 1e16 bound the fast set; the exponent estimate errs only here
+    tens = np.array([float(f"1e{k}") for k in range(-6, 19)])
+    values = [tens]
+    for direction in (0.0, np.inf):
+        step = tens
+        for _ in range(3):
+            step = np.nextafter(step, direction)
+            values.append(step)
+    values = np.concatenate(values)
+    values = np.concatenate([values, -values])
+    assert values.size == 2 * 7 * 25
+    for n in (1, 7, 350):
+        traj = _phase_rows(values, n)
+        assert text_difference(trajectory_text(traj), per_element_text(traj)) is None
+        assert text_difference(trajectory_text(traj, r_star=0.5),
+                               per_element_text(traj, r_star=0.5)) is None
+
+
+def test_text_kernel_rounds_exact_ties_half_to_even():
+    # for odd m, m / 4 in [1e15, 2.25e15) has 16 integer digits and ends in
+    # .25 or .75: its 17th digit, 2 or 7, is followed by an exact tie
+    m = make_rng(121).integers(4 * 10 ** 15, 2 ** 53, 10 ** 5, dtype=np.int64) | 1
+    values = m / 4.0
+    assert np.array_equal(values * 4.0, m)
+    values[::2] *= -1.0
+    traj = _phase_rows(values, 500)
+    text = trajectory_text(traj)
+    assert text_difference(text, per_element_text(traj)) is None
+    fields = [f for line in text.splitlines()[2:] for f in line.split(", ")[1:]]
+    last = np.array([int(f.replace("-", "")[-1]) for f in fields])
+    # half to even: .25 (m = 1 mod 4) rounds down to .2, .75 up to .8
+    assert set(last.tolist()) == {2, 8}
+
+
+@pytest.mark.parametrize("width", [_TEXT_PASS // 16, _TEXT_PASS - 1, _TEXT_PASS,
+                                   _TEXT_PASS + 1, 200_001])
+def test_text_kernel_rows_against_the_pass_length(width):
+    # rows shorter than, as long as and longer than one kernel pass; a full
+    # row at N = 10**5 is 200,001 values, about a hundred passes
+    rng = make_rng(width)
+    n = width - 1
+    rows = max(1, 3 * _TEXT_PASS // width)
+    values = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-6, 6, (rows, n))
+    values.reshape(-1)[:len(EDGE_VALUES)] = EDGE_VALUES[:values.size]
+    times = np.arange(rows) * 0.1
+    if n % 2 == 0:
+        full = Trajectory(times, values[:, ::2] + 1j * values[:, 1::2], "full")
+        assert text_difference(trajectory_text(full, seed=3),
+                               per_element_text(full, seed=3)) is None
+    phase = Trajectory(times, values, "phase")
+    assert text_difference(trajectory_text(phase), per_element_text(phase)) is None
+    half = Trajectory(times, values[:, :n // 2], "phase")
+    assert text_difference(trajectory_text(half, r_star=0.7),
+                           per_element_text(half, r_star=0.7)) is None
+
+
+def _text_peak(traj, **kw):
+    _text_tables.cache_clear()  # the tables are counted too
+    tracemalloc.start()
+    try:
+        text = trajectory_text(traj, **kw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, len(text)
+
+
+def test_text_block_memory_is_bounded():
+    # a write_trajectory block at N = 64: 64 rows of 129 values
+    n = 64
+    full, phase = _edge_trajectories(n, _TEXT_ELEMENTS // n, seed=10)
+    for traj, kw in ((full, {}), (phase, {"r_star": 0.3})):
+        assert _text_peak(traj, **kw)[0] < 10 ** 6
+    # one row of 200,001 values at N = 10**5: its values, its text twice
+    # and a bounded amount for the kernel's passes (the per-row template
+    # formatting peaked at 16.5 MB here, and at 42.1 MB with the header)
+    n = 10 ** 5
+    values = make_rng(11).normal(size=(2, 2 * n))
+    times = np.array([0.0, 0.1])
+    full = Trajectory(times, values[:, :n] + 1j * values[:, n:], "full")
+    phase = Trajectory(times, values[:, :n], "phase")
+    for traj, kw in ((full, {}), (phase, {"r_star": 0.3})):
+        peak, size = _text_peak(traj, rows=slice(1, 2), **kw)
+        assert peak < 2 * 8 * (2 * n + 1) + 2 * size + 10 ** 6
+    assert _text_peak(full, rows=slice(0, 1))[0] < 42.1e6
 
 
 def _edge_trajectories(n, rows, seed):
