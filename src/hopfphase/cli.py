@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .cluster import (_coefficients_at, alpha_polynomials, find_roots_batch,
-                      polynomial_alpha_roots_batch, sync_frequency,
-                      sync_stability)
+from .cluster import (_coefficients_at, _sync_labels, alpha_polynomials,
+                      find_roots_batch, polynomial_alpha_roots_batch,
+                      sync_frequency)
 from .config import ConfigError, RunConfig, initial_full_state, initial_phases, parse_config
 from .integrator import (_TEXT_ELEMENTS, AmplitudeCollapseError,
                          IntegrationError, TrajectoryTooLargeError,
@@ -212,9 +212,10 @@ def _alpha_scan_lines(cfg: RunConfig, polys) -> list:
              "# columns: alpha, psi_root, stability_of_sync, tangential_flag"]
     n_alpha = cfg.cluster.alpha_grid
     alphas = np.linspace(-1.0, 1.0, n_alpha + 1)[1:-1]
-    ccs = _coefficients_at(alphas, polys)
-    for alpha, cc, scan in zip(alphas, ccs, find_roots_batch(ccs)):
-        stability = sync_stability(cc)
+    rows = _coefficients_at(alphas, polys)
+    labels = _sync_labels(rows[:, 0] + rows[:, 2]).tolist()
+    for alpha, stability, scan in zip(alphas.tolist(), labels,
+                                      find_roots_batch(rows)):
         if scan.identically_zero:
             lines.append(f"{_fmt(alpha)}, nan, {stability}, identically-zero")
             continue

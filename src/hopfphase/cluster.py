@@ -124,24 +124,20 @@ def _h_one(phi_own: float, phi_other: float, q: float, p: float,
 
 def two_cluster_H(phi1: float, phi2: float, cfg: ClusterConfig,
                   coupling: PhaseCouplingSet):
-    """Per-cluster drift functions (H1, H2) on the two-cluster subspace.
-
-    H1 drives the cluster of fraction q at phi1; H2 follows by the swap rule
+    """Per-cluster drift functions (H1, H2) on the two-cluster subspace: H1
+    drives the cluster of fraction q at phi1; H2 follows by the swap rule
     H2(phi1, phi2, q, p) = H1(phi2, phi1, p, q). Multiplying by epsilon and
-    adding the base frequency reproduces the phase-model components.
-    """
+    adding the base frequency reproduces the phase-model components."""
     h1 = _h_one(phi1, phi2, cfg.q, cfg.p, coupling)
     h2 = _h_one(phi2, phi1, cfg.p, cfg.q, coupling)
     return h1, h2
 
 
 def g_raw(psi: float, cfg: ClusterConfig, coupling: PhaseCouplingSet) -> float:
-    """Cluster difference function G(Psi) = H1 - H2, written out group by group.
-
-    Independent of two_cluster_H: each coupling group's swap difference is
-    collected explicitly. The constant and mean-field frequency groups
-    cancel in the difference and are omitted.
-    """
+    """Cluster difference function G(Psi) = H1 - H2, written out group by
+    group independently of two_cluster_H: each coupling group's swap
+    difference is collected explicitly. The constant and mean-field
+    frequency groups cancel in the difference and are omitted."""
     b, g = coupling.beta, coupling.gamma
     r2 = coupling.r_star_sq
     p, q = cfg.p, cfg.q
@@ -181,44 +177,42 @@ def g_raw(psi: float, cfg: ClusterConfig, coupling: PhaseCouplingSet) -> float:
 def ab_coefficients(cfg: ClusterConfig, coupling: PhaseCouplingSet) -> ClusterCoefficients:
     """Coefficients A1, B1, A2, B2 of the factored form of G: the
     alpha_polynomials evaluated (Horner) at the imbalance cfg.alpha."""
-    return _coefficients_at([cfg.alpha], alpha_polynomials(coupling))[0]
+    polys = alpha_polynomials(coupling)
+    return ClusterCoefficients(*_coefficients_at([cfg.alpha], polys)[0].tolist())
 
 
-def _coefficients_at(alphas, polys) -> list:
-    """ClusterCoefficients at each imbalance in alphas (see ab_coefficients)."""
-    alphas = np.asarray(alphas, dtype=float)[:, None]
-    values = _poly_rows(alphas, np.asarray(polys, dtype=float))
-    return [ClusterCoefficients(*row) for row in values.tolist()]
+def _coefficients_at(alphas, polys):
+    """(A1, B1, A2, B2) rows at each imbalance in alphas (see ab_coefficients)."""
+    return _poly_rows(np.asarray(alphas, dtype=float)[:, None],
+                      np.asarray(polys, dtype=float))
 
 
 def g_factored(psi, cc: ClusterCoefficients):
     """Half-angle factored form of G; scalar or array in psi."""
     psi = np.asarray(psi, dtype=float)
     half = 0.5 * psi
-    val = 2.0 * np.sin(half) * (cc.a1_coef * np.cos(half)
-                                + cc.b1_coef * np.sin(half)
-                                + cc.a2_coef * np.cos(3.0 * half)
-                                + cc.b2_coef * np.sin(3.0 * half))
-    if psi.ndim == 0:
-        return float(val)
-    return val
+    sin = np.sin(half)
+    val = 2.0 * sin * (cc.a1_coef * np.cos(half) + cc.b1_coef * sin
+                       + cc.a2_coef * np.cos(3.0 * half)
+                       + cc.b2_coef * np.sin(3.0 * half))
+    return float(val) if psi.ndim == 0 else val
 
 
 def sync_stability(cc: ClusterCoefficients) -> str:
     """'stable' / 'unstable' / 'degenerate' by the sign of A1 + A2."""
-    s = cc.a1_coef + cc.a2_coef
-    if abs(s) < 1e-12:
-        return "degenerate"
-    return "stable" if s < 0 else "unstable"
+    return str(_sync_labels(cc.a1_coef + cc.a2_coef))
+
+
+def _sync_labels(s):
+    """sync_stability's label for every sum s = A1 + A2 of an array."""
+    return np.where(np.abs(s) < 1e-12, "degenerate",
+                    np.where(s < 0, "stable", "unstable"))
 
 
 def sync_frequency(coupling: PhaseCouplingSet) -> float:
-    """Common frequency of the fully synchronized state.
-
-    The prefactor kernel at Z1 = Z2 = 1 and phi = 0, so every coupling
-    harmonic, the fifth-order correction folded into g2 included, enters as
-    it does in phase_rhs_fast.
-    """
+    """Common frequency of the fully synchronized state: the prefactor kernel
+    at Z1 = Z2 = 1 and phi = 0, so every coupling harmonic, the fifth-order
+    correction folded into g2 included, enters as it does in phase_rhs_fast."""
     base, c1, c2 = coupling.prefactors(1 + 0j, 1 + 0j)
     return base + coupling.epsilon * (c1.real + c2.real)
 
@@ -233,10 +227,8 @@ def sync_frequency(coupling: PhaseCouplingSet) -> float:
 
 
 def _bisect(f, coef, lo, hi, f_lo, tol):
-    """Bisect every sign-changing bracket [lo[i], hi[i]] to width tol.
-
-    An element whose midpoint evaluates to exactly zero stops there.
-    """
+    """Bisect every sign-changing bracket [lo[i], hi[i]] to width tol; an
+    element whose midpoint evaluates to exactly zero stops there."""
     root = 0.5 * (lo + hi)
     live = np.flatnonzero(hi - lo > tol)
     lo, hi, f_lo, coef = lo[live], hi[live], f_lo[live], coef[live]
@@ -276,36 +268,54 @@ def _ternary_min_abs(f, coef, lo, hi, iters: int = 200):
     return mid, np.abs(f(mid, coef))
 
 
-def _g_rows(psi, coef):
-    """g_factored with coefficient rows coef[..., :] in (A1, B1, A2, B2) order."""
-    return g_factored(psi, ClusterCoefficients(*np.moveaxis(coef, -1, 0)))
+def _harmonics(psis):
+    """The factors of g_factored that depend on Psi alone on the grid psis:
+    2 sin(Psi/2), and cos and sin of Psi/2 and of 3Psi/2."""
+    half = 0.5 * psis
+    sin = np.sin(half)
+    return np.stack([2.0 * sin, np.cos(half), sin, np.cos(3.0 * half),
+                     np.sin(3.0 * half)])
 
 
-def _grid_brackets(psis, coef):
-    """Scan G of the coefficient rows coef on the grid psis.
+def _grid_values(harmonics, coef):
+    """G of the coefficient rows coef on the grid of harmonics, row after row
+    in one flat array; formed as g_factored forms it, so the same to the bit."""
+    vals = np.repeat(coef.T, harmonics.shape[1], axis=1).reshape(4, coef.shape[0], -1)
+    vals *= harmonics[1:, None, :]
+    for k in (1, 2, 3):
+        vals[0] += vals[k]
+    vals[0] *= harmonics[0]
+    return vals[0].reshape(-1)
 
-    Returns (row, grid index, G there) of every grid zero and sign change,
-    the index naming the left end of its interval, and (row, grid index)
-    of every local minimum of |G| without a sign change.
-    """
-    vals = _g_rows(psis, coef[:, None, :])
+
+def _grid_brackets(harmonics, coef):
+    """Scan G of the coefficient rows coef on the grid of harmonics: (row,
+    grid index, G there) of every grid zero and sign change, the index naming
+    the left end of its interval, and (row, grid index) of every local
+    minimum of |G| without a sign change."""
+    width = harmonics.shape[1]
+    vals = _grid_values(harmonics, coef)
+    neg = vals < 0
     absvals = np.abs(vals)
-    dip = ((absvals[:, 1:-1] <= absvals[:, :-2])
-           & (absvals[:, 1:-1] <= absvals[:, 2:])
-           & ((vals[:, :-2] < 0) == (vals[:, 2:] < 0)))
-    dr, di = np.nonzero(dip)
+    # neighbours across a row end are compared too, and dropped
+    dip = 1 + np.flatnonzero((absvals[1:-1] <= absvals[:-2])
+                             & (absvals[1:-1] <= absvals[2:]) & (neg[:-2] == neg[2:]))
+    dip = dip[(dip + 1) % width > 1]
     # G(0) is exactly 0, but G(Psi) ~ Psi (A1 + A2) just right of it: the
     # first interval starts from that sign, so a root inside it is bracketed
     # (A1 + A2 = 0 leaves the grid root at 0, which the scan drops)
-    vals[:, 0] = coef[:, 0] + coef[:, 2]
-    fa, fb = vals[:, :-1], vals[:, 1:]
+    vals[::width] = coef[:, 0] + coef[:, 2]
+    neg[::width] = vals[::width] < 0
+    zero = vals == 0.0
     # an exact grid zero is a root; the interval ending in it is skipped
-    r, i = np.nonzero((fa == 0.0) | ((fb != 0.0) & ((fa < 0) != (fb < 0))))
-    return (r, i, fa[r, i]), (dr, di + 1)
+    k = np.flatnonzero(zero[:-1] | (~zero[1:] & (neg[:-1] != neg[1:])))
+    k = k[(k + 1) % width > 0]
+    return (*np.divmod(k, width), vals[k]), np.divmod(dip, width)
 
 
 def find_roots_batch(ccs, grid_size: int = 720) -> list:
-    """All roots in (0, 2*pi) of G(Psi) for every coefficient set in ccs.
+    """All roots in (0, 2*pi) of G(Psi) for every coefficient set in ccs, a
+    sequence of ClusterCoefficients or an (n, 4) array of (A1, B1, A2, B2).
 
     Sign changes on a uniform grid are refined by bisection to 1e-10 in Psi;
     the first interval starts from the sign of A1 + A2, since G(0) is an
@@ -313,61 +323,59 @@ def find_roots_batch(ccs, grid_size: int = 720) -> list:
     (non-sign-changing) roots are sought at local minima of |G| and
     accepted when the refined minimum lies below 1e-8; they are flagged
     tangential. A G that vanishes for every Psi is reported through the
-    identically_zero flag instead of a root list.
-
-    G is evaluated on the grid for up to _SCAN_BLOCK coefficient sets at a
-    time; the sign changes and grazing candidates of all of them are then
-    refined together. Row i of the result equals a scan of ccs[i] alone.
+    identically_zero flag instead of a root list. The grid harmonics are
+    evaluated once, G on them _SCAN_BLOCK rows at a time, and all brackets
+    are refined together: row i of the result equals a scan of ccs[i] alone.
     """
     if grid_size < 360:
         raise ValueError(f"grid_size must be at least 360, got {grid_size}")
-    coef = np.array([(cc.a1_coef, cc.b1_coef, cc.a2_coef, cc.b2_coef)
-                     for cc in ccs], dtype=float).reshape(-1, 4)
+    if not isinstance(ccs, np.ndarray):
+        ccs = [(cc.a1_coef, cc.b1_coef, cc.a2_coef, cc.b2_coef) for cc in ccs]
+    coef = np.array(ccs, dtype=float).reshape(-1, 4)
     degenerate = np.max(np.abs(coef), axis=1) < _IDENTICALLY_ZERO_TOL
     psis = np.linspace(0.0, 2.0 * np.pi, grid_size + 1)
-    edge = 1e-8
+    harmonics = _harmonics(psis)
+
+    def g_rows(psi, rows):  # g_factored of (A1, B1, A2, B2) rows
+        return g_factored(psi, ClusterCoefficients(*rows.T))
 
     empty = np.empty(0, dtype=np.intp)
     crossings, dips = [(empty, empty, np.empty(0))], [(empty, empty)]
     scanned = np.flatnonzero(~degenerate)
     for start in range(0, scanned.size, _SCAN_BLOCK):
         rows = scanned[start:start + _SCAN_BLOCK]
-        (r, i, f_lo), (dr, di) = _grid_brackets(psis, coef[rows])
+        (r, i, f_lo), (dr, di) = _grid_brackets(harmonics, coef[rows])
         crossings.append((rows[r], i, f_lo))
         dips.append((rows[dr], di))
 
     c_rows, c_i, c_lo = map(np.concatenate, zip(*crossings))
     d_rows, d_i = map(np.concatenate, zip(*dips))
     c_psi = np.where(c_lo == 0.0, psis[c_i],
-                     _bisect(_g_rows, coef[c_rows], psis[c_i], psis[c_i + 1],
+                     _bisect(g_rows, coef[c_rows], psis[c_i], psis[c_i + 1],
                              c_lo, _PSI_ROOT_TOL))
-    d_psi, d_min = _ternary_min_abs(_g_rows, coef[d_rows], psis[d_i - 1],
+    d_psi, d_min = _ternary_min_abs(g_rows, coef[d_rows], psis[d_i - 1],
                                     psis[d_i + 1])
     grazing = d_min < _TANGENT_TOL
 
-    # each row's candidates in grid order, grid roots and crossings first
+    # candidates inside the interval by row and Psi, a tie keeping grid
+    # roots and crossings ahead of grazing roots
+    rows = np.concatenate([c_rows, d_rows[grazing]])
+    psi = np.concatenate([c_psi, d_psi[grazing]])
+    tangential = np.arange(rows.size) >= c_rows.size
+    inside = np.flatnonzero((1e-8 < psi) & (psi < 2.0 * np.pi - 1e-8))
+    order = inside[np.lexsort((psi[inside], rows[inside]))]
     found = [[] for _ in range(coef.shape[0])]
-    for rows, psi, tangential in ((c_rows, c_psi, False),
-                                  (d_rows[grazing], d_psi[grazing], True)):
-        for r, x in zip(rows.tolist(), psi.tolist()):
-            if edge < x < 2.0 * np.pi - edge:
-                found[r].append(PsiRoot(x, tangential))
-
-    results = []
-    for flat, roots in zip(degenerate.tolist(), found):
-        if flat:
-            results.append(RootScanResult(roots=(), identically_zero=True))
+    for r, x, flag in zip(rows[order].tolist(), psi[order].tolist(),
+                          tangential[order].tolist()):
+        roots = found[r]
+        if roots and abs(x - roots[-1].psi) < 1e-7:
+            if roots[-1].tangential and not flag:
+                roots[-1] = PsiRoot(x, False)
             continue
-        roots.sort(key=lambda r: r.psi)
-        deduped = []
-        for r in roots:
-            if deduped and abs(r.psi - deduped[-1].psi) < 1e-7:
-                if deduped[-1].tangential and not r.tangential:
-                    deduped[-1] = r
-                continue
-            deduped.append(r)
-        results.append(RootScanResult(roots=tuple(deduped), identically_zero=False))
-    return results
+        roots.append(PsiRoot(x, flag))
+    return [RootScanResult((), identically_zero=True) if flat
+            else RootScanResult(tuple(roots)) for flat, roots in
+            zip(degenerate.tolist(), found)]
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +383,9 @@ def find_roots_batch(ccs, grid_size: int = 720) -> list:
 
 
 def alpha_polynomials(coupling: PhaseCouplingSet):
-    """Ascending alpha-polynomial coefficients of (A1, B1, A2, B2).
-
-    A1 and A2 are even (degree 2), B1 and B2 odd (degree 3); each returned
-    tuple has length 4 with the structural zeros in place.
-    """
+    """Ascending alpha-polynomial coefficients of (A1, B1, A2, B2): A1 and A2
+    are even (degree 2), B1 and B2 odd (degree 3); each returned tuple has
+    length 4 with the structural zeros in place."""
     b, g = coupling.beta, coupling.gamma
     r2 = coupling.r_star_sq
     s = {k: b[k] * math.sin(g[k]) for k in b}
@@ -428,15 +434,11 @@ def polynomial_alpha_roots_batch(psis, a1_poly, b1_poly, a2_poly,
     outside = psis[~((0.0 < psis) & (psis < 2.0 * np.pi))]
     if outside.size:
         raise ValueError(f"psi0 must lie in (0, 2*pi), got {float(outside[0])}")
-
-    def pad(poly):
-        seq = list(poly) + [0.0] * (4 - len(poly))
-        if len(seq) > 4:
-            raise ValueError("alpha polynomials have degree at most 3")
-        return seq
-
-    polys = np.array([pad(a1_poly), pad(b1_poly), pad(a2_poly), pad(b2_poly)],
-                     dtype=float)
+    polys = [list(poly) + [0.0] * (4 - len(poly))
+             for poly in (a1_poly, b1_poly, a2_poly, b2_poly)]
+    if max(map(len, polys)) > 4:
+        raise ValueError("alpha polynomials have degree at most 3")
+    polys = np.array(polys, dtype=float)
     # the harmonics come from libm through math, as they always have: numpy's
     # SIMD sin/cos may round differently on some CPUs and move the roots
     c1, s1, c3, s3 = np.array([
@@ -456,41 +458,39 @@ def polynomial_alpha_roots_batch(psis, a1_poly, b1_poly, a2_poly,
 
     found = [[] for _ in range(psis.size)]
     curved = np.flatnonzero(~flat & (degree >= 2))
-    if curved.size:
-        rows, roots = _curved_alpha_roots(p[curved], degree[curved], scale[curved])
-        for row, x in zip(curved[rows].tolist(), roots.tolist()):
-            found[row].append(x)
+    rows, roots = _curved_alpha_roots(p[curved], degree[curved], scale[curved])
+    for row, x in zip(curved[rows].tolist(), roots.tolist()):
+        found[row].append(x)
 
-    results = []
+    results, none = [], RootScanResult(())
+    zero = RootScanResult((), identically_zero=True)
     for is_flat, d, (p0, p1, _, _), candidates in zip(flat.tolist(), degree.tolist(),
                                                      p.tolist(), found):
         if is_flat:
-            results.append(RootScanResult(roots=(), identically_zero=True))
-            continue
-        if d < 2:
-            linear = (-p0 / p1,) if d == 1 else ()
-            results.append(RootScanResult(
-                roots=tuple(r for r in linear if -1.0 < r < 1.0),
-                identically_zero=False))
-            continue
-        deduped = []
-        for x in sorted(set(round(x, 14) for x in candidates)):
-            if deduped and abs(x - deduped[-1]) < 1e-9:
-                continue
-            deduped.append(float(x))
-        deduped = [x for x in deduped if -1.0 + 1e-12 < x < 1.0 - 1e-12]
-        results.append(RootScanResult(roots=tuple(deduped), identically_zero=False))
+            results.append(zero)
+        elif d < 2:
+            x = -p0 / p1 if d == 1 else math.nan
+            results.append(RootScanResult((x,) if -1.0 < x < 1.0 else ()))
+        elif not candidates:
+            results.append(none)
+        else:
+            # de-duplicated, then cut to the open interval
+            roots, last = [], math.nan
+            for x in sorted({round(x, 14) for x in candidates}):
+                if not abs(x - last) < 1e-9:
+                    last = x
+                    if -1.0 + 1e-12 < x < 1.0 - 1e-12:
+                        roots.append(x)
+            results.append(RootScanResult(tuple(roots)))
     return results
 
 
 def _curved_alpha_roots(q, degree, scale):
     """Roots in (-1, 1) of polynomial rows q of degree 2 or 3, before rounding
-    and de-duplication: (row index, root) arrays.
-
-    The real critical points split (-1, 1) into monotone pieces; sign
-    changes over a piece are bisected to 1e-12, and a critical point where
-    the polynomial vanishes to 1e-12 * scale is a double root.
-    """
+    and de-duplication: (row index, root) arrays. The real critical points
+    split (-1, 1) into monotone pieces; sign changes over a piece are bisected
+    to 1e-12, and a critical point where the polynomial vanishes to
+    1e-12 * scale is a double root."""
     with np.errstate(divide="ignore", invalid="ignore"):
         vertex = -q[:, 1] / (2.0 * q[:, 2])
         qa, qb, qc = 3.0 * q[:, 3], 2.0 * q[:, 2], q[:, 1]

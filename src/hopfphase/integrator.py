@@ -509,23 +509,6 @@ def trajectory_text(traj: Trajectory, seed=None, r_star: float | None = None,
     """
     n = traj.n_osc
     with_rcos = traj.kind == "phase" and r_star is not None
-    lines = []
-    if rows.indices(traj.times.size)[0] == 0:
-        if seed is not None:
-            lines.append(f"# seed={seed}")
-        lines.append(f"# model={traj.kind}")
-        for key, value in (extra_header or {}).items():
-            lines.append(f"# {key}={value}")
-        header = ["t"]
-        if traj.kind == "full":
-            for k in range(1, n + 1):
-                header += [f"re(z_{k})", f"im(z_{k})"]
-        else:
-            header += [f"phi_{k}" for k in range(1, n + 1)]
-            if with_rcos:
-                header += [f"rcos(phi_{k})" for k in range(1, n + 1)]
-        lines.append(", ".join(header))
-    texts = ["\n".join(lines) + "\n"] if lines else []
     states = traj.states[rows]
     if traj.kind == "full":
         # re and im of each z_k are adjacent in memory, as in the columns
@@ -536,8 +519,23 @@ def trajectory_text(traj: Trajectory, seed=None, r_star: float | None = None,
     values[:, 1:1 + cols] = states
     if with_rcos:
         np.multiply(r_star, np.cos(states), out=values[:, 1 + cols:])
-    texts += _value_texts(values.reshape(-1), values.shape[1])
-    return "".join(texts)
+    text = "".join(_value_texts(values.reshape(-1), values.shape[1]))
+    if rows.indices(traj.times.size)[0] != 0:
+        return text
+    # the header is made once the values are text and their arrays gone, and
+    # its column names one text per _TEXT_PASS oscillators, not a string per
+    # column (200,001 of them at N = 10**5)
+    del states, values
+    lines = [] if seed is None else [f"# seed={seed}"]
+    lines.append(f"# model={traj.kind}")
+    lines += [f"# {key}={value}" for key, value in (extra_header or {}).items()]
+    if traj.kind == "full":
+        names = ["re(z_{0}), im(z_{0})"]
+    else:
+        names = ["phi_{0}", "rcos(phi_{0})"] if with_rcos else ["phi_{0}"]
+    heads = [", " + ", ".join(map(name.format, range(k, min(k + _TEXT_PASS, n + 1))))
+             for name in names for k in range(1, n + 1, _TEXT_PASS)]
+    return "".join(["\n".join(lines) + "\nt", *heads, "\n", text])
 
 
 def write_trajectory(traj: Trajectory, path, seed=None, r_star=None,

@@ -16,7 +16,8 @@ from hopfphase import (ClusterCoefficients, ClusterConfig, ab_coefficients,
                        g_factored, g_raw, phase_rhs_naive,
                        polynomial_alpha_roots_batch, sync_frequency,
                        sync_stability, two_cluster_H)
-from hopfphase.cluster import _SCAN_BLOCK, _grid_brackets
+from hopfphase.cluster import (_SCAN_BLOCK, _grid_brackets, _grid_values,
+                               _harmonics, _sync_labels)
 
 from conftest import make_rng, random_coupling, random_params
 
@@ -228,8 +229,58 @@ def test_first_cell_sign_adds_no_grazing_candidate():
     # root; the sign taken from A1 + A2 for the first interval must not
     # turn grid index 1 into a local minimum of |G|
     psis = np.linspace(0.0, TAU, 721)
-    _, (_, idx) = _grid_brackets(psis, np.array([[1.0, 0.0, 0.0, 0.0]]))
+    _, (_, idx) = _grid_brackets(_harmonics(psis), np.array([[1.0, 0.0, 0.0, 0.0]]))
     assert idx.size == 0
+
+
+def reference_grid_scan(psis, coef):
+    """G on the grid from g_factored, one row at a time, and the brackets
+    and dips that the rules of find_roots_batch take from it."""
+    vals = np.array([g_factored(psis, ClusterCoefficients(*row)) for row in coef.tolist()])
+    absvals = np.abs(vals)
+    dip = ((absvals[:, 1:-1] <= absvals[:, :-2]) & (absvals[:, 1:-1] <= absvals[:, 2:])
+           & ((vals[:, :-2] < 0) == (vals[:, 2:] < 0)))
+    dr, di = np.nonzero(dip)
+    cut = vals.copy()
+    cut[:, 0] = coef[:, 0] + coef[:, 2]
+    fa, fb = cut[:, :-1], cut[:, 1:]
+    r, i = np.nonzero((fa == 0.0) | ((fb != 0.0) & ((fa < 0) != (fb < 0))))
+    return vals, (r, i, fa[r, i]), (dr, di + 1)
+
+
+def grid_scan_rows(seed):
+    """Blocks of coefficient rows: random ones from 1e-6 to 1e2 in scale,
+    rows with A1 + A2 = 0, rows with only B nonzero, and [1, 0, 0, 0]."""
+    rng = make_rng(seed)
+    scaled = rng.normal(size=(40, 4)) * 10.0 ** rng.uniform(-6, 2, size=(40, 1))
+    balanced = rng.normal(size=(8, 4))
+    balanced[:, 2] = -balanced[:, 0]
+    b_only = rng.normal(size=(8, 4)) * [0.0, 1.0, 0.0, 1.0]
+    rows = np.concatenate([scaled, balanced, b_only, [[1.0, 0.0, 0.0, 0.0]]])
+    return [rows[k:k + m] for k, m in ((0, _SCAN_BLOCK), (16, 1), (17, 7),
+                                       (24, _SCAN_BLOCK), (40, _SCAN_BLOCK),
+                                       (56, 1))]
+
+
+@pytest.mark.parametrize("grid_size", [360, 720])
+def test_grid_scan_is_bit_identical_to_g_factored(grid_size):
+    # the harmonics evaluated once per scan give the grid of g_factored to
+    # the bit, and so its brackets, dips and left-end values
+    psis = np.linspace(0.0, TAU, grid_size + 1)
+    harmonics = _harmonics(psis)
+    crossings = dips = first_cell = 0
+    for coef in grid_scan_rows(grid_size):
+        vals, (r, i, f_lo), (dr, di) = reference_grid_scan(psis, coef)
+        grid = _grid_values(harmonics, coef).reshape(coef.shape[0], -1)
+        assert grid.tobytes() == vals.tobytes()
+        (gr, gi, g_lo), (gdr, gdi) = _grid_brackets(harmonics, coef)
+        for got, want in ((gr, r), (gi, i), (gdr, dr), (gdi, di)):
+            assert np.array_equal(got, want)
+        assert g_lo.tobytes() == f_lo.tobytes()
+        crossings, dips = crossings + r.size, dips + dr.size
+        first_cell += np.count_nonzero(i == 0)
+    # the rows reach every branch of the scan
+    assert crossings and dips and first_cell
 
 
 def test_find_roots_grid_must_resolve():
@@ -330,6 +381,17 @@ def test_root_scan_batch_rows_are_independent(m):
 
 
 @pytest.mark.parametrize("m", BATCH_SIZES)
+def test_root_scan_of_rows_equals_scan_of_coefficient_sets(m):
+    # the alpha scan passes find_roots_batch an (n, 4) array of rows
+    rng = make_rng(500 + m)
+    rows = rng.normal(size=(m, 4)) * 10.0 ** rng.uniform(-6, 2, size=(m, 1))
+    rows[m // 2] = (-2.0, 1.0, 0.0, 1.0)
+    rows[0] = 0.0
+    ccs = [ClusterCoefficients(*r) for r in rows.tolist()]
+    assert find_roots_batch(rows) == find_roots_batch(ccs)
+
+
+@pytest.mark.parametrize("m", BATCH_SIZES)
 def test_alpha_root_batch_rows_are_independent(rng, m):
     coupling = random_coupling(rng, 6)
     poly_sets = [
@@ -357,6 +419,22 @@ def test_sync_stability_classification():
     assert sync_stability(ClusterCoefficients(-1.0, 0.0, 0.0, 0.0)) == "stable"
     assert sync_stability(ClusterCoefficients(1.0, 0.0, 0.5, 0.0)) == "unstable"
     assert sync_stability(ClusterCoefficients(0.7, 0.3, -0.7, 0.1)) == "degenerate"
+
+
+def test_sync_labels_equal_sync_stability_at_the_threshold():
+    # the alpha scan labels every alpha at once; the 1e-12 rule is strict
+    t = 1e-12
+    sums = [0.0, -0.0, t, -t, np.nextafter(t, 0.0), np.nextafter(t, 1.0),
+            -np.nextafter(t, 0.0), -np.nextafter(t, 1.0), 1.0, -1.0]
+    want = ["degenerate", "degenerate", "unstable", "stable", "degenerate",
+            "unstable", "degenerate", "stable", "unstable", "stable"]
+    assert [sync_stability(ClusterCoefficients(s, 0.0, 0.0, 0.0))
+            for s in sums] == want
+    assert _sync_labels(np.array(sums)).tolist() == want
+    # as the alpha scan forms them, from the A1 and A2 columns of rows
+    rows = np.zeros((len(sums), 4))
+    rows[:, 2] = sums
+    assert _sync_labels(rows[:, 0] + rows[:, 2]).tolist() == want
 
 
 def test_sync_frequency_zero_coupling():

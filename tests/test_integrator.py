@@ -677,6 +677,20 @@ def test_text_block_memory_is_bounded():
     assert _text_peak(full, rows=slice(0, 1))[0] < 42.1e6
 
 
+def test_header_block_memory_is_near_a_later_block():
+    # the column names at N = 10**5 are 200,001 names: made one string per
+    # column, they took the first block's peak to 31.6 MB against 10.3 MB
+    # for a later block of the same size
+    n = 10 ** 5
+    values = make_rng(12).normal(size=(2, 2 * n))
+    times = np.array([0.0, 0.1])
+    full = Trajectory(times, values[:, :n] + 1j * values[:, n:], "full")
+    phase = Trajectory(times, values[:, :n], "phase")
+    for traj, kw in ((full, {}), (phase, {"r_star": 0.3})):
+        first = _text_peak(traj, rows=slice(0, 1), seed=1, **kw)[0]
+        assert first < 1.5 * _text_peak(traj, rows=slice(1, 2), **kw)[0]
+
+
 def _edge_trajectories(n, rows, seed):
     """Full and phase trajectories of random rows seeded with edge values."""
     rng = make_rng(seed)
