@@ -10,7 +10,7 @@ from .cluster import (ClusterCoefficients, ClusterConfig, PsiRoot,
                       sync_stability, two_cluster_H)
 from .config import (ClusterScanSpec, ConfigError, InitialSpec, RunConfig,
                      SyntheticAB, initial_full_state, initial_phases,
-                     normalize_config_text, parse_config, serialize_config)
+                     parse_config)
 from .integrator import (AmplitudeCollapseError, ComparisonReport,
                          IntegrationError, Trajectory, TrajectoryTooLargeError,
                          compare, default_dt, extract_phases, integrate,
@@ -22,9 +22,8 @@ from .phase_model import (as_phase_vector, moments, phase_rhs_fast,
                           phase_rhs_naive)
 from .reduction import (HarmonicTerm, PhaseCouplingSet, ReductionConstants,
                         abc_constants, beta_gamma, build_coupling,
-                        canonical_xi_chi, coupling_from_text, coupling_to_text,
-                        evaluate_harmonics, limit_cycle, reduction_constants,
-                        xi_chi_lambda_split)
+                        canonical_xi_chi, coupling_to_text, evaluate_harmonics,
+                        limit_cycle, reduction_constants, xi_chi_lambda_split)
 
 __all__ = [
     "TAU", "wrap_angle",
@@ -33,7 +32,7 @@ __all__ = [
     "ReductionConstants", "HarmonicTerm", "PhaseCouplingSet", "limit_cycle",
     "abc_constants", "reduction_constants", "beta_gamma", "build_coupling",
     "canonical_xi_chi", "xi_chi_lambda_split", "evaluate_harmonics",
-    "coupling_to_text", "coupling_from_text",
+    "coupling_to_text",
     "as_phase_vector", "moments", "phase_rhs_naive", "phase_rhs_fast",
     "Trajectory", "ComparisonReport", "IntegrationError",
     "AmplitudeCollapseError", "TrajectoryTooLargeError", "default_dt",
@@ -44,6 +43,5 @@ __all__ = [
     "g_factored", "find_roots_batch", "sync_stability", "sync_frequency",
     "alpha_polynomials", "polynomial_alpha_roots_batch",
     "RunConfig", "InitialSpec", "ClusterScanSpec", "SyntheticAB",
-    "ConfigError", "parse_config", "serialize_config", "normalize_config_text",
-    "initial_phases", "initial_full_state",
+    "ConfigError", "parse_config", "initial_phases", "initial_full_state",
 ]

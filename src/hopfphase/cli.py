@@ -5,8 +5,8 @@ Verbs: derive (coefficient report), simulate (one model run), compare
 and stability tables). All output is JSON or columnar text ready for external
 plotting; every file records the seed, so a fixed config gives byte-identical
 results. Exit codes: 0 success, 2 configuration problem (including
-trajectories too large for physical memory and output files that cannot be
-made), 3 numerical failure.
+trajectories or scan grids too large for physical memory and output files
+that cannot be made), 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +25,18 @@ from .cluster import (_coefficients_at, _sync_labels, alpha_polynomials,
 from .config import ConfigError, RunConfig, initial_full_state, initial_phases, parse_config
 from .integrator import (_TEXT_ELEMENTS, AmplitudeCollapseError,
                          IntegrationError, TrajectoryTooLargeError,
-                         _budget_steps, _row_blocks, compare, integrate,
-                         trajectory_text)
+                         _budget_steps, _require_memory, _row_blocks, compare,
+                         integrate, trajectory_text)
 from .normal_form import full_rhs_array
 from .phase_model import phase_rhs_fast
 from .reduction import (build_coupling, canonical_xi_chi, coupling_to_text,
                         reduction_constants, xi_chi_lambda_split)
+
+
+# a lower bound on what a cluster scan holds per point of alpha_grid +
+# psi_grid: its tracemalloc peak was 338-355 B per point with equal grids of
+# 1,024 to 16,384 on the configs/ files, and up to 665 B with one grid of 64
+_SCAN_POINT_BYTES = 330
 
 
 def _fmt(x: float) -> str:
@@ -118,15 +124,7 @@ def cmd_derive(cfg: RunConfig, args) -> int:
     coupling = build_coupling(params, cfg.delta)
     doc = {
         "seed": cfg.seed,
-        "constants": {
-            "r_star_sq": consts.r_star_sq,
-            "omega_cap": consts.omega_cap,
-            "a0": consts.a0,
-            "b0": consts.b0,
-            "c0": consts.c0,
-            "c_ratio": consts.c_ratio,
-            "delta": consts.delta,
-        },
+        "constants": asdict(consts),
         "coupling": json.loads(coupling_to_text(coupling)),
         "canonical_terms": [
             {"component": tag, "order": term.order,
@@ -184,13 +182,13 @@ def cmd_compare(cfg: RunConfig, args) -> int:
         t_end = cfg.t_end
     else:
         # the phase reduction is expected to track over times of order
-        # 1/(epsilon*lambda)
-        rate = cfg.epsilon * cfg.lam
+        # 1/(|epsilon|*lambda), whichever way the coupling acts
+        rate = abs(cfg.epsilon) * cfg.lam
         t_end = 1.0 / rate if rate > 0 else math.inf
         if t_end == math.inf:
             raise ConfigError(
                 f"field 't_end' is required when 'epsilon' = {cfg.epsilon!r}: "
-                f"the default horizon 1/(epsilon*lambda) is not finite")
+                f"the default horizon 1/(|epsilon|*lambda) is not finite")
     _check_step(dt, t_end)
     out = _out_path(cfg, args, "compare.json")
     # both dense trajectories, complex full and real phase, are held at once
@@ -202,7 +200,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
     phase_traj = integrate(lambda p: phase_rhs_fast(p, coupling), phi0, dt, t_end)
     del phi0
     report = compare(full_traj, phase_traj)
-    doc = {"seed": cfg.seed, "dt": dt, **report.as_dict()}
+    doc = {"seed": cfg.seed, "dt": dt, **asdict(report)}
     _write(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -253,6 +251,9 @@ def cmd_cluster_scan(cfg: RunConfig, args) -> int:
         cfg = replace(cfg, cluster=replace(cfg.cluster, psi_grid=args.psi_grid))
     if cfg.cluster.alpha_grid < 64 or cfg.cluster.psi_grid < 64:
         raise ConfigError("cluster-scan grids must be at least 64")
+    points = cfg.cluster.alpha_grid + cfg.cluster.psi_grid
+    _require_memory(f"a cluster scan of {points} alpha and psi grid points",
+                    points * _SCAN_POINT_BYTES, "shrink alpha_grid or psi_grid")
     out = _out_path(cfg, args, "cluster_scan.txt")
     params = cfg.system_params()
     coupling = build_coupling(params, cfg.delta)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,9 +63,9 @@ class ClusterConfig:
         return cls(alpha=(q_size - p_size) / n, p=p_size / n, q=q_size / n)
 
 
-@dataclass(frozen=True)
-class ClusterCoefficients:
-    """A1, B1, A2, B2 of the factored two-cluster difference function."""
+class ClusterCoefficients(NamedTuple):
+    """A1, B1, A2, B2 of the factored two-cluster difference function: a
+    coefficient row, so np.array of n of them is the (n, 4) array of rows."""
 
     a1_coef: float
     b1_coef: float
@@ -187,15 +188,12 @@ def _coefficients_at(alphas, polys):
                       np.asarray(polys, dtype=float))
 
 
-def g_factored(psi, cc: ClusterCoefficients):
-    """Half-angle factored form of G; scalar or array in psi."""
-    psi = np.asarray(psi, dtype=float)
-    half = 0.5 * psi
-    sin = np.sin(half)
-    val = 2.0 * sin * (cc.a1_coef * np.cos(half) + cc.b1_coef * sin
-                       + cc.a2_coef * np.cos(3.0 * half)
-                       + cc.b2_coef * np.sin(3.0 * half))
-    return float(val) if psi.ndim == 0 else val
+def g_factored(psi, cc):
+    """Half-angle factored form of G; scalar or array in psi. cc is one
+    coefficient set, or (A1, B1, A2, B2) rows that broadcast against psi."""
+    val = _combine(_harmonics(np.asarray(psi, dtype=float)),
+                   np.asarray(cc, dtype=float))
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def sync_stability(cc: ClusterCoefficients) -> str:
@@ -269,23 +267,23 @@ def _ternary_min_abs(f, coef, lo, hi, iters: int = 200):
 
 
 def _harmonics(psis):
-    """The factors of g_factored that depend on Psi alone on the grid psis:
-    2 sin(Psi/2), and cos and sin of Psi/2 and of 3Psi/2."""
+    """The factors of G that depend on Psi alone: 2 sin(Psi/2), and cos and
+    sin of Psi/2 and of 3Psi/2."""
     half = 0.5 * psis
     sin = np.sin(half)
-    return np.stack([2.0 * sin, np.cos(half), sin, np.cos(3.0 * half),
-                     np.sin(3.0 * half)])
+    return 2.0 * sin, np.cos(half), sin, np.cos(3.0 * half), np.sin(3.0 * half)
 
 
-def _grid_values(harmonics, coef):
-    """G of the coefficient rows coef on the grid of harmonics, row after row
-    in one flat array; formed as g_factored forms it, so the same to the bit."""
-    vals = np.repeat(coef.T, harmonics.shape[1], axis=1).reshape(4, coef.shape[0], -1)
-    vals *= harmonics[1:, None, :]
+def _combine(h, coef):
+    """G from the harmonics h and the (..., 4) coefficient rows coef, which
+    broadcast against them: ((A1 c1 + B1 s1) + A2 c3) + B2 s3, times
+    2 sin(Psi/2). Every G of the module is formed here, so a grid value and
+    a refinement step at the same Psi agree to the bit."""
+    val = coef[..., 0] * h[1]
     for k in (1, 2, 3):
-        vals[0] += vals[k]
-    vals[0] *= harmonics[0]
-    return vals[0].reshape(-1)
+        val += coef[..., k] * h[k + 1]
+    val *= h[0]
+    return val
 
 
 def _grid_brackets(harmonics, coef):
@@ -293,8 +291,8 @@ def _grid_brackets(harmonics, coef):
     grid index, G there) of every grid zero and sign change, the index naming
     the left end of its interval, and (row, grid index) of every local
     minimum of |G| without a sign change."""
-    width = harmonics.shape[1]
-    vals = _grid_values(harmonics, coef)
+    width = harmonics[0].size
+    vals = _combine(harmonics, coef[:, None]).reshape(-1)
     neg = vals < 0
     absvals = np.abs(vals)
     # neighbours across a row end are compared too, and dropped
@@ -314,8 +312,8 @@ def _grid_brackets(harmonics, coef):
 
 
 def find_roots_batch(ccs, grid_size: int = 720) -> list:
-    """All roots in (0, 2*pi) of G(Psi) for every coefficient set in ccs, a
-    sequence of ClusterCoefficients or an (n, 4) array of (A1, B1, A2, B2).
+    """All roots in (0, 2*pi) of G(Psi) for every coefficient set in ccs,
+    (A1, B1, A2, B2) rows such as ClusterCoefficients or an (n, 4) array.
 
     Sign changes on a uniform grid are refined by bisection to 1e-10 in Psi;
     the first interval starts from the sign of A1 + A2, since G(0) is an
@@ -329,15 +327,10 @@ def find_roots_batch(ccs, grid_size: int = 720) -> list:
     """
     if grid_size < 360:
         raise ValueError(f"grid_size must be at least 360, got {grid_size}")
-    if not isinstance(ccs, np.ndarray):
-        ccs = [(cc.a1_coef, cc.b1_coef, cc.a2_coef, cc.b2_coef) for cc in ccs]
     coef = np.array(ccs, dtype=float).reshape(-1, 4)
     degenerate = np.max(np.abs(coef), axis=1) < _IDENTICALLY_ZERO_TOL
     psis = np.linspace(0.0, 2.0 * np.pi, grid_size + 1)
     harmonics = _harmonics(psis)
-
-    def g_rows(psi, rows):  # g_factored of (A1, B1, A2, B2) rows
-        return g_factored(psi, ClusterCoefficients(*rows.T))
 
     empty = np.empty(0, dtype=np.intp)
     crossings, dips = [(empty, empty, np.empty(0))], [(empty, empty)]
@@ -351,9 +344,9 @@ def find_roots_batch(ccs, grid_size: int = 720) -> list:
     c_rows, c_i, c_lo = map(np.concatenate, zip(*crossings))
     d_rows, d_i = map(np.concatenate, zip(*dips))
     c_psi = np.where(c_lo == 0.0, psis[c_i],
-                     _bisect(g_rows, coef[c_rows], psis[c_i], psis[c_i + 1],
+                     _bisect(g_factored, coef[c_rows], psis[c_i], psis[c_i + 1],
                              c_lo, _PSI_ROOT_TOL))
-    d_psi, d_min = _ternary_min_abs(g_rows, coef[d_rows], psis[d_i - 1],
+    d_psi, d_min = _ternary_min_abs(g_factored, coef[d_rows], psis[d_i - 1],
                                     psis[d_i + 1])
     grazing = d_min < _TANGENT_TOL
 

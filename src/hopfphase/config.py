@@ -1,9 +1,7 @@
-"""Run configuration: JSON parsing, validation, canonical serialization.
+"""Run configuration: JSON parsing, validation, initial states.
 
 A run file is a single JSON object. Complex coefficients accept two spellings,
-a two-element array [re, im] or an object {"modulus": m, "phase": p}; the
-canonical form written back out is always [re, im]. parse/serialize are exact
-inverses on the canonical form, so normalizing a file twice is a no-op.
+a two-element array [re, im] or an object {"modulus": m, "phase": p}.
 """
 from __future__ import annotations
 
@@ -15,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .integrator import default_dt
-from .normal_form import COUPLING_INDICES, NormalFormCoefficients, SystemParams
+from .normal_form import NormalFormCoefficients, SystemParams
 from .reduction import limit_cycle
 
 _INITIAL_KINDS = ("random-phases", "explicit", "splay", "two-cluster",
@@ -294,58 +292,6 @@ def _validate(cfg: RunConfig):
         raise ConfigError(
             f"fields 'initial.q_size' + 'initial.p_size' must sum to n_osc "
             f"({cfg.n_osc}), got {init.q_size + init.p_size}")
-
-
-def _complex_pair(value: complex):
-    return [float(value.real), float(value.imag)]
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical JSON text; stable key order, complex values as [re, im]."""
-    coeff_map = cfg.coeffs.as_dict()
-    coefficients = {key: _complex_pair(coeff_map[key]) for key in _COEFF_KEYS}
-
-    init = cfg.initial
-    initial: dict = {"kind": init.kind}
-    if init.kind == "explicit":
-        if init.phases:
-            initial["phases"] = [float(x) for x in init.phases]
-        else:
-            initial["z"] = [_complex_pair(z) for z in init.z]
-    elif init.kind == "two-cluster":
-        initial.update(q_size=init.q_size, p_size=init.p_size, psi=init.psi)
-    elif init.kind == "perturbed-sync":
-        initial["amplitude"] = init.amplitude
-
-    cluster: dict = {"alpha_grid": cfg.cluster.alpha_grid,
-                     "psi_grid": cfg.cluster.psi_grid,
-                     "synthetic_ab": None}
-    if cfg.cluster.synthetic_ab is not None:
-        synth = cfg.cluster.synthetic_ab
-        cluster["synthetic_ab"] = {"a1": list(synth.a1_poly),
-                                   "b1": list(synth.b1_poly),
-                                   "a2": list(synth.a2_poly),
-                                   "b2": list(synth.b2_poly)}
-
-    doc = {
-        "lambda": cfg.lam,
-        "omega": cfg.omega,
-        "epsilon": cfg.epsilon,
-        "n_osc": cfg.n_osc,
-        "coefficients": coefficients,
-        "delta": cfg.delta,
-        "dt": cfg.dt,
-        "t_end": cfg.t_end,
-        "seed": cfg.seed,
-        "initial": initial,
-        "cluster": cluster,
-        "output": cfg.output,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def normalize_config_text(text: str) -> str:
-    return serialize_config(parse_config(text))
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,8 @@ class AmplitudeCollapseError(RuntimeError):
 
 
 class TrajectoryTooLargeError(MemoryError):
-    """Raised before integrating when the dense trajectories would not fit in
-    physical memory."""
+    """Raised before any work when the dense trajectories, or the tables of a
+    cluster scan, would not fit in physical memory."""
 
 
 def _physical_memory_bytes() -> int | None:
@@ -49,17 +49,23 @@ def _physical_memory_bytes() -> int | None:
         return None
 
 
+def _require_memory(subject: str, n_bytes: int, remedy: str):
+    """Raise TrajectoryTooLargeError if subject's n_bytes exceed physical
+    memory; the message names the remedy."""
+    budget = _physical_memory_bytes()
+    if budget is not None and n_bytes > budget:
+        raise TrajectoryTooLargeError(
+            f"{subject} needs {n_bytes} bytes, more than the {budget} bytes "
+            f"of physical memory; {remedy}")
+
+
 def _budget_steps(subject: str, dt: float, t_end: float, n_osc: int,
                   bytes_per_osc: int) -> int:
     """Steps to t_end, if (steps + 1) * n_osc * bytes_per_osc fits in memory."""
     n_steps = int(np.floor(t_end / dt + 1e-9))
-    n_bytes = (n_steps + 1) * n_osc * bytes_per_osc
-    budget = _physical_memory_bytes()
-    if budget is not None and n_bytes > budget:
-        raise TrajectoryTooLargeError(
-            f"{subject} of {n_steps} steps x N={n_osc} needs {n_bytes} "
-            f"bytes, more than the {budget} bytes of physical memory; "
-            f"shorten t_end or enlarge dt")
+    _require_memory(f"{subject} of {n_steps} steps x N={n_osc}",
+                    (n_steps + 1) * n_osc * bytes_per_osc,
+                    "shorten t_end or enlarge dt")
     return n_steps
 
 
@@ -101,14 +107,6 @@ class ComparisonReport:
     max_phase_dev: float
     freq_full: float
     freq_phase: float
-
-    def as_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "max_phase_dev": self.max_phase_dev,
-            "freq_full": self.freq_full,
-            "freq_phase": self.freq_phase,
-        }
 
 
 def default_dt(lam: float, omega_cap: float) -> float:

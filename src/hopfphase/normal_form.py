@@ -67,9 +67,6 @@ class NormalFormCoefficients:
             raise ValueError(f"no coupling coefficient with index {k}")
         return getattr(self, "a_minus1" if k == -1 else f"a{k}")
 
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass(frozen=True)
 class SystemParams:

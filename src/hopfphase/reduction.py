@@ -59,7 +59,7 @@ class HarmonicTerm:
             raise ValueError(f"order must be a positive integer, got {self.order!r}")
         object.__setattr__(self, "amplitude", float(self.amplitude))
         # wrap only out-of-range offsets: wrap_angle is not bitwise-idempotent,
-        # and serialization round trips must preserve the stored float exactly
+        # so wrapping an in-range offset could move derive.json by an ulp
         p = float(self.phase_offset)
         if not -math.pi < p <= math.pi:
             p = wrap_angle(p)
@@ -328,7 +328,7 @@ def xi_chi_lambda_split(coupling: PhaseCouplingSet):
 
 
 # ---------------------------------------------------------------------------
-# text serialization, so the phase model can run without re-deriving
+# text serialization of the coupling set, as derive reports it
 
 
 def coupling_to_text(coupling: PhaseCouplingSet) -> str:
@@ -351,25 +351,3 @@ def coupling_to_text(coupling: PhaseCouplingSet) -> str:
         ]
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-
-def coupling_from_text(text: str) -> PhaseCouplingSet:
-    """Inverse of coupling_to_text."""
-    doc = json.loads(text)
-    def terms(tag):
-        return tuple(HarmonicTerm(e["amplitude"], e["phase_offset"], int(e["order"]))
-                     for e in doc[tag])
-    return PhaseCouplingSet(
-        omega_tilde_const=float(doc["omega_tilde_const"]),
-        beta={int(k): float(v) for k, v in doc["beta"].items()},
-        gamma={int(k): float(v) for k, v in doc["gamma"].items()},
-        r_star_sq=float(doc["r_star_sq"]),
-        epsilon=float(doc["epsilon"]),
-        n_osc=int(doc["n_osc"]),
-        g2=terms("g2"),
-        g3=terms("g3"),
-        g4=terms("g4"),
-        g5=terms("g5"),
-        mean_field_freq_amp=float(doc["mean_field_freq_amp"]),
-        delta_corr=float(doc.get("delta_corr", 0.0)),
-        delta_phase=float(doc.get("delta_phase", 0.0)),
-    )

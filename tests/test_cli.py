@@ -154,7 +154,7 @@ def test_phase_step_beyond_half_a_turn_exits_2(tmp_path, capsys, monkeypatch):
     assert out.exists() and calls
 
 
-@pytest.mark.parametrize("epsilon", [0.0, -0.5, 1e-320])
+@pytest.mark.parametrize("epsilon", [0.0, 1e-320])
 def test_compare_without_t_end_needs_a_finite_default_horizon(tmp_path, capsys, epsilon):
     cfg = write_config(tmp_path, epsilon=epsilon)
     assert run(["compare", "--config", cfg, "--out", tmp_path / "x"]) == 2
@@ -275,6 +275,34 @@ def test_cluster_scan_builds_the_alpha_polynomials_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_cluster_scan_budgets_its_grids_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+    scan = cli.find_roots_batch
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "find_roots_batch", counted)
+    points = 4096 + 4096
+    need = points * cli._SCAN_POINT_BYTES
+    monkeypatch.setattr(integrator, "_physical_memory_bytes", lambda: need - 1)
+    cfg = write_config(tmp_path, seed=1, coefficients=RICH_COEFFS)
+    out = tmp_path / "scan.txt"
+    args = ["cluster-scan", "--config", cfg, "--alpha-grid", 4096,
+            "--psi-grid", 4096, "--out", out]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{points} alpha and psi grid points" in err
+    assert f"needs {need} bytes" in err
+    assert calls == [] and not out.exists()
+
+    monkeypatch.setattr(integrator, "_physical_memory_bytes", lambda: need)
+    assert run(args) == 0
+    assert calls and out.exists()
+
+
 def test_compare_report(tmp_path):
     cfg = write_config(tmp_path, seed=2, t_end=5.0)
     out = tmp_path / "cmp.json"
@@ -293,6 +321,15 @@ def test_compare_default_horizon_is_coupling_scale(tmp_path):
     doc = json.loads(out.read_text())
     # 1 / (epsilon * lambda) with epsilon=0.5, lambda=0.1
     assert doc["horizon"] == pytest.approx(20.0)
+
+
+def test_compare_default_horizon_of_a_repulsive_coupling(tmp_path):
+    # 1 / (|epsilon| * lambda): a repulsive coupling has the same time scale
+    cfg = write_config(tmp_path, seed=2, epsilon=-0.5)
+    out = tmp_path / "cmp.json"
+    assert run(["compare", "--config", cfg, "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    assert abs(doc["horizon"] - 20.0) <= doc["dt"]
 
 
 def test_cluster_scan_sections(tmp_path):

@@ -16,7 +16,7 @@ from hopfphase import (ClusterCoefficients, ClusterConfig, ab_coefficients,
                        g_factored, g_raw, phase_rhs_naive,
                        polynomial_alpha_roots_batch, sync_frequency,
                        sync_stability, two_cluster_H)
-from hopfphase.cluster import (_SCAN_BLOCK, _grid_brackets, _grid_values,
+from hopfphase.cluster import (_SCAN_BLOCK, _combine, _grid_brackets,
                                _harmonics, _sync_labels)
 
 from conftest import make_rng, random_coupling, random_params
@@ -139,6 +139,20 @@ def test_factored_structural_zeros(rng):
     assert g_factored(0.0, cc) == 0.0
     assert abs(g_raw(0.0, cfg, coupling)) < 1e-14
     assert abs(g_factored(math.pi, ClusterCoefficients(1.0, 0.0, 0.0, 0.0))) < 1e-15
+
+
+def test_g_factored_of_rows_equals_g_factored_of_each_set():
+    # a coefficient set is an (A1, B1, A2, B2) row; one kernel forms G from
+    # a set at a scalar Psi and from (n, 4) rows against n separations
+    rng = make_rng(15)
+    n = 64
+    rows = rng.normal(size=(n, 4)) * 10.0 ** rng.uniform(-6, 2, size=(n, 1))
+    psis = rng.uniform(0.0, TAU, n)
+    ccs = [ClusterCoefficients(*row) for row in rows.tolist()]
+    assert np.array(ccs).shape == (n, 4)
+    want = [g_factored(psi, cc) for psi, cc in zip(psis.tolist(), ccs)]
+    assert all(type(value) is float for value in want)
+    assert g_factored(psis, rows).tobytes() == np.array(want).tobytes()
 
 
 def test_cluster_swap_antisymmetry(rng):
@@ -271,7 +285,7 @@ def test_grid_scan_is_bit_identical_to_g_factored(grid_size):
     crossings = dips = first_cell = 0
     for coef in grid_scan_rows(grid_size):
         vals, (r, i, f_lo), (dr, di) = reference_grid_scan(psis, coef)
-        grid = _grid_values(harmonics, coef).reshape(coef.shape[0], -1)
+        grid = _combine(harmonics, coef[:, None])
         assert grid.tobytes() == vals.tobytes()
         (gr, gi, g_lo), (gdr, gdi) = _grid_brackets(harmonics, coef)
         for got, want in ((gr, r), (gi, i), (gdr, dr), (gdi, di)):

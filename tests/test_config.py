@@ -1,4 +1,4 @@
-"""Run-file parsing, validation errors, canonical form, initial states."""
+"""Run-file parsing, validation errors, initial states."""
 import json
 import math
 
@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from hopfphase.config import (ConfigError, initial_full_state, initial_phases,
-                              normalize_config_text, parse_config,
-                              serialize_config)
+                              parse_config)
 
 
 def doc_text(**over):
@@ -41,22 +40,6 @@ def test_complex_spellings_agree():
         coefficients={"a1": -1.0, "a2": 0.3}))
     assert as_scalar.coeffs.a1 == -1.0 + 0.0j
     assert as_scalar.coeffs.a2 == 0.3 + 0.0j
-
-
-def test_round_trips():
-    text = doc_text(
-        delta=0.2, dt=0.05, t_end=40.0, seed=7,
-        coefficients={"a1": [-1.0, 0.5], "a3": {"modulus": 0.2, "phase": -1.0}},
-        initial={"kind": "two-cluster", "q_size": 2, "p_size": 1, "psi": 2.0},
-        cluster={"alpha_grid": 33, "psi_grid": 65,
-                 "synthetic_ab": {"a1": [0.125, 0.0, 1.0], "b1": [0.0, -0.75],
-                                  "a2": [0.0], "b2": [0.0]}},
-        output="run.txt")
-    cfg = parse_config(text)
-    canonical = serialize_config(cfg)
-    assert parse_config(canonical) == cfg
-    assert normalize_config_text(canonical) == canonical
-    assert normalize_config_text(text) == canonical
 
 
 def test_error_messages_name_the_field():

@@ -5,6 +5,7 @@ The uncoupled oscillator has a closed-form solution (logistic growth in
 oracle for the integrator on the full model.
 """
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -251,8 +252,8 @@ def test_compare_run_against_itself_is_zero():
     assert report.max_phase_dev == 0.0
     assert report.freq_full == report.freq_phase
     assert report.horizon == pytest.approx(full.times[-1])
-    assert set(report.as_dict()) == {"horizon", "max_phase_dev", "freq_full",
-                                     "freq_phase"}
+    assert set(asdict(report)) == {"horizon", "max_phase_dev", "freq_full",
+                                   "freq_phase"}
 
 
 def test_compare_validates_grids_and_sizes():

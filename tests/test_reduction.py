@@ -5,6 +5,7 @@ constants from central differences of the uncoupled field at the limit-cycle
 radius, independent of the closed forms under test.
 """
 import cmath
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from hopfphase import (HarmonicTerm, NormalFormCoefficients, PhaseCouplingSet,
                        SystemParams, abc_constants, beta_gamma, build_coupling,
-                       canonical_xi_chi, coupling_from_text, coupling_to_text,
+                       canonical_xi_chi, coupling_to_text,
                        evaluate_harmonics, limit_cycle, reduction_constants,
                        uncoupled_field, wrap_angle, xi_chi_lambda_split)
 
@@ -381,14 +382,20 @@ def test_coupling_tables_are_bit_identical_to_hand_assembly():
 # serialization and invariants
 
 
-def test_coupling_text_round_trip(rng):
+def test_coupling_text_records_every_field_exactly(rng):
+    # derive writes this text: JSON floats read back to the stored bits
     for trial in range(5):
         params = random_params(rng, n_osc=6)
         coupling = build_coupling(params, delta=rng.uniform(-1, 1))
-        text = coupling_to_text(coupling)
-        back = coupling_from_text(text)
-        assert back == coupling
-        assert coupling_to_text(back) == text
+        doc = json.loads(coupling_to_text(coupling))
+        for key in ("omega_tilde_const", "r_star_sq", "epsilon", "n_osc",
+                    "mean_field_freq_amp", "delta_corr", "delta_phase"):
+            assert doc.pop(key) == getattr(coupling, key)
+        for key in ("beta", "gamma"):
+            assert {int(k): v for k, v in doc.pop(key).items()} == getattr(coupling, key)
+        for tag in ("g2", "g3", "g4", "g5"):
+            assert [HarmonicTerm(**e) for e in doc.pop(tag)] == list(getattr(coupling, tag))
+        assert doc == {}
 
 
 def test_coupling_set_rejects_bad_term_counts():
