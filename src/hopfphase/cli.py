@@ -249,8 +249,10 @@ def cmd_cluster_scan(cfg: RunConfig, args) -> int:
         cfg = replace(cfg, cluster=replace(cfg.cluster, alpha_grid=args.alpha_grid))
     if args.psi_grid is not None:
         cfg = replace(cfg, cluster=replace(cfg.cluster, psi_grid=args.psi_grid))
-    if cfg.cluster.alpha_grid < 64 or cfg.cluster.psi_grid < 64:
-        raise ConfigError("cluster-scan grids must be at least 64")
+    for name in ("alpha_grid", "psi_grid"):
+        if (size := getattr(cfg.cluster, name)) < 64:
+            raise ConfigError(f"cluster-scan grids must be at least 64, got field "
+                              f"'cluster.{name}' = {size}")
     points = cfg.cluster.alpha_grid + cfg.cluster.psi_grid
     _require_memory(f"a cluster scan of {points} alpha and psi grid points",
                     points * _SCAN_POINT_BYTES, "shrink alpha_grid or psi_grid")

@@ -10,13 +10,18 @@ identities as
                            + A2 cos(3 Psi/2) + B2 sin(3 Psi/2)]
 
 with coefficients polynomial in the cluster imbalance alpha = q - p. The
-module evaluates H1/H2 and G directly, assembles the A/B coefficients,
-finds roots of G in Psi and of the bracket in alpha (each scan batched over
-many alphas or separations), and reports synchrony stability sign(A1 + A2)
-and the synchronized frequency.
+subspace is a weighted copy of the phase model, so H1/H2 are its prefactor
+kernel at the weights (q, p). With the clusters at +-Psi/2,
+Z1 = cos(Psi/2) + i alpha sin(Psi/2), Z2 = cos Psi + i alpha sin Psi and
+G = 2 sin(Psi/2) [Im c1 + 2 cos(Psi/2) Im c2], so A/B are linear in the five
+coupling phasors; g_raw writes G out from beta/gamma as an independent
+oracle. The module finds roots of G in Psi and of the bracket in alpha (each
+scan batched over many alphas or separations), and reports synchrony
+stability sign(A1 + A2) and the synchronized frequency.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -89,49 +94,23 @@ class RootScanResult:
     identically_zero: bool = False
 
 
-def _h_one(phi_own: float, phi_other: float, q: float, p: float,
-           coupling: PhaseCouplingSet) -> float:
-    """Drift of an oscillator in the cluster at phi_own (frequency offset
-    removed, coupling strength divided out): the literal restriction of every
-    coupling group to the two-cluster subspace, own-cluster weight q."""
-    b, g = coupling.beta, coupling.gamma
-    r2 = coupling.r_star_sq
-    dc, dth = coupling.delta_corr, coupling.delta_phase
-    d = phi_own - phi_other
-    cos = math.cos
-
-    val = b[-1] * (q * cos(g[-1]) + p * cos(g[-1] - d))
-    val -= dc * (q * cos(dth) + p * cos(dth - d))
-    val += r2 * (
-        b[2] * (q * cos(g[2]) + p * cos(g[2] + d))
-        + b[3] * (q * cos(g[3]) + p * cos(g[3] - d))
-        + b[4] * cos(g[4])
-        + b[5] * ((q * q + p * p) * cos(g[5])
-                  + q * p * (cos(g[5] + d) + cos(g[5] - d)))
-        + b[6] * (q * cos(g[6]) + p * cos(g[6] - 2.0 * d))
-        + b[7] * (q * q * cos(g[7]) + 2.0 * q * p * cos(g[7] - d)
-                  + p * p * cos(g[7] - 2.0 * d))
-        + b[8] * (q * cos(g[8]) + p * cos(g[8] - d))
-        + b[9] * (q * q * cos(g[9]) + q * p * cos(g[9] + d)
-                  + q * p * cos(g[9] - 2.0 * d) + p * p * cos(g[9] - d))
-        + b[10] * (q * cos(g[10]) + p * cos(g[10] - d))
-        + b[11] * ((q ** 3 + 2.0 * p * p * q) * cos(g[11])
-                   + q * q * p * cos(g[11] + d)
-                   + (2.0 * p * q * q + p ** 3) * cos(g[11] - d)
-                   + p * p * q * cos(g[11] - 2.0 * d))
-    )
-    return val
-
-
 def two_cluster_H(phi1: float, phi2: float, cfg: ClusterConfig,
                   coupling: PhaseCouplingSet):
     """Per-cluster drift functions (H1, H2) on the two-cluster subspace: H1
-    drives the cluster of fraction q at phi1; H2 follows by the swap rule
-    H2(phi1, phi2, q, p) = H1(phi2, phi1, p, q). Multiplying by epsilon and
-    adding the base frequency reproduces the phase-model components."""
-    h1 = _h_one(phi1, phi2, cfg.q, cfg.p, coupling)
-    h2 = _h_one(phi2, phi1, cfg.p, cfg.q, coupling)
-    return h1, h2
+    drives the cluster of fraction q at phi1, H2 the cluster of fraction p at
+    phi2. They are the prefactors at the cluster moments
+    Z1 = q e^{i phi1} + p e^{i phi2}, Z2 = q e^{2i phi1} + p e^{2i phi2},
+    plus the index-4 and mean-field frequency shifts without epsilon, so
+    multiplying by epsilon and adding the bare frequency reproduces the
+    phase-model components."""
+    e1, e2 = cmath.exp(1j * phi1), cmath.exp(1j * phi2)
+    z1 = cfg.q * e1 + cfg.p * e2
+    _, c1, c2 = coupling.prefactors(z1, cfg.q * e1 * e1 + cfg.p * e2 * e2)
+    b, g = coupling.beta, coupling.gamma
+    shift = coupling.r_star_sq * (b[4] * math.cos(g[4])
+                                  + b[5] * math.cos(g[5]) * abs(z1) ** 2)
+    return tuple(shift + (c1 * e.conjugate() + c2 * e.conjugate() ** 2).real
+                 for e in (e1, e2))
 
 
 def g_raw(psi: float, cfg: ClusterConfig, coupling: PhaseCouplingSet) -> float:
@@ -378,26 +357,16 @@ def find_roots_batch(ccs, grid_size: int = 720) -> list:
 def alpha_polynomials(coupling: PhaseCouplingSet):
     """Ascending alpha-polynomial coefficients of (A1, B1, A2, B2): A1 and A2
     are even (degree 2), B1 and B2 odd (degree 3); each returned tuple has
-    length 4 with the structural zeros in place."""
-    b, g = coupling.beta, coupling.gamma
-    r2 = coupling.r_star_sq
-    s = {k: b[k] * math.sin(g[k]) for k in b}
-    c = {k: b[k] * math.cos(g[k]) for k in b}
-    sd = coupling.delta_corr * math.sin(coupling.delta_phase)
-    cd = coupling.delta_corr * math.cos(coupling.delta_phase)
-
-    a1_0 = (s[-1] - sd + r2 * (-s[2] + s[3] + s[6] + s[8] + s[10]
-                               + 0.5 * s[9] + 1.5 * s[7] + 0.75 * s[11]))
-    a1_2 = r2 * (0.5 * s[9] - 0.5 * s[7] + 0.25 * s[11])
-    b1_1 = (c[-1] - cd + r2 * (c[2] + c[3] + c[6] + c[7] + c[8] + c[9] + c[10]
-                               + 0.25 * c[11]))
-    b1_3 = 0.75 * r2 * c[11]
-    a2_0 = r2 * (s[6] + 0.5 * s[7] + 0.5 * s[9] + 0.25 * s[11])
-    a2_2 = r2 * (0.5 * s[7] - 0.5 * s[9] - 0.25 * s[11])
-    b2_1 = r2 * (c[6] + c[7] + 0.25 * c[11])
-    b2_3 = -0.25 * r2 * c[11]
-    return ((a1_0, 0.0, a1_2, 0.0), (0.0, b1_1, 0.0, b1_3),
-            (a2_0, 0.0, a2_2, 0.0), (0.0, b2_1, 0.0, b2_3))
+    length 4 with the structural zeros in place. They are a fixed linear map
+    of the five coupling phasors, by the prefactor identity for G above."""
+    g21, g22, g3, g4, g5 = coupling._harmonic_phasors
+    return ((g21.imag + g22.imag + 1.5 * g3.imag + 0.5 * g4.imag + 0.75 * g5.imag,
+             0.0, 0.5 * g4.imag - 0.5 * g3.imag + 0.25 * g5.imag, 0.0),
+            (0.0, g21.real + g22.real + g3.real + g4.real + 0.25 * g5.real,
+             0.0, 0.75 * g5.real),
+            (g22.imag + 0.5 * g3.imag + 0.5 * g4.imag + 0.25 * g5.imag,
+             0.0, 0.5 * g3.imag - 0.5 * g4.imag - 0.25 * g5.imag, 0.0),
+            (0.0, g22.real + g3.real + 0.25 * g5.real, 0.0, -0.25 * g5.real))
 
 
 def _poly_rows(x, coef):

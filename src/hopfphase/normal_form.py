@@ -106,10 +106,11 @@ class SystemParams:
         if self.n_osc < 2:
             raise ValueError(f"n_osc must be at least 2, got {self.n_osc}")
         if self.n_osc < 4:
-            # the thirteen monomials are only proven independent for N >= 4
+            # the thirteen fields are independent exactly for N >= 4
             warnings.warn(
-                "n_osc < 4: the symmetry-adapted basis may be linearly "
-                "dependent, coefficients are then not uniquely identifiable "
+                "n_osc < 4: the thirteen symmetry-adapted basis fields satisfy "
+                f"{'one linear relation' if self.n_osc == 3 else 'five linear relations'}"
+                ", so the coefficients are not uniquely identifiable "
                 f"(config field 'n_osc' = {self.n_osc})",
                 UserWarning, stacklevel=_caller_stacklevel())
 

@@ -2,6 +2,7 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ import hopfphase.cluster as cluster
 import hopfphase.integrator as integrator
 import hopfphase.phase_model as phase_model
 from hopfphase.cli import main
+from hopfphase.cluster import ClusterConfig, g_raw
+from hopfphase.config import parse_config
 from hopfphase.integrator import _TEXT_ELEMENTS
 
 RICH_COEFFS = {"a1": [-1.0, 0.3], "a_minus1": [0.1, 0.05], "a2": [0.2, -0.1]}
@@ -396,7 +399,48 @@ def test_cluster_scan_rejects_small_grids(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert run(["cluster-scan", "--config", cfg, "--alpha-grid", "32",
                 "--out", tmp_path / "x"]) == 2
-    assert "at least 64" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "at least 64" in err and "'cluster.alpha_grid' = 32" in err
+    cfg = write_config(tmp_path, cluster={"alpha_grid": 64, "psi_grid": 63})
+    assert run(["cluster-scan", "--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert "'cluster.psi_grid' = 63" in capsys.readouterr().err
+
+
+ELEVEN_COEFFS = {"a1": [-1.0, 0.3], "a_minus1": [0.1, 0.05], "a2": [0.2, -0.1],
+                 "a3": [-0.12, 0.07], "a4": [0.05, 0.15], "a5": [-0.1, -0.04],
+                 "a6": [0.08, -0.16], "a7": [0.15, 0.1], "a8": [-0.06, 0.11],
+                 "a9": [0.13, -0.05], "a10": [0.04, 0.09], "a11": [-0.14, 0.12]}
+
+
+@pytest.mark.parametrize("source", ["two_cluster", "eleven"])
+def test_cluster_scan_roots_zero_the_raw_difference(tmp_path, source):
+    # g_raw shares no code with the scan; the tolerances are the benchmark
+    # oracle's: bisection stops at 1e-10 in Psi, grazing roots are accepted
+    # below 1e-8, and alpha roots are bisected to 1e-12
+    if source == "two_cluster":
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "two_cluster.json"
+    else:
+        cfg = write_config(tmp_path, n_osc=8, delta=0.3, coefficients=ELEVEN_COEFFS)
+    out = tmp_path / "scan.txt"
+    assert run(["cluster-scan", "--config", cfg, "--alpha-grid", 512,
+                "--psi-grid", 512, "--out", out]) == 0
+    loaded = parse_config(Path(cfg).read_text(encoding="utf-8"))
+    coupling = hopfphase.build_coupling(loaded.system_params(), loaded.delta)
+    lines = out.read_text().splitlines()
+    split = lines.index("# section=psi-scan")
+    alpha_rows = [l.split(", ") for l in lines[:split] if not l.startswith("#")]
+    psi_rows = [l.split(", ") for l in lines[split:] if not l.startswith("#")]
+    assert len({row[0] for row in alpha_rows}) == 511
+    assert len({row[0] for row in psi_rows}) == 511
+    psi_roots = [(float(a), float(x)) for a, x, _, _ in alpha_rows if x != "nan"]
+    alpha_roots = [(float(x), float(a)) for x, a, _ in psi_rows if a != "nan"]
+    assert psi_roots and alpha_roots
+    for alpha, psi in psi_roots:
+        assert abs(g_raw(psi, ClusterConfig.from_alpha(alpha), coupling)) <= 2e-8
+    for psi, alpha in alpha_roots:
+        bracket = (g_raw(psi, ClusterConfig.from_alpha(alpha), coupling)
+                   / (2.0 * math.sin(0.5 * psi)))
+        assert abs(bracket) <= 1e-9
 
 
 def test_out_falls_back_to_config_output(tmp_path):

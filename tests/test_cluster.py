@@ -88,8 +88,10 @@ def test_restriction_gives_each_component(rng):
 
 
 def test_g_raw_is_the_cluster_difference(rng):
-    for trial in range(10):
-        coupling = random_coupling(rng, 6, delta=rng.uniform(-0.5, 0.5))
+    # epsilon 0 and < 0 too: H has no epsilon in it, so none may be divided out
+    for epsilon in [None] * 10 + [0.0, -0.3]:
+        coupling = random_coupling(rng, 6, delta=rng.uniform(-0.5, 0.5),
+                                   epsilon=epsilon)
         cfg = ClusterConfig.from_alpha(rng.uniform(-0.9, 0.9))
         psi = rng.uniform(0, TAU)
         h1, h2 = two_cluster_H(psi, 0.0, cfg, coupling)

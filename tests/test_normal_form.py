@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hopfphase import (NormalFormCoefficients, SystemParams, as_state_vector,
                        coupling_field, equivariant_basis, full_rhs_array,
                        uncoupled_field)
-from hopfphase.normal_form import complex_mean
+from hopfphase.normal_form import BASIS_INDICES, complex_mean
 
 from conftest import make_rng, random_coeffs
 
@@ -310,6 +310,48 @@ def test_params_warning_names_the_calling_file():
         dataclasses.replace(params, n_osc=3)
     # not dataclasses.py, where replace builds the new instance
     assert rec[0].filename == __file__
+
+
+def cubic_orbit_count(n):
+    """Orbits of the cubic monomials z_a z_b conj(z_c), a <= b, under the
+    permutations of 1..n-1 that fix index 0: union-find over the group's two
+    generators, the cycle (1 2 ... n-1) and the transposition (1 2)."""
+    monomials = [(a, b, c) for a in range(n) for b in range(a, n) for c in range(n)]
+    parent = {m: m for m in monomials}
+
+    def find(m):
+        while parent[m] != m:
+            m = parent[m]
+        return m
+
+    gens = [[0, *range(2, n), 1][:n]]
+    if n > 2:
+        gens.append([0, 2, 1, *range(3, n)])
+    for m in monomials:
+        for g in gens:
+            a, b = sorted((g[m[0]], g[m[1]]))
+            parent[find(m)] = find((a, b, g[m[2]]))
+    return len({find(m) for m in monomials})
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_basis_rank_equals_the_orbit_count(n):
+    # component j of a field is its basis monomial with z_j moved first; the
+    # equivariant cubic maps are spanned by one orbit each, and the linear
+    # ones by z_0 and the mean of the others
+    rng = make_rng(100 + n)
+    points = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(8)]
+    fields = np.array([[equivariant_basis(np.roll(z, -j), k)
+                        for z in points for j in range(n)] for k in BASIS_INDICES])
+    sv = np.linalg.svd(fields, compute_uv=False)
+    rank = int(np.sum(sv > 1e-8 * sv[0]))
+    assert cubic_orbit_count(n) == [1, 6, 10, 11][min(n, 4) - 1]
+    assert rank == min(n, 2) + cubic_orbit_count(n)
+    if 2 <= n < 4:
+        words = {1: "one linear relation", 5: "five linear relations"}[13 - rank]
+        with pytest.warns(UserWarning, match=words):
+            SystemParams(lam=0.1, omega=1.0, epsilon=0.1, n_osc=n,
+                         coeffs=NormalFormCoefficients(a1=-1.0))
 
 
 def test_full_state_validation():
