@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,8 @@ import numpy as np
 from .cluster import (_coefficients_at, _sync_labels, alpha_polynomials,
                       find_roots_batch, polynomial_alpha_roots_batch,
                       sync_frequency)
-from .config import ConfigError, RunConfig, initial_full_state, initial_phases, parse_config
+from .config import (ConfigError, RunConfig, _on_cycle, initial_full_state,
+                     initial_phases, parse_config)
 from .integrator import (_TEXT_ELEMENTS, AmplitudeCollapseError,
                          IntegrationError, TrajectoryTooLargeError,
                          _budget_steps, _require_memory, _row_blocks, compare,
@@ -34,9 +36,11 @@ from .reduction import (build_coupling, canonical_xi_chi, coupling_to_text,
 
 
 # a lower bound on what a cluster scan holds per point of alpha_grid +
-# psi_grid: its tracemalloc peak was 338-355 B per point with equal grids of
-# 1,024 to 16,384 on the configs/ files, and up to 665 B with one grid of 64
-_SCAN_POINT_BYTES = 330
+# psi_grid: its tracemalloc peak was 310-351 B per point with grids of 4,096
+# to 65,536 on the configs/ files, one of them or both, and up to 641 B with
+# one grid of 64; find_roots_batch's own working set is most of it
+_SCAN_POINT_BYTES = 300
+_LINE_BLOCK = 2 ** 12  # cluster-scan writes its tables this many lines at a time
 
 
 def _fmt(x: float) -> str:
@@ -194,7 +198,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
     # both dense trajectories, complex full and real phase, are held at once
     _budget_steps("the full and phase trajectories", dt, t_end, cfg.n_osc, 24)
     phi0 = initial_phases(cfg)
-    z0 = math.sqrt(coupling.r_star_sq) * np.exp(1j * phi0)
+    z0 = _on_cycle(math.sqrt(coupling.r_star_sq), phi0)
     full_traj = integrate(lambda v: full_rhs_array(v, params), z0, dt, t_end)
     del z0  # each initial state is freed once its model has run
     phase_traj = integrate(lambda p: phase_rhs_fast(p, coupling), phi0, dt, t_end)
@@ -205,43 +209,39 @@ def cmd_compare(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _alpha_scan_lines(cfg: RunConfig, polys) -> list:
-    lines = ["# section=alpha-scan",
-             "# columns: alpha, psi_root, stability_of_sync, tangential_flag"]
-    n_alpha = cfg.cluster.alpha_grid
-    alphas = np.linspace(-1.0, 1.0, n_alpha + 1)[1:-1]
-    rows = _coefficients_at(alphas, polys)
-    labels = _sync_labels(rows[:, 0] + rows[:, 2]).tolist()
-    for alpha, stability, scan in zip(alphas.tolist(), labels,
-                                      find_roots_batch(rows)):
+def _text_blocks(lines):
+    """The lines, _LINE_BLOCK to a text, each ended by a newline."""
+    while block := list(islice(lines, _LINE_BLOCK)):
+        yield "\n".join(block) + "\n"
+
+
+def _alpha_scan_lines(alphas, labels, scans):
+    """The alpha-scan table, a line at a time."""
+    yield "# section=alpha-scan"
+    yield "# columns: alpha, psi_root, stability_of_sync, tangential_flag"
+    for alpha, stability, scan in zip(alphas.tolist(), labels, scans):
         if scan.identically_zero:
-            lines.append(f"{_fmt(alpha)}, nan, {stability}, identically-zero")
-            continue
-        if not scan.roots:
-            lines.append(f"{_fmt(alpha)}, nan, {stability}, none")
-            continue
-        for root in scan.roots:
-            flag = 1 if root.tangential else 0
-            lines.append(f"{_fmt(alpha)}, {_fmt(root.psi)}, {stability}, {flag}")
-    return lines
+            yield f"{_fmt(alpha)}, nan, {stability}, identically-zero"
+        elif not scan.roots:
+            yield f"{_fmt(alpha)}, nan, {stability}, none"
+        else:
+            for root in scan.roots:
+                flag = 1 if root.tangential else 0
+                yield f"{_fmt(alpha)}, {_fmt(root.psi)}, {stability}, {flag}"
 
 
-def _psi_scan_lines(cfg: RunConfig, polys) -> list:
-    lines = ["# section=psi-scan", "# columns: psi, alpha_root, flag"]
-    n_psi = cfg.cluster.psi_grid
-    psis = np.linspace(0.0, 2.0 * np.pi, n_psi, endpoint=False)[1:]
-    synth = cfg.cluster.synthetic_ab
-    if synth is not None:
-        polys = (synth.a1_poly, synth.b1_poly, synth.a2_poly, synth.b2_poly)
-    for psi, result in zip(psis, polynomial_alpha_roots_batch(psis, *polys)):
+def _psi_scan_lines(psis, results):
+    """The psi-scan table, a line at a time."""
+    yield "# section=psi-scan"
+    yield "# columns: psi, alpha_root, flag"
+    for psi, result in zip(psis.tolist(), results):
         if result.identically_zero:
-            lines.append(f"{_fmt(psi)}, nan, identically-zero")
+            yield f"{_fmt(psi)}, nan, identically-zero"
         elif not result.roots:
-            lines.append(f"{_fmt(psi)}, nan, none")
+            yield f"{_fmt(psi)}, nan, none"
         else:
             for root in result.roots:
-                lines.append(f"{_fmt(psi)}, {_fmt(root)}, root")
-    return lines
+                yield f"{_fmt(psi)}, {_fmt(root)}, root"
 
 
 def cmd_cluster_scan(cfg: RunConfig, args) -> int:
@@ -260,10 +260,24 @@ def cmd_cluster_scan(cfg: RunConfig, args) -> int:
     params = cfg.system_params()
     coupling = build_coupling(params, cfg.delta)
     polys = alpha_polynomials(coupling)
-    lines = [f"# seed={cfg.seed}", "# model=cluster-scan"]
-    lines += _alpha_scan_lines(cfg, polys)
-    lines += _psi_scan_lines(cfg, polys)
-    _write(out, "\n".join(lines) + "\n")
+    # both scans run before the file is opened, so a failed one leaves none;
+    # the alpha table is text before the psi scan starts, about 60 B a line
+    # against the 370 B that find_roots_batch holds per alpha
+    alphas = np.linspace(-1.0, 1.0, cfg.cluster.alpha_grid + 1)[1:-1]
+    rows = _coefficients_at(alphas, polys)
+    labels = _sync_labels(rows[:, 0] + rows[:, 2]).tolist()
+    alpha_text = list(_text_blocks(
+        _alpha_scan_lines(alphas, labels, find_roots_batch(rows))))
+    del rows
+    psis = np.linspace(0.0, 2.0 * np.pi, cfg.cluster.psi_grid, endpoint=False)[1:]
+    synth = cfg.cluster.synthetic_ab
+    if synth is not None:
+        polys = (synth.a1_poly, synth.b1_poly, synth.a2_poly, synth.b2_poly)
+    psi_scans = polynomial_alpha_roots_batch(psis, *polys)
+    with _open_out(out) as fh:
+        fh.write(f"# seed={cfg.seed}\n# model=cluster-scan\n")
+        fh.writelines(alpha_text)
+        fh.writelines(_text_blocks(_psi_scan_lines(psis, psi_scans)))
     return 0
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .angles import _in_slices
 from .integrator import default_dt
 from .normal_form import NormalFormCoefficients, SystemParams
 from .reduction import limit_cycle
@@ -328,4 +329,9 @@ def initial_full_state(cfg: RunConfig) -> np.ndarray:
     if cfg.initial.kind == "explicit" and cfg.initial.z:
         return np.asarray(cfg.initial.z, dtype=complex)
     r_star_sq, _ = limit_cycle(cfg.system_params())
-    return math.sqrt(r_star_sq) * np.exp(1j * initial_phases(cfg))
+    return _on_cycle(math.sqrt(r_star_sq), initial_phases(cfg))
+
+
+def _on_cycle(r_star: float, phi: np.ndarray) -> np.ndarray:
+    """r_star e^{i phi}: the phases phi placed on the circle of radius r_star."""
+    return r_star * _in_slices(np.exp, 1j * phi)

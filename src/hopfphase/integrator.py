@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .angles import TAU
+from .angles import TAU, _in_slices
 
 # reduction below this modulus means the phase description has broken down
 _AMPLITUDE_FLOOR = 1e-8
@@ -286,8 +286,7 @@ def compare(full_traj: Trajectory, phase_traj: Trajectory) -> ComparisonReport:
         diff, carry = _phase_block(full_traj.states[rows],
                                    full_traj.times[rows], carry)
         diff -= phase_traj.states[rows]
-        turn = 1j * diff
-        np.exp(turn, out=turn)
+        turn = _in_slices(np.exp, 1j * diff)
         rotation = np.angle(turn.mean(axis=1))
         del turn
         diff -= rotation[:, None]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .angles import _in_slices
 from .normal_form import complex_mean
 from .reduction import PhaseCouplingSet
 
@@ -109,8 +110,7 @@ def phase_rhs_fast(phi, coupling: PhaseCouplingSet) -> np.ndarray:
     """
     v = as_phase_vector(phi)
     _check_size(v, coupling)
-    e1 = 1j * v
-    np.exp(e1, out=e1)
+    e1 = _in_slices(np.exp, 1j * v)
     e2 = e1 * e1
     z1, z2 = complex_mean(e1), complex_mean(e2)
 

@@ -306,6 +306,29 @@ def test_cluster_scan_budgets_its_grids_before_any_work(
     assert calls and out.exists()
 
 
+def test_cluster_scan_scans_before_it_opens_its_file(tmp_path, monkeypatch):
+    def failing(*args):
+        raise RuntimeError("psi scan failed")
+
+    monkeypatch.setattr(cli, "polynomial_alpha_roots_batch", failing)
+    cfg = write_config(tmp_path, seed=1, coefficients=RICH_COEFFS)
+    with pytest.raises(RuntimeError, match="psi scan failed"):
+        run(["cluster-scan", "--config", cfg, "--out", tmp_path / "new" / "scan.txt"])
+    assert not (tmp_path / "new").exists()
+
+
+def test_cluster_scan_text_is_the_same_in_any_block_size(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, seed=1, coefficients=RICH_COEFFS)
+    texts = []
+    for block in (cli._LINE_BLOCK, 7, 1):
+        monkeypatch.setattr(cli, "_LINE_BLOCK", block)
+        out = tmp_path / f"scan_{block}.txt"
+        assert run(["cluster-scan", "--config", cfg, "--out", out]) == 0
+        texts.append(out.read_bytes())
+    assert texts[1] == texts[0] and texts[2] == texts[0]
+    assert texts[0].count(b"\n") > 7 * 7
+
+
 def test_compare_report(tmp_path):
     cfg = write_config(tmp_path, seed=2, t_end=5.0)
     out = tmp_path / "cmp.json"
