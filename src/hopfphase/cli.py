@@ -36,10 +36,10 @@ from .reduction import (build_coupling, canonical_xi_chi, coupling_to_text,
 
 
 # a lower bound on what a cluster scan holds per point of alpha_grid +
-# psi_grid: its tracemalloc peak was 310-351 B per point with grids of 4,096
-# to 65,536 on the configs/ files, one of them or both, and up to 641 B with
+# psi_grid: its tracemalloc peak was 286-366 B per point with grids of 4,096
+# to 65,536 on the configs/ files, one of them or both, and up to 635 B with
 # one grid of 64; find_roots_batch's own working set is most of it
-_SCAN_POINT_BYTES = 300
+_SCAN_POINT_BYTES = 280
 _LINE_BLOCK = 2 ** 12  # cluster-scan writes its tables this many lines at a time
 
 
@@ -92,20 +92,15 @@ def _load_config(args) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     cfg = parse_config(text)
-    overrides = {}
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("field 'seed' must be nonnegative")
-        overrides["seed"] = args.seed
-    if args.dt is not None:
-        if not 0 < args.dt < math.inf:
-            raise ConfigError("field 'dt' must be positive and finite")
-        overrides["dt"] = args.dt
-    if args.t_end is not None:
-        if not 0 < args.t_end < math.inf:
-            raise ConfigError("field 't_end' must be positive and finite")
-        overrides["t_end"] = args.t_end
+    # replace re-runs RunConfig's checks on the overridden fields
+    overrides = _given(args, "seed", "dt", "t_end")
     return replace(cfg, **overrides) if overrides else cfg
+
+
+def _given(args, *names) -> dict:
+    """The named options that were passed on the command line."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
 
 
 def _require_t_end(cfg: RunConfig) -> float:
@@ -245,14 +240,8 @@ def _psi_scan_lines(psis, results):
 
 
 def cmd_cluster_scan(cfg: RunConfig, args) -> int:
-    if args.alpha_grid is not None:
-        cfg = replace(cfg, cluster=replace(cfg.cluster, alpha_grid=args.alpha_grid))
-    if args.psi_grid is not None:
-        cfg = replace(cfg, cluster=replace(cfg.cluster, psi_grid=args.psi_grid))
-    for name in ("alpha_grid", "psi_grid"):
-        if (size := getattr(cfg.cluster, name)) < 64:
-            raise ConfigError(f"cluster-scan grids must be at least 64, got field "
-                              f"'cluster.{name}' = {size}")
+    if grids := _given(args, "alpha_grid", "psi_grid"):
+        cfg = replace(cfg, cluster=replace(cfg.cluster, **grids))
     points = cfg.cluster.alpha_grid + cfg.cluster.psi_grid
     _require_memory(f"a cluster scan of {points} alpha and psi grid points",
                     points * _SCAN_POINT_BYTES, "shrink alpha_grid or psi_grid")
@@ -262,7 +251,7 @@ def cmd_cluster_scan(cfg: RunConfig, args) -> int:
     polys = alpha_polynomials(coupling)
     # both scans run before the file is opened, so a failed one leaves none;
     # the alpha table is text before the psi scan starts, about 60 B a line
-    # against the 370 B that find_roots_batch holds per alpha
+    # against the 215 B that find_roots_batch's results hold per alpha
     alphas = np.linspace(-1.0, 1.0, cfg.cluster.alpha_grid + 1)[1:-1]
     rows = _coefficients_at(alphas, polys)
     labels = _sync_labels(rows[:, 0] + rows[:, 2]).tolist()

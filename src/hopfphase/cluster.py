@@ -78,14 +78,12 @@ class ClusterCoefficients(NamedTuple):
     b2_coef: float
 
 
-@dataclass(frozen=True)
-class PsiRoot:
+class PsiRoot(NamedTuple):
     psi: float
     tangential: bool = False
 
 
-@dataclass(frozen=True)
-class RootScanResult:
+class RootScanResult(NamedTuple):
     """Roots of one scan: of G in Psi on (0, 2*pi), or of the factored
     bracket in alpha on (-1, 1) at fixed Psi. identically_zero marks a
     function that vanishes everywhere."""

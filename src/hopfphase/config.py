@@ -1,7 +1,9 @@
 """Run configuration: JSON parsing, validation, initial states.
 
 A run file is a single JSON object. Complex coefficients accept two spellings,
-a two-element array [re, im] or an object {"modulus": m, "phase": p}.
+a two-element array [re, im] or an object {"modulus": m, "phase": p}. The
+parser checks types; each range rule lives in the __post_init__ of the
+dataclass that holds the field, so dataclasses.replace checks it too.
 """
 from __future__ import annotations
 
@@ -17,8 +19,10 @@ from .integrator import default_dt
 from .normal_form import NormalFormCoefficients, SystemParams
 from .reduction import limit_cycle
 
-_INITIAL_KINDS = ("random-phases", "explicit", "splay", "two-cluster",
-                  "perturbed-sync")
+# each initial-condition kind and the keys it takes besides "kind"
+_INITIAL_KEYS = {"random-phases": (), "explicit": ("phases", "z"), "splay": (),
+                 "two-cluster": ("q_size", "p_size", "psi"),
+                 "perturbed-sync": ("amplitude",)}
 
 _COEFF_KEYS = tuple(
     "a_minus1" if k == -1 else f"a{k}" for k in (-1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
@@ -39,6 +43,13 @@ class InitialSpec:
     psi: float = 0.0
     amplitude: float = 0.0
 
+    def __post_init__(self):
+        if self.kind == "two-cluster" and min(self.q_size, self.p_size) < 1:
+            raise ConfigError("fields 'initial.q_size' and 'initial.p_size' must "
+                              "be positive")
+        if self.amplitude < 0:
+            raise ConfigError("field 'initial.amplitude' must be nonnegative")
+
 
 @dataclass(frozen=True)
 class SyntheticAB:
@@ -56,6 +67,12 @@ class ClusterScanSpec:
     psi_grid: int = 64
     synthetic_ab: SyntheticAB | None = None
 
+    def __post_init__(self):
+        for name in ("alpha_grid", "psi_grid"):
+            if (size := getattr(self, name)) < 64:
+                raise ConfigError(f"cluster-scan grids must be at least 64, got "
+                                  f"field 'cluster.{name}' = {size}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -72,6 +89,29 @@ class RunConfig:
     cluster: ClusterScanSpec = field(default_factory=ClusterScanSpec)
     output: str | None = None
 
+    def __post_init__(self):
+        if self.lam <= 0:
+            raise ConfigError("field 'lambda' must be positive")
+        for key in ("dt", "t_end"):
+            value = getattr(self, key)
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"field '{key}' must be positive and finite")
+        if self.seed < 0:
+            raise ConfigError("field 'seed' must be nonnegative")
+        try:
+            self.system_params()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        init = self.initial
+        length = len(init.phases or init.z)
+        if init.kind == "explicit" and length != self.n_osc:
+            raise ConfigError(f"field 'initial' lists {length} oscillators but "
+                              f"n_osc is {self.n_osc}")
+        if init.kind == "two-cluster" and init.q_size + init.p_size != self.n_osc:
+            raise ConfigError(
+                f"fields 'initial.q_size' + 'initial.p_size' must sum to n_osc "
+                f"({self.n_osc}), got {init.q_size + init.p_size}")
+
     def system_params(self) -> SystemParams:
         return SystemParams(lam=self.lam, omega=self.omega, epsilon=self.epsilon,
                             n_osc=self.n_osc, coeffs=self.coeffs)
@@ -81,6 +121,16 @@ class RunConfig:
             return self.dt
         _, omega_cap = limit_cycle(self.system_params())
         return default_dt(self.lam, omega_cap)
+
+
+def _object(raw, key: str, allowed) -> dict:
+    """raw, if it is a JSON object whose keys all lie in allowed."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"field '{key}' must be an object")
+    extra = set(raw) - set(allowed)
+    if extra:
+        raise ConfigError(f"field '{key}' has unknown keys {sorted(extra)}")
+    return raw
 
 
 def _require(raw: dict, key: str, label: str | None = None):
@@ -112,9 +162,7 @@ def _parse_complex(value, key: str) -> complex:
             raise ConfigError(f"field '{key}' must be a [re, im] pair")
         return complex(_as_float(value[0], key), _as_float(value[1], key))
     if isinstance(value, dict):
-        extra = set(value) - {"modulus", "phase"}
-        if extra:
-            raise ConfigError(f"field '{key}' has unknown keys {sorted(extra)}")
+        _object(value, key, ("modulus", "phase"))
         mod = _as_float(value.get("modulus", 0.0), f"{key}.modulus")
         if mod < 0:
             raise ConfigError(f"field '{key}.modulus' must be nonnegative")
@@ -124,11 +172,7 @@ def _parse_complex(value, key: str) -> complex:
 
 
 def _parse_coefficients(raw, parent="coefficients") -> NormalFormCoefficients:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"field '{parent}' must be an object")
-    unknown = set(raw) - set(_COEFF_KEYS)
-    if unknown:
-        raise ConfigError(f"field '{parent}' has unknown keys {sorted(unknown)}")
+    _object(raw, parent, _COEFF_KEYS)
     if "a1" not in raw:
         raise ConfigError(f"missing required field '{parent}.a1'")
     values = {key: _parse_complex(raw[key], f"{parent}.{key}") for key in raw}
@@ -142,52 +186,30 @@ def _parse_initial(raw) -> InitialSpec:
     if not isinstance(raw, dict):
         raise ConfigError("field 'initial' must be an object")
     kind = raw.get("kind", "random-phases")
-    if kind not in _INITIAL_KINDS:
+    if kind not in _INITIAL_KEYS:
         raise ConfigError(
-            f"field 'initial.kind' must be one of {list(_INITIAL_KINDS)}, got {kind!r}")
-    allowed = {
-        "random-phases": set(),
-        "explicit": {"phases", "z"},
-        "splay": set(),
-        "two-cluster": {"q_size", "p_size", "psi"},
-        "perturbed-sync": {"amplitude"},
-    }[kind]
-    extra = set(raw) - allowed - {"kind"}
+            f"field 'initial.kind' must be one of {list(_INITIAL_KEYS)}, got {kind!r}")
+    extra = set(raw) - {"kind", *_INITIAL_KEYS[kind]}
     if extra:
         raise ConfigError(f"field 'initial' has keys {sorted(extra)} not valid "
                           f"for kind {kind!r}")
     spec = {"kind": kind}
     if kind == "explicit":
-        has_phases = "phases" in raw
-        has_z = "z" in raw
-        if has_phases == has_z:
+        if ("phases" in raw) == ("z" in raw):
             raise ConfigError("field 'initial' with kind 'explicit' needs exactly "
                               "one of 'phases' or 'z'")
-        if has_phases:
-            phases = raw["phases"]
-            if not isinstance(phases, list) or not phases:
-                raise ConfigError("field 'initial.phases' must be a nonempty list")
-            spec["phases"] = tuple(_as_float(x, "initial.phases") for x in phases)
-        else:
-            z = raw["z"]
-            if not isinstance(z, list) or not z:
-                raise ConfigError("field 'initial.z' must be a nonempty list")
-            spec["z"] = tuple(_parse_complex(x, "initial.z") for x in z)
+        name = "phases" if "phases" in raw else "z"
+        parse = _as_float if name == "phases" else _parse_complex
+        values = raw[name]
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"field 'initial.{name}' must be a nonempty list")
+        spec[name] = tuple(parse(x, f"initial.{name}") for x in values)
     elif kind == "two-cluster":
-        q_size = _as_int(_require(raw, "q_size", "initial.q_size"),
-                         "initial.q_size")
-        p_size = _as_int(_require(raw, "p_size", "initial.p_size"),
-                         "initial.p_size")
-        if q_size < 1 or p_size < 1:
-            raise ConfigError("fields 'initial.q_size' and 'initial.p_size' must "
-                              "be positive")
-        spec.update(q_size=q_size, p_size=p_size,
-                    psi=_as_float(raw.get("psi", math.pi), "initial.psi"))
+        for key in ("q_size", "p_size"):
+            spec[key] = _as_int(_require(raw, key, f"initial.{key}"), f"initial.{key}")
+        spec["psi"] = _as_float(raw.get("psi", math.pi), "initial.psi")
     elif kind == "perturbed-sync":
-        amp = _as_float(raw.get("amplitude", 0.1), "initial.amplitude")
-        if amp < 0:
-            raise ConfigError("field 'initial.amplitude' must be nonnegative")
-        spec["amplitude"] = amp
+        spec["amplitude"] = _as_float(raw.get("amplitude", 0.1), "initial.amplitude")
     return InitialSpec(**spec)
 
 
@@ -199,32 +221,20 @@ def _parse_poly(value, key: str) -> tuple:
 
 
 def _parse_cluster(raw) -> ClusterScanSpec:
-    if not isinstance(raw, dict):
-        raise ConfigError("field 'cluster' must be an object")
-    extra = set(raw) - {"alpha_grid", "psi_grid", "synthetic_ab"}
-    if extra:
-        raise ConfigError(f"field 'cluster' has unknown keys {sorted(extra)}")
-    alpha_grid = _as_int(raw.get("alpha_grid", 64), "cluster.alpha_grid")
-    psi_grid = _as_int(raw.get("psi_grid", 64), "cluster.psi_grid")
-    if alpha_grid < 1 or psi_grid < 1:
-        raise ConfigError("cluster grid sizes must be positive")
+    _object(raw, "cluster", ("alpha_grid", "psi_grid", "synthetic_ab"))
+    grids = {key: _as_int(raw.get(key, 64), f"cluster.{key}")
+             for key in ("alpha_grid", "psi_grid")}
     synth = None
     if raw.get("synthetic_ab") is not None:
-        sub = raw["synthetic_ab"]
-        if not isinstance(sub, dict):
-            raise ConfigError("field 'cluster.synthetic_ab' must be an object")
-        extra = set(sub) - {"a1", "b1", "a2", "b2"}
-        if extra:
-            raise ConfigError(
-                f"field 'cluster.synthetic_ab' has unknown keys {sorted(extra)}")
+        sub = _object(raw["synthetic_ab"], "cluster.synthetic_ab",
+                      ("a1", "b1", "a2", "b2"))
         fields = {}
         for name in ("a1", "b1", "a2", "b2"):
             label = f"cluster.synthetic_ab.{name}"
             fields[f"{name}_poly"] = _parse_poly(_require(sub, name, label),
                                                  label)
         synth = SyntheticAB(**fields)
-    return ClusterScanSpec(alpha_grid=alpha_grid, psi_grid=psi_grid,
-                           synthetic_ab=synth)
+    return ClusterScanSpec(**grids, synthetic_ab=synth)
 
 
 _TOP_KEYS = {"lambda", "omega", "epsilon", "n_osc", "coefficients", "delta",
@@ -243,56 +253,24 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"unknown top-level fields {sorted(unknown)}")
 
     lam = _as_float(_require(raw, "lambda"), "lambda")
-    if lam <= 0:
-        raise ConfigError("field 'lambda' must be positive")
     omega = _as_float(_require(raw, "omega"), "omega")
     epsilon = _as_float(_require(raw, "epsilon"), "epsilon")
     n_osc = _as_int(_require(raw, "n_osc"), "n_osc")
     coeffs = _parse_coefficients(_require(raw, "coefficients"))
 
     delta = _as_float(raw.get("delta", 0.0), "delta")
-    dt = None
-    if raw.get("dt") is not None:
-        dt = _as_float(raw["dt"], "dt")
-        if dt <= 0:
-            raise ConfigError("field 'dt' must be positive")
-    t_end = None
-    if raw.get("t_end") is not None:
-        t_end = _as_float(raw["t_end"], "t_end")
-        if t_end <= 0:
-            raise ConfigError("field 't_end' must be positive")
+    dt, t_end = (None if raw.get(key) is None else _as_float(raw[key], key)
+                 for key in ("dt", "t_end"))
     seed = _as_int(raw.get("seed", 0), "seed")
-    if seed < 0:
-        raise ConfigError("field 'seed' must be nonnegative")
     initial = _parse_initial(raw.get("initial", {}))
     cluster = _parse_cluster(raw.get("cluster", {}))
     output = raw.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError("field 'output' must be a string path")
 
-    cfg = RunConfig(lam=lam, omega=omega, epsilon=epsilon, n_osc=n_osc,
-                    coeffs=coeffs, delta=delta, dt=dt, t_end=t_end, seed=seed,
-                    initial=initial, cluster=cluster, output=output)
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig):
-    try:
-        cfg.system_params()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    init = cfg.initial
-    if init.kind == "explicit":
-        length = len(init.phases) if init.phases else len(init.z)
-        if length != cfg.n_osc:
-            raise ConfigError(
-                f"field 'initial' lists {length} oscillators but n_osc is "
-                f"{cfg.n_osc}")
-    if init.kind == "two-cluster" and init.q_size + init.p_size != cfg.n_osc:
-        raise ConfigError(
-            f"fields 'initial.q_size' + 'initial.p_size' must sum to n_osc "
-            f"({cfg.n_osc}), got {init.q_size + init.p_size}")
+    return RunConfig(lam=lam, omega=omega, epsilon=epsilon, n_osc=n_osc,
+                     coeffs=coeffs, delta=delta, dt=dt, t_end=t_end, seed=seed,
+                     initial=initial, cluster=cluster, output=output)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,12 @@ def _require_memory(subject: str, n_bytes: int, remedy: str):
 def _budget_steps(subject: str, dt: float, t_end: float, n_osc: int,
                   bytes_per_osc: int) -> int:
     """Steps to t_end, if (steps + 1) * n_osc * bytes_per_osc fits in memory."""
-    n_steps = int(np.floor(t_end / dt + 1e-9))
+    steps = np.floor(t_end / dt + 1e-9)
+    if not np.isfinite(steps):
+        raise TrajectoryTooLargeError(
+            f"the step count t_end/dt of {subject} overflows with 'dt' = "
+            f"{dt!r} and 't_end' = {t_end!r}; shorten t_end or enlarge dt")
+    n_steps = int(steps)
     _require_memory(f"{subject} of {n_steps} steps x N={n_osc}",
                     (n_steps + 1) * n_osc * bytes_per_osc,
                     "shorten t_end or enlarge dt")

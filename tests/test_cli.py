@@ -2,6 +2,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import hopfphase.integrator as integrator
 import hopfphase.phase_model as phase_model
 from hopfphase.cli import main
 from hopfphase.cluster import ClusterConfig, g_raw
-from hopfphase.config import parse_config
+from hopfphase.config import ConfigError, InitialSpec, parse_config
 from hopfphase.integrator import _TEXT_ELEMENTS
 
 RICH_COEFFS = {"a1": [-1.0, 0.3], "a_minus1": [0.1, 0.05], "a2": [0.2, -0.1]}
@@ -173,6 +174,107 @@ def test_non_finite_step_or_horizon_override_exits_2(tmp_path, capsys, flag):
     assert run(["compare", "--config", cfg, flag, "inf",
                 "--out", tmp_path / "x"]) == 2
     assert "must be positive and finite" in capsys.readouterr().err
+
+
+BAD_FIELDS = [("dt", 0.0, "field 'dt' must be positive and finite"),
+              ("dt", -1.0, "field 'dt' must be positive and finite"),
+              ("t_end", 0.0, "field 't_end' must be positive and finite"),
+              ("t_end", -1.0, "field 't_end' must be positive and finite"),
+              ("seed", -1, "field 'seed' must be nonnegative"),
+              ("alpha_grid", 63, "cluster-scan grids must be at least 64, got "
+                                 "field 'cluster.alpha_grid' = 63"),
+              ("psi_grid", 63, "cluster-scan grids must be at least 64, got "
+                               "field 'cluster.psi_grid' = 63")]
+
+
+def override(key, value):
+    """The verb and flag that override field key with value."""
+    verb = "cluster-scan" if key.endswith("_grid") else "compare"
+    return [verb, f"--{key.replace('_', '-')}", repr(value)]
+
+
+def replaced(cfg, key, value):
+    """cfg with field key set to value by dataclasses.replace."""
+    if key.endswith("_grid"):
+        return replace(cfg, cluster=replace(cfg.cluster, **{key: value}))
+    return replace(cfg, **{key: value})
+
+
+@pytest.mark.parametrize("key, value, message", BAD_FIELDS)
+def test_one_rule_per_field_on_every_route(tmp_path, capsys, key, value, message):
+    # the config file, the command-line flag and dataclasses.replace all run
+    # the check in the dataclass that holds the field
+    good = write_config(tmp_path, "good.json", dt=0.05, t_end=2.0)
+    doc = {"cluster": {key: value}} if key.endswith("_grid") else {key: value}
+    bad = write_config(tmp_path, "bad.json", **doc)
+    out = tmp_path / "x"
+    # a bad grid in the file fails to parse for every verb
+    assert run(["derive", "--config", bad, "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"config error: {message}"
+    assert run([*override(key, value), "--config", good, "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"config error: {message}"
+    with pytest.raises(ConfigError) as info:
+        replaced(parse_config(good.read_text()), key, value)
+    assert str(info.value) == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["dt", "t_end"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_step_or_horizon_on_every_route(tmp_path, capsys, key, value):
+    good = write_config(tmp_path, "good.json", dt=0.05, t_end=2.0)
+    message = f"field '{key}' must be positive and finite"
+    assert run([*override(key, value), "--config", good,
+                "--out", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"config error: {message}"
+    with pytest.raises(ConfigError) as info:
+        replaced(parse_config(good.read_text()), key, value)
+    assert str(info.value) == message
+    # JSON's Infinity and NaN fail the file's type check first
+    with pytest.raises(ConfigError) as info:
+        parse_config(write_config(tmp_path, **{key: value}).read_text())
+    assert str(info.value) == f"field '{key}' must be finite"
+
+
+@pytest.mark.parametrize("initial, message", [
+    ({"kind": "explicit", "phases": [0.0, 1.0, 2.0]},
+     "field 'initial' lists 3 oscillators but n_osc is 4"),
+    ({"kind": "explicit", "z": [[1.0, 0.0]] * 3},
+     "field 'initial' lists 3 oscillators but n_osc is 4"),
+    ({"kind": "two-cluster", "q_size": 2, "p_size": 1},
+     "fields 'initial.q_size' + 'initial.p_size' must sum to n_osc (4), got 3"),
+])
+def test_replaced_n_osc_must_fit_the_initial_state(tmp_path, initial, message):
+    cfg = parse_config(write_config(tmp_path, initial=initial).read_text())
+    with pytest.raises(ConfigError) as info:
+        replace(cfg, n_osc=4)
+    assert str(info.value) == message
+
+
+def test_replaced_initial_state_is_checked():
+    with pytest.raises(ConfigError, match="'initial.amplitude' must be nonnegative"):
+        InitialSpec(kind="perturbed-sync", amplitude=-0.1)
+    with pytest.raises(ConfigError, match="must be positive"):
+        replace(InitialSpec(kind="two-cluster", q_size=2, p_size=1), p_size=0)
+
+
+@pytest.mark.parametrize("verb", [["compare"], ["simulate", "--model", "full"],
+                                  ["simulate", "--model", "phase"]])
+@pytest.mark.parametrize("route", ["flag", "file"])
+def test_uncountable_step_count_exits_2(tmp_path, capsys, verb, route):
+    # t_end/dt overflows to inf; the run is refused before any work
+    if route == "flag":
+        cfg = write_config(tmp_path)
+        extra = ["--dt", "5e-324", "--t-end", "1"]
+    else:
+        cfg = write_config(tmp_path, dt=1e-320, t_end=1.0)
+        extra = []
+    out = tmp_path / "x"
+    assert run([*verb, "--config", cfg, *extra, "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("config error: the step count t_end/dt of ")
+    assert "'t_end' = 1.0" in err and err.endswith("shorten t_end or enlarge dt")
+    assert not out.exists()
 
 
 def test_unstable_step_exits_3(tmp_path, capsys):

@@ -178,6 +178,18 @@ def test_oversized_trajectory_is_refused_before_allocation():
     assert f"{(steps + 1) * 100_000 * 16} bytes" in message
 
 
+@pytest.mark.parametrize("dt", [5e-324, 1e-310])
+def test_uncountable_step_count_is_refused_before_any_step(dt):
+    # t_end/dt overflows to inf: no integer step count, so no trajectory
+    calls = []
+    with pytest.raises(TrajectoryTooLargeError) as info:
+        integrate(calls.append, np.zeros(3), dt, 1.0)
+    assert calls == []
+    message = str(info.value)
+    assert f"'dt' = {dt!r}" in message and "'t_end' = 1.0" in message
+    assert message.endswith("shorten t_end or enlarge dt")
+
+
 def test_blowup_raises_with_failure_time():
     with np.errstate(over="ignore"), pytest.raises(IntegrationError) as exc_info:
         integrate(lambda x: x * x, np.array([2.0]), 0.1, 10.0)
