@@ -22,7 +22,7 @@ def deviation(lam, epsilon, n_osc, seed):
     params = SystemParams(lam=lam, omega=1.0, epsilon=epsilon, n_osc=n_osc,
                           coeffs=coeffs)
     coupling = build_coupling(params)
-    dt = default_dt(lam, coupling.omega_tilde_const)
+    dt = default_dt(lam, coupling.omega_cap)
     phi0 = np.random.Generator(np.random.Philox(seed)).uniform(0, 2 * np.pi,
                                                                n_osc)
     z0 = math.sqrt(coupling.r_star_sq) * np.exp(1j * phi0)

@@ -116,6 +116,18 @@ def _check_step(dt: float, t_end: float):
                           f"'t_end' = {t_end!r}; shorten dt or extend t_end")
 
 
+def _phase_coupling(params, delta: float, dt: float):
+    """The phase model's coupling set; a step past half a turn is refused."""
+    coupling = build_coupling(params, delta)
+    speed = coupling.speed_bound()
+    if dt * speed > math.pi:
+        raise ConfigError(
+            f"step 'dt' = {dt!r} can advance a phase by dt*B = {dt * speed:.6g}, "
+            f"more than half a turn, where B = {speed:.6g} bounds the phase "
+            f"speed; shorten dt to at most {math.pi / speed:.6g}")
+    return coupling
+
+
 def cmd_derive(cfg: RunConfig, args) -> int:
     out = _out_path(cfg, args, "derive.json")
     params = cfg.system_params()
@@ -156,13 +168,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         z0 = initial_full_state(cfg)
         traj = integrate(lambda v: full_rhs_array(v, params), z0, dt, t_end)
     else:
-        coupling = build_coupling(params, cfg.delta)
-        speed = coupling.speed_bound()
-        if dt * speed > math.pi:
-            raise ConfigError(
-                f"step 'dt' = {dt!r} can advance a phase by dt*B = {dt * speed:.6g}, "
-                f"more than half a turn, where B = {speed:.6g} bounds the phase "
-                f"speed; shorten dt to at most {math.pi / speed:.6g}")
+        coupling = _phase_coupling(params, cfg.delta, dt)
         phi0 = initial_phases(cfg)
         traj = integrate(lambda p: phase_rhs_fast(p, coupling), phi0, dt, t_end)
         text_args["r_star"] = math.sqrt(coupling.r_star_sq)
@@ -175,7 +181,6 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 def cmd_compare(cfg: RunConfig, args) -> int:
     params = cfg.system_params()
-    coupling = build_coupling(params, cfg.delta)
     dt = cfg.resolved_dt()
     if cfg.t_end is not None:
         t_end = cfg.t_end
@@ -192,6 +197,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
     out = _out_path(cfg, args, "compare.json")
     # both dense trajectories, complex full and real phase, are held at once
     _budget_steps("the full and phase trajectories", dt, t_end, cfg.n_osc, 24)
+    coupling = _phase_coupling(params, cfg.delta, dt)
     phi0 = initial_phases(cfg)
     z0 = _on_cycle(math.sqrt(coupling.r_star_sq), phi0)
     full_traj = integrate(lambda v: full_rhs_array(v, params), z0, dt, t_end)

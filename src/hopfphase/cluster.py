@@ -33,6 +33,7 @@ from .reduction import PhaseCouplingSet
 _IDENTICALLY_ZERO_TOL = 1e-15
 _TANGENT_TOL = 1e-8
 _PSI_ROOT_TOL = 1e-10
+_PSI_GRID = 720  # intervals of the root scan over [0, 2*pi]
 # coefficient sets whose Psi grid is held in memory at once
 _SCAN_BLOCK = 16
 
@@ -288,25 +289,23 @@ def _grid_brackets(harmonics, coef):
     return (*np.divmod(k, width), vals[k]), np.divmod(dip, width)
 
 
-def find_roots_batch(ccs, grid_size: int = 720) -> list:
+def find_roots_batch(ccs) -> list:
     """All roots in (0, 2*pi) of G(Psi) for every coefficient set in ccs,
     (A1, B1, A2, B2) rows such as ClusterCoefficients or an (n, 4) array.
 
-    Sign changes on a uniform grid are refined by bisection to 1e-10 in Psi;
-    the first interval starts from the sign of A1 + A2, since G(0) is an
-    exact zero. Roots within 1e-8 of either end are dropped. Grazing
-    (non-sign-changing) roots are sought at local minima of |G| and
+    Sign changes on a uniform grid of _PSI_GRID cells are refined by bisection
+    to 1e-10 in Psi; the first cell starts from the sign of A1 + A2, since
+    G(0) is an exact zero. Roots within 1e-8 of either end are dropped.
+    Grazing (non-sign-changing) roots are sought at local minima of |G| and
     accepted when the refined minimum lies below 1e-8; they are flagged
     tangential. A G that vanishes for every Psi is reported through the
     identically_zero flag instead of a root list. The grid harmonics are
-    evaluated once, G on them _SCAN_BLOCK rows at a time, and all brackets
-    are refined together: row i of the result equals a scan of ccs[i] alone.
+    evaluated once, G on them _SCAN_BLOCK rows at a time, and all brackets are
+    refined together: row i of the result equals a scan of ccs[i] alone.
     """
-    if grid_size < 360:
-        raise ValueError(f"grid_size must be at least 360, got {grid_size}")
     coef = np.array(ccs, dtype=float).reshape(-1, 4)
     degenerate = np.max(np.abs(coef), axis=1) < _IDENTICALLY_ZERO_TOL
-    psis = np.linspace(0.0, 2.0 * np.pi, grid_size + 1)
+    psis = np.linspace(0.0, 2.0 * np.pi, _PSI_GRID + 1)
     harmonics = _harmonics(psis)
 
     empty = np.empty(0, dtype=np.intp)

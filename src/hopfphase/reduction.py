@@ -82,37 +82,57 @@ def evaluate_harmonics(terms, phi):
 
 @dataclass(frozen=True)
 class PhaseCouplingSet:
-    """Everything the phase model needs, derived once from the coefficients.
+    """Everything the phase model needs, stored once as its inputs.
 
-    beta/gamma hold the per-coefficient amplitude and phase for every
-    coupling index; g2..g5 hold the same content canonicalized into merged
-    harmonics. delta_corr and delta_phase carry the optional fifth-order
-    pairwise correction (amplitude lam*delta*|a_minus1|, entering g2 with a
-    minus sign); both are zero in the default cubic truncation.
+    beta/gamma hold the per-coefficient amplitude and phase for every coupling
+    index, omega_cap the frequency on the limit cycle. delta_corr and
+    delta_phase carry the optional fifth-order pairwise correction (amplitude
+    lam*delta*|a_minus1|, entering g2 with a minus sign); both are zero in the
+    default cubic truncation. g2..g5 and the two frequency shifts are derived
+    on first use and cached outside the fields, so a dataclasses.replace copy
+    derives its own.
     """
 
-    omega_tilde_const: float
+    omega_cap: float
     beta: dict
     gamma: dict
     r_star_sq: float
     epsilon: float
     n_osc: int
-    g2: tuple
-    g3: tuple
-    g4: tuple
-    g5: tuple
-    mean_field_freq_amp: float
     delta_corr: float = 0.0
     delta_phase: float = 0.0
 
-    def __post_init__(self):
-        for name in ("g3", "g4", "g5"):
-            terms = getattr(self, name)
-            if len(terms) != 1 or terms[0].order != 1:
-                raise ValueError(f"{name} must hold exactly one order-1 term")
-        orders = [t.order for t in self.g2]
-        if sorted(orders) != sorted(set(orders)) or any(o > 2 for o in orders):
-            raise ValueError("g2 may hold at most one order-1 and one order-2 term")
+    @functools.cached_property
+    def omega_tilde_const(self) -> float:
+        """Common frequency: omega_cap plus index 4's phase-independent shift."""
+        return (self.omega_cap + self.epsilon * self.r_star_sq * self.beta[4]
+                * math.cos(self.gamma[4]))
+
+    @functools.cached_property
+    def mean_field_freq_amp(self) -> float:
+        """Amplitude of index 5's shift, which scales with |Z1|^2."""
+        return self.epsilon * self.r_star_sq * self.beta[5]
+
+    @functools.cached_property
+    def _g_terms(self) -> dict:
+        """g2..g5 as HarmonicTerm tuples; only g2's order 1 merges several terms."""
+        r2, beta, gamma = self.r_star_sq, self.beta, self.gamma
+        q = _phasors(beta, gamma)
+        merged = (q["g2", 1, 0] + r2 * q["g2", 1, 1]
+                  - self.delta_corr * cmath.exp(1j * self.delta_phase))
+        terms = {"g2": [_term(abs(merged), cmath.phase(merged))]}
+        for k, (tag, order) in _HARMONICS.items():
+            if tag != "g2":
+                terms[tag] = (_term(r2 * beta[k], gamma[k]),)
+            elif order == 2:
+                ph = (r2 * beta[k]) * cmath.exp(1j * gamma[k])
+                terms[tag].append(_term(abs(ph), cmath.phase(ph), order))
+        return {**terms, "g2": tuple(t for t in terms["g2"] if t.amplitude != 0.0)}
+
+    g2 = functools.cached_property(lambda self: self._g_terms["g2"])
+    g3 = functools.cached_property(lambda self: self._g_terms["g3"])
+    g4 = functools.cached_property(lambda self: self._g_terms["g4"])
+    g5 = functools.cached_property(lambda self: self._g_terms["g5"])
 
     @functools.cached_property
     def _harmonic_phasors(self) -> tuple:
@@ -263,34 +283,9 @@ def build_coupling(params: SystemParams, delta: float = 0.0) -> PhaseCouplingSet
     delta_corr = params.lam * float(delta) * abs(am1)
     delta_phase = cmath.phase(am1) if (delta_corr != 0.0 and am1 != 0) else 0.0
 
-    # g2's order-1 harmonic merges several indices and the correction; every
-    # other harmonic comes from one index
-    q = _phasors(beta, gamma)
-    merged = (q["g2", 1, 0] + r2 * q["g2", 1, 1]
-              - delta_corr * cmath.exp(1j * delta_phase))
-    terms = {"g2": [_term(abs(merged), cmath.phase(merged))]}
-    for k, (tag, order) in _HARMONICS.items():
-        if tag != "g2":
-            terms[tag] = (_term(r2 * beta[k], gamma[k]),)
-        elif order == 2:
-            ph = (r2 * beta[k]) * cmath.exp(1j * gamma[k])
-            terms[tag].append(_term(abs(ph), cmath.phase(ph), order))
-
-    return PhaseCouplingSet(
-        omega_tilde_const=om + params.epsilon * r2 * beta[4] * math.cos(gamma[4]),
-        beta=beta,
-        gamma=gamma,
-        r_star_sq=r2,
-        epsilon=params.epsilon,
-        n_osc=params.n_osc,
-        g2=tuple(t for t in terms["g2"] if t.amplitude != 0.0),
-        g3=terms["g3"],
-        g4=terms["g4"],
-        g5=terms["g5"],
-        mean_field_freq_amp=params.epsilon * r2 * beta[5],
-        delta_corr=delta_corr,
-        delta_phase=delta_phase,
-    )
+    return PhaseCouplingSet(omega_cap=om, beta=beta, gamma=gamma, r_star_sq=r2,
+                            epsilon=params.epsilon, n_osc=params.n_osc,
+                            delta_corr=delta_corr, delta_phase=delta_phase)
 
 
 def canonical_xi_chi(coupling: PhaseCouplingSet):

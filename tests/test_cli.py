@@ -136,22 +136,26 @@ def test_step_longer_than_horizon_exits_2(tmp_path, capsys, verb, horizon, flags
 
 def test_phase_step_beyond_half_a_turn_exits_2(tmp_path, capsys, monkeypatch):
     # B = 1.015 bounds the phase speed of this config, so dt = 50 could turn
-    # a phase about eight times in one step; the full model exits 3 instead
+    # a phase about eight times in one step; both verbs that integrate the
+    # phase model refuse it before either right-hand side is called
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return phase_model.phase_rhs_fast(*args)
+    def counted(rhs):
+        def wrapped(*args):
+            calls.append(args)
+            return rhs(*args)
+        return wrapped
 
-    monkeypatch.setattr(cli, "phase_rhs_fast", counted)
+    monkeypatch.setattr(cli, "phase_rhs_fast", counted(phase_model.phase_rhs_fast))
+    monkeypatch.setattr(cli, "full_rhs_array", counted(cli.full_rhs_array))
     cfg = write_config(tmp_path, t_end=500.0)
     out = tmp_path / "x"
-    assert run(["simulate", "--model", "phase", "--config", cfg,
-                "--dt", "50", "--out", out]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "'dt' = 50.0" in err
-    assert "half a turn" in err and "B = 1.015" in err
-    assert not out.exists() and calls == []
+    for verb in (["simulate", "--model", "phase"], ["compare"]):
+        assert run([*verb, "--config", cfg, "--dt", "50", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'dt' = 50.0" in err
+        assert "half a turn" in err and "B = 1.015" in err
+        assert not out.exists() and calls == []
     # a step just inside the bound runs
     assert run(["simulate", "--model", "phase", "--config", cfg,
                 "--dt", str(0.99 * math.pi / 1.015), "--out", out]) == 0
@@ -645,10 +649,12 @@ def test_overlong_output_name_exits_2(tmp_path, capsys, verb):
 
 @pytest.mark.parametrize("verb", VERBS[:2])
 def test_failed_run_leaves_no_output_file(tmp_path, capsys, verb):
+    # dt = 3 is inside compare's phase-step bound pi/B = 3.095, but its
+    # dt*omega = 3 is outside RK4's stable range on the full model's rotation
     cfg = write_config(tmp_path, t_end=500.0)
     out = tmp_path / "new" / "x.txt"
     with np.errstate(over="ignore", invalid="ignore"):
-        code = run([*verb, "--config", cfg, "--dt", "50", "--out", out])
+        code = run([*verb, "--config", cfg, "--dt", "3", "--out", out])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
     # the output directory is made only when there is something to write

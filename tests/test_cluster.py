@@ -299,12 +299,6 @@ def test_grid_scan_is_bit_identical_to_g_factored(grid_size):
     assert crossings and dips and first_cell
 
 
-def test_find_roots_grid_must_resolve():
-    with pytest.raises(ValueError, match="grid_size"):
-        find_roots_batch([ClusterCoefficients(1.0, 0.0, 0.0, 0.0)],
-                         grid_size=100)
-
-
 def companion_psi_roots(cc):
     """Roots of G in (0, 2*pi) as unit-circle roots of a degree-6 polynomial,
     or None where a root sits too close to another (across the ends of the

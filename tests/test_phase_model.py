@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfphase import (HarmonicTerm, PhaseCouplingSet, as_phase_vector,
-                       moments, phase_rhs_fast, phase_rhs_naive)
+from hopfphase import (PhaseCouplingSet, as_phase_vector, moments,
+                       phase_rhs_fast, phase_rhs_naive)
 from hopfphase.normal_form import complex_mean
 
 from conftest import make_rng, random_coupling
@@ -24,11 +24,9 @@ TAU = 2 * math.pi
 def sin_pair_coupling(epsilon=0.3, omega=1.0, n_osc=2):
     """Pairwise-only set with g2(x) = sin(x) = cos(x - pi/2), nothing else."""
     zeros = {k: 0.0 for k in [-1] + list(range(2, 12))}
-    null = (HarmonicTerm(0.0, 0.0, 1),)
     return PhaseCouplingSet(
-        omega_tilde_const=omega, beta=zeros, gamma=dict(zeros), r_star_sq=0.1,
-        epsilon=epsilon, n_osc=n_osc, g2=(HarmonicTerm(1.0, -math.pi / 2, 1),),
-        g3=null, g4=null, g5=null, mean_field_freq_amp=0.0)
+        omega_cap=omega, beta={**zeros, -1: 1.0}, gamma={**zeros, -1: -math.pi / 2},
+        r_star_sq=0.1, epsilon=epsilon, n_osc=n_osc)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +259,12 @@ def test_fast_is_bit_identical_to_inline_prefactors():
         n = int(rng.integers(2, 12))
         delta = rng.uniform(-0.5, 0.5) if trial % 2 else 0.0
         couplings.append(random_coupling(rng, n, delta=delta))
-    couplings.append(dataclasses.replace(couplings[-1],
-                                         g2=(HarmonicTerm(0.4, 1.1, 2),)))
+    # g2 with its order-2 term alone: index 6 is the only pairwise one left
+    last = couplings[-1]
+    couplings.append(dataclasses.replace(
+        last, beta={**last.beta, **dict.fromkeys((-1, 2, 3, 8, 10), 0.0)},
+        delta_corr=0.0))
+    assert [t.order for t in couplings[-1].g2] == [2]
     # above numpy's temporary-elision threshold for both dtypes
     big = make_rng(40_000)
     couplings += [random_coupling(big, 40_000),
@@ -286,8 +288,9 @@ def test_replaced_coupling_does_not_reuse_cached_phasors(rng):
     phi = rng.uniform(0, TAU, 5)
     before = phase_rhs_fast(phi, coupling)
     assert coupling == dataclasses.replace(coupling)
-    swapped = dataclasses.replace(coupling, g2=(HarmonicTerm(0.7, -0.4, 1),
-                                                HarmonicTerm(0.2, 2.5, 2)))
+    swapped = dataclasses.replace(
+        coupling, beta={k: rng.uniform(0.0, 1.0) for k in coupling.beta},
+        gamma={k: rng.uniform(-math.pi, math.pi) for k in coupling.gamma})
     fast = phase_rhs_fast(phi, swapped)
     assert np.max(np.abs(fast - phase_rhs_naive(phi, swapped))) < 1e-10
     assert np.max(np.abs(fast - before)) > 1e-3

@@ -7,19 +7,23 @@ radius, independent of the closed forms under test.
 import cmath
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopfphase import (HarmonicTerm, NormalFormCoefficients, PhaseCouplingSet,
-                       SystemParams, abc_constants, beta_gamma, build_coupling,
+from hopfphase import (HarmonicTerm, NormalFormCoefficients, SystemParams,
+                       abc_constants, beta_gamma, build_coupling,
                        canonical_xi_chi, coupling_to_text,
-                       evaluate_harmonics, limit_cycle, reduction_constants,
-                       uncoupled_field, wrap_angle, xi_chi_lambda_split)
+                       evaluate_harmonics, limit_cycle, moments,
+                       phase_rhs_fast, reduction_constants, uncoupled_field,
+                       wrap_angle, xi_chi_lambda_split)
 
 from conftest import COUPLING_KEYS, make_rng, random_coeffs, random_params
+
+TAU = 2 * math.pi
 
 
 def params_51(a2=0.3):
@@ -398,23 +402,42 @@ def test_coupling_text_records_every_field_exactly(rng):
         assert doc == {}
 
 
-def test_coupling_set_rejects_bad_term_counts():
-    term = HarmonicTerm(1.0, 0.0, 1)
-    good = dict(omega_tilde_const=1.0, beta={k: 0.0 for k in [-1] + list(range(2, 12))},
-                gamma={k: 0.0 for k in [-1] + list(range(2, 12))},
-                r_star_sq=0.1, epsilon=0.1, n_osc=4,
-                g3=(term,), g4=(term,), g5=(term,), mean_field_freq_amp=0.0)
-    PhaseCouplingSet(g2=(term,), **good)
-    with pytest.raises(ValueError):
-        PhaseCouplingSet(g2=(term, term), **good)
-    bad = dict(good)
-    bad["g3"] = (term, term)
-    with pytest.raises(ValueError):
-        PhaseCouplingSet(g2=(), **bad)
-    bad = dict(good)
-    bad["g5"] = ()
-    with pytest.raises(ValueError):
-        PhaseCouplingSet(g2=(), **bad)
+def _derived(coupling, phi):
+    """Everything the set derives from its fields, as exact text and bytes."""
+    z1, z2 = moments(phi)
+    return (repr((coupling.g2, coupling.g3, coupling.g4, coupling.g5,
+                  coupling.omega_tilde_const, coupling.mean_field_freq_amp,
+                  coupling.prefactors(z1, z2), coupling.speed_bound())),
+            phase_rhs_fast(phi, coupling).tobytes())
+
+
+def test_replaced_coupling_is_rederived_bit_for_bit(rng):
+    # dataclasses.replace keeps no stale harmonic or frequency shift: a
+    # replaced set derives what a set built from the new values derives
+    for trial in range(10):
+        params = random_params(rng, n_osc=6)
+        delta = rng.uniform(-1.0, 1.0)
+        coupling = build_coupling(params, delta)
+        phi = rng.uniform(-TAU, TAU, params.n_osc)
+        before = _derived(coupling, phi)  # the original's caches are filled first
+
+        def check(replaced, want):
+            assert replaced == want
+            assert _derived(replaced, phi) == _derived(want, phi) != before
+
+        eps = rng.uniform(-0.5, 0.5)
+        check(replace(coupling, epsilon=eps),
+              build_coupling(replace(params, epsilon=eps), delta))
+        # lambda moves r_star_sq, and with it omega_cap and delta_corr
+        built = build_coupling(replace(params, lam=rng.uniform(0.02, 0.5)), delta)
+        check(replace(coupling, r_star_sq=built.r_star_sq,
+                      omega_cap=built.omega_cap, delta_corr=built.delta_corr),
+              built)
+        # new coupling coefficients move only beta and gamma
+        coeffs = replace(random_coeffs(rng, a1=params.coeffs.a1),
+                         a_minus1=params.coeffs.a_minus1)
+        built = build_coupling(replace(params, coeffs=coeffs), delta)
+        check(replace(coupling, beta=built.beta, gamma=built.gamma), built)
 
 
 def test_harmonic_term_validation():
