@@ -11,6 +11,7 @@ that cannot be made), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -276,6 +277,7 @@ def cmd_cluster_scan(cfg: RunConfig, args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)  # built once per process, about 0.7 ms
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hopfphase",

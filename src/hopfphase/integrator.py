@@ -171,7 +171,7 @@ def integrate(rhs, x0, dt: float, t_end: float) -> Trajectory:
     for i in range(1, n_steps + 1):
         out = states[i]
         _rk4_step(rhs, x, y, out, dt, half, sixth)
-        if not np.isfinite(out).all():
+        if not np.logical_and.reduce(np.isfinite(out)):  # not ndarray.all's wrapper
             raise IntegrationError(
                 f"non-finite state at t={times[i]:g} (step {i})", float(times[i]))
         x = out
@@ -186,20 +186,21 @@ def _row_blocks(n_rows: int, n_osc: int, elements: int):
         yield slice(start, start + block)
 
 
-def _stage(rhs, x, scale, k, y):
-    """rhs(x + scale * k) with the input formed in y, copied if it is y."""
-    np.multiply(scale, k, out=y)
-    np.add(x, y, out=y)
-    k = rhs(y)
-    return k.copy() if k is y else k
-
-
 def _rk4_step(rhs, x, y, out, dt, half, sixth):
     """out = x + dt/6 * (k1 + 2 (k2 + k3) + k4) in the textbook's operations
-    and operand order, folded into k2's storage; k3 dies before k4 exists."""
+    and operand order, folded into k2's storage; k3 dies before k4 exists.
+    Each stage input is formed in y, and a stage that is y is copied."""
     k1 = rhs(x)
-    k2 = _stage(rhs, x, half, k1, y)
-    k3 = _stage(rhs, x, half, k2, y)
+    np.multiply(half, k1, out=y)
+    np.add(x, y, out=y)
+    k2 = rhs(y)
+    if k2 is y:
+        k2 = k2.copy()
+    np.multiply(half, k2, out=y)
+    np.add(x, y, out=y)
+    k3 = rhs(y)
+    if k3 is y:
+        k3 = k3.copy()
     np.multiply(dt, k3, out=y)
     np.add(x, y, out=y)
     acc = np.add(k2, k3, out=k2)

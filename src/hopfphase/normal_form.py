@@ -133,9 +133,10 @@ def complex_mean(a: np.ndarray) -> complex:
 
     One np.add.reduce, scaled the way numpy divides a complex sum by a
     real count (by multiplying both parts with 1/N), without the per-call
-    wrapper of ndarray.mean.
+    wrapper of ndarray.mean. The sum becomes a Python complex first, so the
+    scaling is two float products, not numpy scalar arithmetic.
     """
-    s = np.add.reduce(a)
+    s = complex(np.add.reduce(a))
     inv = 1.0 / a.size
     return complex(s.real * inv, s.imag * inv)
 
@@ -238,12 +239,14 @@ def full_rhs_array(v: np.ndarray, params: SystemParams) -> np.ndarray:
     c = params.coeffs
     eps = params.epsilon
     vsq = v * v
-    abs2 = v.real * v.real
-    abs2 += v.imag * v.imag
+    re, im = v.real, v.imag
+    abs2 = re * re
+    abs2 += im * im
     m1 = complex_mean(v)
     msq = complex_mean(vsq)
     mabs = float(np.add.reduce(abs2)) / v.size
-    mcube = complex_mean(abs2 * v)
+    out = np.multiply(abs2, v)  # |z|^2 z, then the uncoupled field in place
+    mcube = complex_mean(out)
     m1c = m1.conjugate()
     m1sq = m1 * m1
 
@@ -251,7 +254,10 @@ def full_rhs_array(v: np.ndarray, params: SystemParams) -> np.ndarray:
         c.a4 * mabs + c.a5 * (m1.real * m1.real + m1.imag * m1.imag))
     const = eps * (c.a_minus1 * m1 + c.a8 * mcube + c.a9 * msq * m1c
                    + c.a10 * m1 * mabs + c.a11 * m1sq * m1c)
-    out = (lin + c.a1 * abs2) * v
+    # (lin + a1 |z|^2) z, in that operand order
+    np.multiply(c.a1, abs2, out=out)
+    np.add(lin, out, out=out)
+    np.multiply(out, v, out=out)
     out += np.multiply(eps * c.a2 * m1c, vsq, out=vsq)
     out += np.multiply(eps * c.a3 * m1, abs2, out=vsq)
     del vsq, abs2

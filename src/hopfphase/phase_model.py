@@ -107,19 +107,33 @@ def phase_rhs_fast(phi, coupling: PhaseCouplingSet) -> np.ndarray:
         three-phase (g4)   -> Re{ Z_2 conj(Z_1) e^{i chi} e^{-i phi_j} }
         four-phase (g5)    -> Re{ Z_1 |Z_1|^2 e^{i chi} e^{-i phi_j} }
         mean-field shift   -> |Z_1|^2 cos(chi)
+
+    phi must be 1-D of length coupling.n_osc, or ValueError is raised. Its
+    values are not checked for finiteness, as full_rhs_array's are not: a
+    non-finite phase gives a non-finite drift, and integrate refuses a
+    non-finite start and stops at the first non-finite step.
     """
-    v = as_phase_vector(phi)
+    v = np.asarray(phi, dtype=float)
+    if v.ndim != 1:
+        raise ValueError("phases must form a non-empty 1-D real vector")
     _check_size(v, coupling)
-    e1 = _in_slices(np.exp, 1j * v)
-    e2 = e1 * e1
-    z1, z2 = complex_mean(e1), complex_mean(e2)
+    # e^{i phi} and e^{2 i phi} as the rows of one buffer, so one reduce
+    # takes both moments; each row sums as it would alone
+    e = np.empty((2, v.size), dtype=complex)
+    e1, e2 = e[0], e[1]
+    _in_slices(np.exp, np.multiply(1j, v, out=e1))
+    np.multiply(e1, e1, out=e2)
+    s1, s2 = np.add.reduce(e, axis=1).tolist()
+    inv = 1.0 / v.size  # the means scaled as complex_mean scales them
+    z1 = complex(s1.real * inv, s1.imag * inv)
+    z2 = complex(s2.real * inv, s2.imag * inv)
 
     base, c1, c2 = coupling.prefactors(z1, z2)
     # Re{c e^{-i m phi}} = Re(c) cos(m phi) + Im(c) sin(m phi)
     out = c1.real * e1.real
     out += c1.imag * e1.imag
-    del e1  # freed before the m = 2 terms are formed
-    second = c2.real * e2.real
+    # the m = 2 terms are formed in e^{i phi}'s storage, which is dead now
+    second = np.multiply(c2.real, e2.real, out=e1.view(float)[:v.size])
     second += c2.imag * e2.imag
     out += second
     out *= coupling.epsilon

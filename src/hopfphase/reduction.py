@@ -14,7 +14,9 @@ import cmath
 import functools
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -90,17 +92,22 @@ class PhaseCouplingSet:
     lam*delta*|a_minus1|, entering g2 with a minus sign); both are zero in the
     default cubic truncation. g2..g5 and the two frequency shifts are derived
     on first use and cached outside the fields, so a dataclasses.replace copy
-    derives its own.
+    derives its own. beta and gamma are kept as read-only copies, so no
+    change in place can leave those cached values stale.
     """
 
     omega_cap: float
-    beta: dict
-    gamma: dict
+    beta: Mapping
+    gamma: Mapping
     r_star_sq: float
     epsilon: float
     n_osc: int
     delta_corr: float = 0.0
     delta_phase: float = 0.0
+
+    def __post_init__(self):
+        for name in ("beta", "gamma"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     @functools.cached_property
     def omega_tilde_const(self) -> float:

@@ -35,7 +35,7 @@ def on_cycle_runs(coeffs, n, lam, eps, t_end, seed, omega=1.0):
     params = SystemParams(lam=lam, omega=omega, epsilon=eps, n_osc=n,
                           coeffs=coeffs)
     coupling = build_coupling(params)
-    dt = default_dt(lam, coupling.omega_tilde_const)
+    dt = default_dt(lam, coupling.omega_cap)
     phi0 = make_rng(seed).uniform(0, 2 * np.pi, n)
     z0 = np.sqrt(coupling.r_star_sq) * np.exp(1j * phi0)
     full = integrate(lambda v: full_rhs_array(v, params), z0, dt, t_end)
@@ -195,6 +195,25 @@ def test_blowup_raises_with_failure_time():
         integrate(lambda x: x * x, np.array([2.0]), 0.1, 10.0)
     assert exc_info.value.time > 0.0
     assert "t=" in str(exc_info.value)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_first_non_finite_step_is_the_one_reported(dtype):
+    # calls 1-24 are the stages of steps 1-6; the first stage of step 7 puts
+    # a NaN in one component only
+    calls = []
+
+    def rhs(x):
+        calls.append(None)
+        k = np.ones_like(x)
+        if len(calls) > 24:
+            k[-1] = np.nan
+        return k
+
+    with pytest.raises(IntegrationError) as info:
+        integrate(rhs, np.zeros(3, dtype=dtype), 0.5, 10.0)
+    assert str(info.value) == "non-finite state at t=3.5 (step 7)"
+    assert info.value.time == 3.5 and len(calls) == 28
 
 
 def test_complex_initial_state_runs_as_full_model():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfphase import (PhaseCouplingSet, as_phase_vector, moments,
+from hopfphase import (PhaseCouplingSet, as_phase_vector, integrate, moments,
                        phase_rhs_fast, phase_rhs_naive)
 from hopfphase.normal_form import complex_mean
 
@@ -221,6 +221,25 @@ def test_rhs_rejects_size_mismatch(rng):
         phase_rhs_naive(phi, coupling)
     with pytest.raises(ValueError, match="n_osc"):
         phase_rhs_fast(phi, coupling)
+
+
+def test_fast_rhs_checks_the_shape_not_the_values(rng):
+    # the O(1) checks stay; finiteness is integrate's to check, at the start
+    # state and after every step, as for full_rhs_array
+    coupling = random_coupling(rng, 4)
+    for bad_shape in (np.zeros((2, 2)), np.zeros((1, 4)), 0.5):
+        with pytest.raises(ValueError, match="1-D"):
+            phase_rhs_fast(bad_shape, coupling)
+    with pytest.raises(ValueError, match="n_osc"):
+        phase_rhs_fast(np.zeros(0), coupling)
+    phi = rng.uniform(0, TAU, 4)
+    for value in (np.nan, np.inf, -np.inf):
+        phi[2] = value
+        with np.errstate(invalid="ignore"):
+            drift = phase_rhs_fast(phi, coupling)
+        assert drift.shape == (4,) and not np.isfinite(drift).any()
+        with pytest.raises(ValueError, match="^initial state contains non-finite entries$"):
+            integrate(lambda p: phase_rhs_fast(p, coupling), phi, 0.1, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -440,6 +440,26 @@ def test_replaced_coupling_is_rederived_bit_for_bit(rng):
         check(replace(coupling, beta=built.beta, gamma=built.gamma), built)
 
 
+def test_coupling_tables_are_read_only(rng):
+    # beta and gamma cannot change in place, which would leave the cached
+    # g-terms, frequency shifts and phasors stale; replace derives anew
+    coupling = build_coupling(random_params(rng, n_osc=6))
+    shift = coupling.omega_tilde_const
+    for table in (coupling.beta, coupling.gamma):
+        with pytest.raises(TypeError):
+            table[4] += 1.0
+    assert coupling.omega_tilde_const == shift
+    beta = {**coupling.beta, 4: coupling.beta[4] + 1.0}
+    gamma = {**coupling.gamma, 4: 0.0}
+    replaced = replace(coupling, beta=beta, gamma=gamma)
+    beta[4] = gamma[4] = 9.0  # the set holds copies, not the caller's dicts
+    assert replaced.beta[4] == coupling.beta[4] + 1.0 and replaced.gamma[4] == 0.0
+    assert replaced.omega_tilde_const == (
+        coupling.omega_cap + coupling.epsilon * coupling.r_star_sq
+        * (coupling.beta[4] + 1.0))
+    assert coupling.omega_tilde_const == shift
+
+
 def test_harmonic_term_validation():
     with pytest.raises(ValueError):
         HarmonicTerm(-0.1, 0.0, 1)
