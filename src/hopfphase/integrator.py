@@ -225,22 +225,26 @@ def _phase_block(states, times, carry=None):
         raise AmplitudeCollapseError(
             f"|z_{k + 1}| = {mods[t, k]:.3e} at t={times[t]:g}: "
             f"amplitude collapsed, phases undefined")
+    # np.angle(states) is this arctan2, here written over the moduli
+    wrapped = np.arctan2(states.imag, states.real, out=mods)
     del mods
-    wrapped = np.angle(states)
     prev, correction = (wrapped[0], 0.0) if carry is None else carry
-    dd = np.empty_like(wrapped)
-    np.subtract(wrapped[:1], prev, out=dd[:1])
-    np.subtract(wrapped[1:], wrapped[:-1], out=dd[1:])
-    jumps = ~(np.abs(dd) < np.pi)  # elsewhere the correction is +0.0
-    jump = dd[jumps]
+    fix = np.empty_like(wrapped)  # the differences dd, then the corrections
+    np.subtract(wrapped[:1], prev, out=fix[:1])
+    np.subtract(wrapped[1:], wrapped[:-1], out=fix[1:])
+    jumps = fix < np.pi
+    jumps &= fix > -np.pi
+    np.logical_not(jumps, out=jumps)  # not |dd| < pi, NaN included
+    jump = fix[jumps]
     cut = np.mod(jump + np.pi, TAU) - np.pi
     cut[(cut == -np.pi) & (jump > 0)] = np.pi
     cut -= jump
-    fix = np.zeros_like(dd)
+    fix.fill(0.0)  # elsewhere the correction is +0.0
     fix[jumps] = cut
     fix[0] += correction
-    np.cumsum(fix, axis=0, out=fix)
-    next_carry = (wrapped[-1].copy(), fix[-1].copy())
+    if fix.shape[0] > 1:  # over one row cumsum is the identity, at 8 ns a value
+        np.cumsum(fix, axis=0, out=fix)
+    next_carry = (wrapped[-1], fix[-1].copy())  # wrapped is not written again
     fix += wrapped
     if carry is None:  # np.unwrap leaves the first row as it is
         fix[0] = wrapped[0]
@@ -261,8 +265,39 @@ def extract_phases(traj: Trajectory) -> Trajectory:
 
 def mean_winding_rate(phase_traj: Trajectory) -> float:
     """Average of (phi_k(T) - phi_k(0)) / (T - 0) over oscillators."""
+    _require_two_samples(phase_traj)
     horizon = phase_traj.times[-1] - phase_traj.times[0]
     return float(np.mean(phase_traj.states[-1] - phase_traj.states[0]) / horizon)
+
+
+def _require_two_samples(traj: Trajectory):
+    """A winding rate is a difference over the run: one sample has none."""
+    if traj.times.size < 2:
+        raise ValueError(
+            f"a winding rate needs at least two samples, got {traj.times.size}")
+
+
+def _abs_wrapped(diff):
+    """|wrap_angle(diff)|, bit for bit, in diff's storage.
+
+    With x = diff + pi, np.mod(x, 2 pi) is x on [0, 2 pi), x - 2 pi on
+    [2 pi, 4 pi) (fmod subtracts exactly there, by Sterbenz's lemma) and
+    fmod(x, 2 pi) + 2 pi = x + 2 pi on [-2 pi, 0), to the bit, both giving
+    +0.0 at the ends. x is never -0.0, so adding or subtracting a +0.0 shift
+    changes no other value. Only the rest (|x| >= 2 pi beyond those ranges,
+    NaN and +-inf) goes through np.mod: a gather and scatter on a random
+    mask, and np.mod itself, cost more per value than the two shifts.
+    """
+    diff += np.pi
+    far = ~((diff >= -TAU) & (diff < 2.0 * TAU))
+    rest = np.mod(diff[far], TAU)
+    shift = np.multiply(diff >= TAU, TAU)
+    diff -= shift  # now every value below 0 was below 0 before
+    np.multiply(diff < 0.0, TAU, out=shift)
+    diff += shift
+    diff[far] = rest
+    diff -= np.pi
+    return np.abs(diff, out=diff)
 
 
 def compare(full_traj: Trajectory, phase_traj: Trajectory) -> ComparisonReport:
@@ -284,6 +319,7 @@ def compare(full_traj: Trajectory, phase_traj: Trajectory) -> ComparisonReport:
         raise ValueError("time grids differ between the two trajectories")
     if full_traj.n_osc != phase_traj.n_osc:
         raise ValueError("oscillator counts differ between the two trajectories")
+    _require_two_samples(full_traj)
 
     carry = None
     max_dev = 0.0
@@ -291,19 +327,16 @@ def compare(full_traj: Trajectory, phase_traj: Trajectory) -> ComparisonReport:
                             _BLOCK_ELEMENTS):
         diff, carry = _phase_block(full_traj.states[rows],
                                    full_traj.times[rows], carry)
+        if rows.start == 0:  # the first row is np.angle of the first state
+            first = diff[0].copy()
         diff -= phase_traj.states[rows]
         turn = _in_slices(np.exp, 1j * diff)
         rotation = np.angle(turn.mean(axis=1))
         del turn
         diff -= rotation[:, None]
-        # |wrap_angle(diff)| bit for bit: np.mod is the identity on [0, 2 pi)
-        diff += np.pi
-        far = ~((diff >= 0.0) & (diff < TAU))
-        diff[far] = np.mod(diff[far], TAU)
-        diff -= np.pi
-        max_dev = np.maximum(max_dev, np.max(np.abs(diff, out=diff)))
+        max_dev = np.maximum(max_dev, np.max(_abs_wrapped(diff)))
     # the final extracted row is the last wrapped row plus its correction
-    winding = carry[0] + carry[1] - np.angle(full_traj.states[0])
+    winding = carry[0] + carry[1] - first
     horizon = full_traj.times[-1] - full_traj.times[0]
     return ComparisonReport(
         horizon=float(horizon),

@@ -5,6 +5,7 @@ The uncoupled oscillator has a closed-form solution (logistic growth in
 oracle for the integrator on the full model.
 """
 import math
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -18,9 +19,9 @@ from hopfphase import (AmplitudeCollapseError, IntegrationError,
                        default_dt, extract_phases, full_rhs_array, integrate,
                        mean_winding_rate, phase_rhs_fast, trajectory_text,
                        write_trajectory)
-from hopfphase.angles import wrap_angle
+from hopfphase.angles import TAU, wrap_angle
 from hopfphase.integrator import (_BLOCK_ELEMENTS, _TEXT_ELEMENTS, _TEXT_PASS,
-                                  _text_tables)
+                                  _abs_wrapped, _text_tables)
 
 from conftest import make_rng, random_coupling, random_params
 
@@ -298,6 +299,18 @@ def test_compare_validates_grids_and_sizes():
         compare(full, full)
 
 
+def test_one_sample_has_no_winding_rate():
+    # a rate over a horizon of zero would be nan with two divide warnings
+    full = Trajectory([0.0], [[0.3 + 0.4j, -0.5j]], "full")
+    phase = Trajectory([0.0], [[0.9, -1.6]], "phase")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="at least two samples"):
+            compare(full, phase)
+        with pytest.raises(ValueError, match="at least two samples"):
+            mean_winding_rate(phase)
+
+
 def test_uncoupled_models_agree_to_solver_precision():
     # with epsilon=0 both models are the same rigid rotation; the only
     # deviation left is the common stepper bias, which the rotation
@@ -413,7 +426,7 @@ def block_boundary_runs(n, seed):
             Trajectory(times, phases, "phase"))
 
 
-@pytest.mark.parametrize("n", [3, 8, 64, 1000, 70_000])
+@pytest.mark.parametrize("n", [3, 8, 64, 1000, 32_768, 65_536, 70_000])
 def test_block_pass_equals_one_pass_formulas(n):
     full, phase = block_boundary_runs(n, seed=60 + n % 97)
     report = compare(full, phase)
@@ -421,6 +434,65 @@ def test_block_pass_equals_one_pass_formulas(n):
             report.freq_phase) == one_pass_compare(full, phase)
     extracted = extract_phases(full).states
     assert extracted.tobytes() == one_pass_phases(full).tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 65_536])
+def test_compare_from_random_phases_equals_one_pass_formulas(n):
+    # phases drawn in [0, 2 pi) as random-phases draws them, against the
+    # extracted ones in (-pi, pi]: about half the residuals sit near -2 pi
+    full, phase = on_cycle_runs(NormalFormCoefficients(a1=-1.0, a2=0.3),
+                                n=n, lam=0.1, eps=0.05, t_end=0.4, seed=n)
+    diff = one_pass_phases(full) - phase.states
+    assert 0.3 < np.mean(diff < -np.pi) < 0.7
+    report = compare(full, phase)
+    assert (report.horizon, report.max_phase_dev, report.freq_full,
+            report.freq_phase) == one_pass_compare(full, phase)
+
+
+def mod_rule_abs_wrapped(diff):
+    """|wrap_angle(diff)| as compare formed it before: np.mod on every
+    x = diff + pi outside [0, 2 pi)."""
+    x = diff + np.pi
+    far = ~((x >= 0.0) & (x < TAU))
+    x[far] = np.mod(x[far], TAU)
+    x -= np.pi
+    return np.abs(x)
+
+
+def diff_reaching(x):
+    """A float d with d + pi == x exactly."""
+    d = x - np.pi
+    for _ in range(8):
+        if d + np.pi == x:
+            return d
+        d = np.nextafter(d, -np.inf if d + np.pi > x else np.inf)
+    raise AssertionError(f"no d with d + pi == {x!r}")
+
+
+def test_abs_wrapped_is_bit_identical_to_the_mod_rule():
+    # x = d + pi reaches only every other double next to -2 pi
+    edges = [0.0, TAU, -TAU, 2 * TAU, np.nextafter(2 * TAU, 0.0),
+             np.nextafter(TAU, 0.0), -TAU + 2 * np.spacing(TAU),
+             -TAU - 2 * np.spacing(TAU), np.nextafter(2 * TAU, np.inf),
+             3 * np.pi, -3 * np.pi, np.pi, -np.pi]
+    reached = [diff_reaching(x) for x in edges]
+    # x just below 0, so close that x + 2 pi rounds to 2 pi
+    tiny = [np.nextafter(-np.pi, -np.inf)]
+    while tiny[-1] + np.pi + TAU == TAU:
+        tiny.append(np.nextafter(tiny[-1], -np.inf))
+    assert len(tiny) > 1
+    raw = [-0.0, 0.0, TAU, -TAU, 2 * TAU, -2 * TAU, np.nextafter(2 * TAU, 0.0),
+           -1e-300, -5e-324, 5 * np.pi, -5 * np.pi, 1e300, -1e300,
+           np.nan, -np.nan, np.inf, -np.inf]
+    rng = make_rng(11)
+    values = np.concatenate([reached, tiny, raw,
+                             rng.uniform(-3.5 * np.pi, 3.5 * np.pi, 200_000),
+                             rng.uniform(-40.0, 40.0, 20_000)])
+    with np.errstate(invalid="ignore"):  # np.mod of nan and inf, as before
+        want = mod_rule_abs_wrapped(values)
+        got = _abs_wrapped(values[None, :].copy())  # one row of a block
+        assert np.array_equal(want, np.abs(wrap_angle(values)), equal_nan=True)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_extract_phases_keeps_the_sign_of_a_zero_first_phase():
