@@ -37,10 +37,11 @@ from .reduction import (build_coupling, canonical_xi_chi, coupling_to_text,
 
 
 # a lower bound on what a cluster scan holds per point of alpha_grid +
-# psi_grid: its tracemalloc peak was 286-366 B per point with grids of 4,096
-# to 65,536 on the configs/ files, one of them or both, and up to 635 B with
-# one grid of 64; find_roots_batch's own working set is most of it
-_SCAN_POINT_BYTES = 280
+# psi_grid: its tracemalloc peak was 274-730 B per point with grids of
+# 4,096 to 65,536 on the configs/ files, one of them (the other 64) or both,
+# and 366-432 B with both grids 64; find_roots_batch's own working set is
+# most of it where the alpha grid is the larger
+_SCAN_POINT_BYTES = 270
 _LINE_BLOCK = 2 ** 12  # cluster-scan writes its tables this many lines at a time
 
 
@@ -258,7 +259,7 @@ def cmd_cluster_scan(cfg: RunConfig, args) -> int:
     polys = alpha_polynomials(coupling)
     # both scans run before the file is opened, so a failed one leaves none;
     # the alpha table is text before the psi scan starts, about 60 B a line
-    # against the 215 B that find_roots_batch's results hold per alpha
+    # against the 209 B that find_roots_batch's results hold per alpha
     alphas = np.linspace(-1.0, 1.0, cfg.cluster.alpha_grid + 1)[1:-1]
     rows = _coefficients_at(alphas, polys)
     labels = _sync_labels(rows[:, 0] + rows[:, 2]).tolist()

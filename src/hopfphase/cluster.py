@@ -32,10 +32,8 @@ from .reduction import PhaseCouplingSet
 
 _IDENTICALLY_ZERO_TOL = 1e-15
 _TANGENT_TOL = 1e-8
-_PSI_ROOT_TOL = 1e-10
-_PSI_GRID = 720  # intervals of the root scan over [0, 2*pi]
-# coefficient sets whose Psi grid is held in memory at once
-_SCAN_BLOCK = 16
+# x^k of a chart cubic on (-1, 1) is (2x)^k of the cubic in tan or cot(Psi/2)
+_CHART_SCALE = np.array([1.0, 2.0, 4.0, 8.0])
 
 
 @dataclass(frozen=True)
@@ -168,9 +166,16 @@ def _coefficients_at(alphas, polys):
 
 def g_factored(psi, cc):
     """Half-angle factored form of G; scalar or array in psi. cc is one
-    coefficient set, or (A1, B1, A2, B2) rows that broadcast against psi."""
-    val = _combine(_harmonics(np.asarray(psi, dtype=float)),
-                   np.asarray(cc, dtype=float))
+    coefficient set, or (A1, B1, A2, B2) rows that broadcast against psi:
+    ((A1 c1 + B1 s1) + A2 c3) + B2 s3, times 2 sin(Psi/2)."""
+    half = 0.5 * np.asarray(psi, dtype=float)
+    coef = np.asarray(cc, dtype=float)
+    sin = np.sin(half)
+    val = coef[..., 0] * np.cos(half)
+    val += coef[..., 1] * sin
+    val += coef[..., 2] * np.cos(3.0 * half)
+    val += coef[..., 3] * np.sin(3.0 * half)
+    val *= 2.0 * sin
     return float(val) if np.ndim(val) == 0 else val
 
 
@@ -196,10 +201,11 @@ def sync_frequency(coupling: PhaseCouplingSet) -> float:
 # ---------------------------------------------------------------------------
 # root finding
 #
-# Each scan collects the brackets of all its rows and refines them together.
-# f(x, coef) evaluates the function of row coef[i] at x[i]; the refiners
-# repeat the scalar iteration per element, so a bracket gets the same
-# midpoints, exits and stopping tests whatever else is refined with it.
+# Both scans reduce each row to cubics on (-1, 1), collect the brackets of
+# all their rows and bisect them together. f(x, coef) evaluates the function
+# of row coef[i] at x[i]; the bisection repeats the scalar iteration per
+# element, so a bracket gets the same midpoints, exits and stopping tests
+# whatever else is refined with it.
 
 
 def _bisect(f, coef, lo, hi, f_lo, tol):
@@ -224,130 +230,66 @@ def _bisect(f, coef, lo, hi, f_lo, tol):
     return root
 
 
-def _ternary_min_abs(f, coef, lo, hi, iters: int = 200):
-    """Locate the minimum of |f| on every [lo[i], hi[i]], assuming a single dip."""
-    out_lo, out_hi = lo.copy(), hi.copy()
-    live, c = np.arange(lo.size), coef
-    for _ in range(iters):
-        if not live.size:
-            break
-        third = (hi - lo) / 3.0
-        m1, m2 = lo + third, hi - third
-        left = np.abs(f(m1, c)) <= np.abs(f(m2, c))
-        hi, lo = np.where(left, m2, hi), np.where(left, lo, m1)
-        wide = ~(hi - lo < 1e-13)
-        if not wide.all():
-            out_lo[live], out_hi[live] = lo, hi
-            live, lo, hi, c = (x[wide] for x in (live, lo, hi, c))
-    out_lo[live], out_hi[live] = lo, hi
-    mid = 0.5 * (out_lo + out_hi)
-    return mid, np.abs(f(mid, coef))
-
-
-def _harmonics(psis):
-    """The factors of G that depend on Psi alone: 2 sin(Psi/2), and cos and
-    sin of Psi/2 and of 3Psi/2."""
-    half = 0.5 * psis
-    sin = np.sin(half)
-    return 2.0 * sin, np.cos(half), sin, np.cos(3.0 * half), np.sin(3.0 * half)
-
-
-def _combine(h, coef):
-    """G from the harmonics h and the (..., 4) coefficient rows coef, which
-    broadcast against them: ((A1 c1 + B1 s1) + A2 c3) + B2 s3, times
-    2 sin(Psi/2). Every G of the module is formed here, so a grid value and
-    a refinement step at the same Psi agree to the bit."""
-    val = coef[..., 0] * h[1]
-    for k in (1, 2, 3):
-        val += coef[..., k] * h[k + 1]
-    val *= h[0]
-    return val
-
-
-def _grid_brackets(harmonics, coef):
-    """Scan G of the coefficient rows coef on the grid of harmonics: (row,
-    grid index, G there) of every grid zero and sign change, the index naming
-    the left end of its interval, and (row, grid index) of every local
-    minimum of |G| without a sign change. Each harmonic is one grid row, or
-    a stack of the grid row, one per coefficient row."""
-    width = harmonics[0].shape[-1]
-    vals = _combine(harmonics, coef[:, None]).reshape(-1)
-    neg = vals < 0
-    absvals = np.abs(vals)
-    # neighbours across a row end are compared too, and dropped
-    dip = 1 + np.flatnonzero((absvals[1:-1] <= absvals[:-2])
-                             & (absvals[1:-1] <= absvals[2:]) & (neg[:-2] == neg[2:]))
-    dip = dip[(dip + 1) % width > 1]
-    # G(0) is exactly 0, but G(Psi) ~ Psi (A1 + A2) just right of it: the
-    # first interval starts from that sign, so a root inside it is bracketed
-    # (A1 + A2 = 0 leaves the grid root at 0, which the scan drops)
-    vals[::width] = coef[:, 0] + coef[:, 2]
-    neg[::width] = vals[::width] < 0
-    zero = vals == 0.0
-    # an exact grid zero is a root; the interval ending in it is skipped
-    k = np.flatnonzero(zero[:-1] | (~zero[1:] & (neg[:-1] != neg[1:])))
-    k = k[(k + 1) % width > 0]
-    return (*np.divmod(k, width), vals[k]), np.divmod(dip, width)
+def _chart_psi(x, cot):
+    """Psi of the chart points x: 2 atan(2x) in the tan chart, on (0, pi)
+    for x > 0 and (pi, 2*pi) for x < 0, and pi - 2 atan(2x) where cot."""
+    h = 2.0 * np.arctan(2.0 * x)
+    return np.where(cot, np.pi - h, np.where(h > 0.0, h, 2.0 * np.pi + h))
 
 
 def find_roots_batch(ccs) -> list:
     """All roots in (0, 2*pi) of G(Psi) for every coefficient set in ccs,
     (A1, B1, A2, B2) rows such as ClusterCoefficients or an (n, 4) array.
 
-    Sign changes on a uniform grid of _PSI_GRID cells are refined by bisection
-    to 1e-10 in Psi; the first cell starts from the sign of A1 + A2, since
-    G(0) is an exact zero. Roots within 1e-8 of either end are dropped.
-    Grazing (non-sign-changing) roots are sought at local minima of |G| and
-    accepted when the refined minimum lies below 1e-8; they are flagged
-    tangential. A G that vanishes for every Psi is reported through the
-    identically_zero flag instead of a root list. The grid harmonics are
-    evaluated once and stacked _SCAN_BLOCK high (0.46 MB), G on them
-    _SCAN_BLOCK rows at a time, and all brackets are refined together: row i
-    of the result equals a scan of ccs[i] alone.
+    With t = Psi/2, cos 3t = 4c^3 - 3c and sin 3t = 3s - 4s^3 make the
+    bracket cos(t)^3 P(tan t), P(u) = (A1 + A2) + (B1 + 3 B2) u
+    + (A1 - 3 A2) u^2 + (B1 - B2) u^3, so G has at most three roots. They
+    are found exactly in two charts that overlap, u = tan t and
+    w = cot t = 1/u (the cubic w^3 P(1/w), P reversed), each for |u| or
+    |w| <= 2 and scaled to (-1, 1): on the monotone pieces between the
+    closed-form critical points, bisected to 1e-12 in the chart. u = 0 is
+    Psi = 0 or 2*pi, and roots within 1e-8 of either end are dropped. A
+    critical point where |G| < _TANGENT_TOL is a tangential (grazing)
+    root. Candidates of a row within 1e-7 of each other are one root,
+    tangential if any of them is. A G that vanishes for every Psi is
+    reported through the identically_zero flag instead of a root list. All
+    rows are solved together: row i of the result equals a scan of ccs[i]
+    alone.
     """
-    coef = np.array(ccs, dtype=float).reshape(-1, 4)
+    coef = np.asarray(ccs, dtype=float).reshape(-1, 4)
     degenerate = np.max(np.abs(coef), axis=1) < _IDENTICALLY_ZERO_TOL
-    psis = np.linspace(0.0, 2.0 * np.pi, _PSI_GRID + 1)
-
-    empty = np.empty(0, dtype=np.intp)
-    crossings, dips = [(empty, empty, np.empty(0))], [(empty, empty)]
     scanned = np.flatnonzero(~degenerate)
-    # a row of harmonics per coefficient row: numpy forms the products of a
-    # block faster than when it broadcasts one grid row against them
-    stacked = [np.tile(h, (min(_SCAN_BLOCK, scanned.size), 1))
-               for h in _harmonics(psis)]
-    for start in range(0, scanned.size, _SCAN_BLOCK):
-        rows = scanned[start:start + _SCAN_BLOCK]
-        (r, i, f_lo), (dr, di) = _grid_brackets([h[:rows.size] for h in stacked],
-                                                coef[rows])
-        crossings.append((rows[r], i, f_lo))
-        dips.append((rows[dr], di))
+    n = scanned.size
+    a1, b1, a2, b2 = coef[scanned].T
+    p = np.stack([a1 + a2, b1 + 3.0 * b2, a1 - 3.0 * a2, b1 - b2], axis=1)
+    charts = np.concatenate([p, p[:, ::-1]]) * _CHART_SCALE
+    degree, charts = _trim(charts, np.max(np.abs(charts), axis=1))
+    r, x, crits = _monotone_roots(charts, degree)
+    cr, ck = np.nonzero(~np.isnan(crits))
+    c_psi = _chart_psi(crits[cr, ck], cr >= n)
+    c_rows = scanned[cr % n]
+    grazing = np.abs(g_factored(c_psi, coef[c_rows])) < _TANGENT_TOL
 
-    c_rows, c_i, c_lo = map(np.concatenate, zip(*crossings))
-    d_rows, d_i = map(np.concatenate, zip(*dips))
-    c_psi = np.where(c_lo == 0.0, psis[c_i],
-                     _bisect(g_factored, coef[c_rows], psis[c_i], psis[c_i + 1],
-                             c_lo, _PSI_ROOT_TOL))
-    d_psi, d_min = _ternary_min_abs(g_factored, coef[d_rows], psis[d_i - 1],
-                                    psis[d_i + 1])
-    grazing = d_min < _TANGENT_TOL
-
-    # candidates inside the interval by row and Psi, a tie keeping grid
-    # roots and crossings ahead of grazing roots
-    rows = np.concatenate([c_rows, d_rows[grazing]])
-    psi = np.concatenate([c_psi, d_psi[grazing]])
-    tangential = np.arange(rows.size) >= c_rows.size
+    # candidates inside the interval by row and Psi; a run of them less
+    # than 1e-7 apart is one root, at its first tangential candidate if it
+    # has one and tangential then, else at its first candidate
+    rows = np.concatenate([scanned[r % n], c_rows[grazing]])
+    psi = np.concatenate([_chart_psi(x, r >= n), c_psi[grazing]])
+    tangential = np.arange(rows.size) >= r.size
     inside = np.flatnonzero((1e-8 < psi) & (psi < 2.0 * np.pi - 1e-8))
     order = inside[np.lexsort((psi[inside], rows[inside]))]
+    rows, psi, tangential = rows[order], psi[order], tangential[order]
+    root = np.cumsum((np.diff(rows, prepend=-1) != 0)
+                     | (np.diff(psi, prepend=-1.0) >= 1e-7)) - 1
+    first = np.flatnonzero(np.diff(root, prepend=-1))
+    tangent = np.flatnonzero(tangential)
+    tangent = tangent[np.diff(root[tangent], prepend=-1) > 0]
+    first[root[tangent]] = tangent
+
     found = [[] for _ in range(coef.shape[0])]
-    for r, x, flag in zip(rows[order].tolist(), psi[order].tolist(),
-                          tangential[order].tolist()):
-        roots = found[r]
-        if roots and abs(x - roots[-1].psi) < 1e-7:
-            if roots[-1].tangential and not flag:
-                roots[-1] = PsiRoot(x, False)
-            continue
-        roots.append(PsiRoot(x, flag))
+    for r, x, flag in zip(rows[first].tolist(), psi[first].tolist(),
+                          tangential[first].tolist()):
+        found[r].append(PsiRoot(x, flag))
     return [RootScanResult((), identically_zero=True) if flat
             else RootScanResult(tuple(roots)) for flat, roots in
             zip(degenerate.tolist(), found)]
@@ -415,16 +357,17 @@ def polynomial_alpha_roots_batch(psis, a1_poly, b1_poly, a2_poly,
     scale = np.max(np.abs(coeffs), axis=1)
     flat = scale <= 1e-14 * in_scale
 
-    # trim numerically-absent leading coefficients
-    degree = np.full(psis.size, 3)
-    for d in (3, 2, 1):
-        degree[(degree == d) & (np.abs(coeffs[:, d]) <= 1e-14 * scale)] = d - 1
-    p = np.where(np.arange(4) <= degree[:, None], coeffs, 0.0)
-
+    degree, p = _trim(coeffs, scale)
     found = [[] for _ in range(psis.size)]
     curved = np.flatnonzero(~flat & (degree >= 2))
-    rows, roots = _curved_alpha_roots(p[curved], degree[curved], scale[curved])
-    for row, x in zip(curved[rows].tolist(), roots.tolist()):
+    q = p[curved]
+    rows, roots, crits = _monotone_roots(q, degree[curved])
+    # a critical point where the polynomial vanishes to 1e-12 * scale is a
+    # double root
+    r, k = np.nonzero(np.abs(_poly_rows(crits, q[:, None, :]))
+                      <= 1e-12 * scale[curved, None])
+    for row, x in zip(curved[np.concatenate([rows, r])].tolist(),
+                      np.concatenate([roots, crits[r, k]]).tolist()):
         found[row].append(x)
 
     results, none = [], RootScanResult(())
@@ -450,12 +393,19 @@ def polynomial_alpha_roots_batch(psis, a1_poly, b1_poly, a2_poly,
     return results
 
 
-def _curved_alpha_roots(q, degree, scale):
-    """Roots in (-1, 1) of polynomial rows q of degree 2 or 3, before rounding
-    and de-duplication: (row index, root) arrays. The real critical points
-    split (-1, 1) into monotone pieces; sign changes over a piece are bisected
-    to 1e-12, and a critical point where the polynomial vanishes to
-    1e-12 * scale is a double root."""
+def _trim(coeffs, scale):
+    """Degree and coefficients of ascending cubic rows with the leading
+    coefficients at or below 1e-14 * scale of their row set to zero."""
+    degree = np.full(coeffs.shape[0], 3)
+    for d in (3, 2, 1):
+        degree[(degree == d) & (np.abs(coeffs[:, d]) <= 1e-14 * scale)] = d - 1
+    return degree, np.where(np.arange(4) <= degree[:, None], coeffs, 0.0)
+
+
+def _critical_points(q, degree):
+    """The (n, 2) real critical points inside (-1, 1) of ascending polynomial
+    rows q of degree 3 at most (degree[i] that of row i), NaN where there is
+    none: closed-form roots of the derivative."""
     with np.errstate(divide="ignore", invalid="ignore"):
         vertex = -q[:, 1] / (2.0 * q[:, 2])
         qa, qb, qc = 3.0 * q[:, 3], 2.0 * q[:, 2], q[:, 1]
@@ -469,25 +419,35 @@ def _curved_alpha_roots(q, degree, scale):
     crits[quad, 0] = vertex[quad]
     crits[two, 0], crits[two, 1] = lower[two], upper[two]
     crits[one, 0] = double[one]
-    inside = (-1.0 < crits) & (crits < 1.0)
+    crits[~((-1.0 < crits) & (crits < 1.0))] = np.nan
+    return crits
+
+
+def _monotone_roots(q, degree):
+    """Roots in (-1, 1) of ascending polynomial rows q of degree 3 at most
+    (degree[i] that of row i), before de-duplication: (row index, root)
+    arrays, and the rows' _critical_points. These split (-1, 1) into
+    monotone pieces, and sign changes over a piece are bisected to 1e-12. A
+    root at a critical point is a double root, which the caller finds by
+    testing the critical points."""
+    crits = _critical_points(q, degree)
+    r, lo, hi, f_lo = _sign_changes(q, crits)
+    return r, _bisect(_poly_rows, q[r], lo, hi, f_lo, 1e-12), crits
+
+
+def _sign_changes(q, crits):
+    """(row, start, end, value at the start) of the monotone pieces of the
+    rows q between their critical points crits over which the sign
+    changes, a piece that starts at a zero excluded. The (n, 3) arrays of
+    all pieces are freed on return, before the bisection runs."""
     # sorted breakpoints; an absent critical point leaves an empty piece [1, 1]
-    crits = np.where(inside, crits, 1.0)
-    left = np.minimum(crits[:, 0], crits[:, 1])
-    right = np.maximum(crits[:, 0], crits[:, 1])
-    ends = np.ones(q.shape[0])
-    a = np.stack([-ends, left, right], axis=1)
-    b = np.stack([left, right, ends], axis=1)
+    ends = np.where(np.isnan(crits), 1.0, crits)
+    left = np.minimum(ends[:, 0], ends[:, 1])
+    right = np.maximum(ends[:, 0], ends[:, 1])
+    ones = np.ones(q.shape[0])
+    a = np.stack([-ones, left, right], axis=1)
+    b = np.stack([left, right, ones], axis=1)
     q_rows = q[:, None, :]
     fa, fb = _poly_rows(a, q_rows), _poly_rows(b, q_rows)
-
-    r, k = np.nonzero((fa == 0.0) & (-1.0 < a) & (a < 1.0))
-    rows, roots = [r], [a[r, k]]
     r, k = np.nonzero((fa != 0.0) & ((fa < 0) != (fb < 0)))
-    rows.append(r)
-    roots.append(_bisect(_poly_rows, q[r], a[r, k], b[r, k], fa[r, k], 1e-12))
-    r, k = np.nonzero(inside & (np.abs(_poly_rows(crits, q_rows))
-                                <= 1e-12 * scale[:, None]))
-    rows.append(r)
-    roots.append(crits[r, k])
-    return np.concatenate(rows), np.concatenate(roots)
-
+    return r, a[r, k], b[r, k], fa[r, k]

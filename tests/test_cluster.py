@@ -16,8 +16,7 @@ from hopfphase import (ClusterCoefficients, ClusterConfig, ab_coefficients,
                        g_factored, g_raw, phase_rhs_naive,
                        polynomial_alpha_roots_batch, sync_frequency,
                        sync_stability, two_cluster_H)
-from hopfphase.cluster import (_SCAN_BLOCK, _combine, _grid_brackets,
-                               _harmonics, _sync_labels)
+from hopfphase.cluster import _sync_labels
 
 from conftest import make_rng, random_coupling, random_params
 
@@ -240,63 +239,54 @@ def test_find_roots_inside_the_first_and_last_grid_cells(d):
         assert abs(scan.roots[0].psi - want) < 1e-9
 
 
-def test_first_cell_sign_adds_no_grazing_candidate():
-    # G = sin(Psi) rises from the exact zero G(0) = 0 and has no grazing
-    # root; the sign taken from A1 + A2 for the first interval must not
-    # turn grid index 1 into a local minimum of |G|
-    psis = np.linspace(0.0, TAU, 721)
-    _, (_, idx) = _grid_brackets(_harmonics(psis), np.array([[1.0, 0.0, 0.0, 0.0]]))
-    assert idx.size == 0
+def cubic_coefficients(u_roots):
+    """(A1, B1, A2, B2) whose bracket is cos(Psi/2)^3 P(tan(Psi/2)) for the
+    monic cubic P with roots u_roots, back-solved from
+    P(u) = (A1 + A2) + (B1 + 3 B2) u + (A1 - 3 A2) u^2 + (B1 - B2) u^3."""
+    p0, p1, p2, p3 = np.polynomial.polynomial.polyfromroots(u_roots)
+    a2, b2 = (p0 - p2) / 4, (p1 - p3) / 4
+    return ClusterCoefficients(p0 - a2, p3 + b2, a2, b2)
 
 
-def reference_grid_scan(psis, coef):
-    """G on the grid from g_factored, one row at a time, and the brackets
-    and dips that the rules of find_roots_batch take from it."""
-    vals = np.array([g_factored(psis, ClusterCoefficients(*row)) for row in coef.tolist()])
-    absvals = np.abs(vals)
-    dip = ((absvals[:, 1:-1] <= absvals[:, :-2]) & (absvals[:, 1:-1] <= absvals[:, 2:])
-           & ((vals[:, :-2] < 0) == (vals[:, 2:] < 0)))
-    dr, di = np.nonzero(dip)
-    cut = vals.copy()
-    cut[:, 0] = coef[:, 0] + coef[:, 2]
-    fa, fb = cut[:, :-1], cut[:, 1:]
-    r, i = np.nonzero((fa == 0.0) | ((fb != 0.0) & ((fa < 0) != (fb < 0))))
-    return vals, (r, i, fa[r, i]), (dr, di + 1)
+def psi_of(u):
+    """The separation in (0, 2*pi) with tan(Psi/2) = u."""
+    return (2.0 * math.atan(u)) % TAU
 
 
-def grid_scan_rows(seed):
-    """Blocks of coefficient rows: random ones from 1e-6 to 1e2 in scale,
-    rows with A1 + A2 = 0, rows with only B nonzero, and [1, 0, 0, 0]."""
-    rng = make_rng(seed)
-    scaled = rng.normal(size=(40, 4)) * 10.0 ** rng.uniform(-6, 2, size=(40, 1))
-    balanced = rng.normal(size=(8, 4))
-    balanced[:, 2] = -balanced[:, 0]
-    b_only = rng.normal(size=(8, 4)) * [0.0, 1.0, 0.0, 1.0]
-    rows = np.concatenate([scaled, balanced, b_only, [[1.0, 0.0, 0.0, 0.0]]])
-    return [rows[k:k + m] for k, m in ((0, _SCAN_BLOCK), (16, 1), (17, 7),
-                                       (24, _SCAN_BLOCK), (40, _SCAN_BLOCK),
-                                       (56, 1))]
+def assert_roots(scan, want, tangential, tol=1e-9):
+    assert not scan.identically_zero
+    assert [r.tangential for r in scan.roots] == tangential
+    assert np.max(np.abs(np.array([r.psi for r in scan.roots]) - want)) < tol
 
 
-@pytest.mark.parametrize("grid_size", [360, 720])
-def test_grid_scan_is_bit_identical_to_g_factored(grid_size):
-    # the harmonics evaluated once per scan give the grid of g_factored to
-    # the bit, and so its brackets, dips and left-end values
-    psis = np.linspace(0.0, TAU, grid_size + 1)
-    harmonics = _harmonics(psis)
-    crossings = dips = first_cell = 0
-    for coef in grid_scan_rows(grid_size):
-        vals, (r, i, f_lo), (dr, di) = reference_grid_scan(psis, coef)
-        grid = _combine(harmonics, coef[:, None])
-        assert grid.tobytes() == vals.tobytes()
-        (gr, gi, g_lo), (gdr, gdi) = _grid_brackets(harmonics, coef)
-        for got, want in ((gr, r), (gi, i), (gdr, dr), (gdi, di)):
-            assert np.array_equal(got, want)
-        assert g_lo.tobytes() == f_lo.tobytes()
-        crossings, dips = crossings + r.size, dips + dr.size
-        first_cell += np.count_nonzero(i == 0)
-    # the rows reach every branch of the scan
-    assert crossings and dips and first_cell
+@pytest.mark.parametrize("g", [0.0015, 0.004])
+def test_find_roots_separates_a_close_pair(g):
+    # simple roots at Psi = pi/2 and pi/2 + 2g, closer together than the
+    # 0.0087 cells of a 720-interval grid, and at 2*pi - 2 atan 2
+    cc = cubic_coefficients([1.0, math.tan(math.pi / 4 + g), -2.0])
+    want = [math.pi / 2, math.pi / 2 + 2 * g, TAU - 2 * math.atan(2.0)]
+    assert_roots(find_roots_batch([cc])[0], want, [False] * 3)
+
+
+# tan(Psi/2) where the tan chart (|u| <= 2) or the cot chart (|u| >= 1/2) ends
+SEAMS = (0.5, 2.0, -0.5, -2.0)
+
+
+@pytest.mark.parametrize("left_out", range(len(SEAMS)))
+def test_find_roots_at_the_chart_seams(left_out):
+    u = [x for k, x in enumerate(SEAMS) if k != left_out]
+    scan = find_roots_batch([cubic_coefficients(u)])[0]
+    assert_roots(scan, sorted(map(psi_of, u)), [False] * 3)
+
+
+@pytest.mark.parametrize("double", SEAMS)
+def test_find_roots_double_root_at_a_chart_seam(double):
+    # a tangential root where one chart ends, and a crossing at the seam
+    # across from it
+    simple = -1.0 / double
+    scan = find_roots_batch([cubic_coefficients([double, double, simple])])[0]
+    order = sorted([(psi_of(double), True), (psi_of(simple), False)])
+    assert_roots(scan, [psi for psi, _ in order], [flag for _, flag in order])
 
 
 def companion_psi_roots(cc):
@@ -363,7 +353,17 @@ def test_psi_roots_near_the_ends_against_companion_oracle(d, right, b1, a2, b2):
     check_scan_against_companion(a1, b1, a2, b2)
 
 
-BATCH_SIZES = (1, _SCAN_BLOCK, _SCAN_BLOCK + 1, 3 * _SCAN_BLOCK + 5)
+@pytest.mark.parametrize("gap", [0.0, 1e-13, -1e-13])
+def test_find_roots_at_and_next_to_the_antiphase_point(gap):
+    # B1 - B2 is the cubic coefficient of P: Psi = pi is a root exactly
+    # when it vanishes, and lies within 1e-12 of pi when it is tiny
+    cc = ClusterCoefficients(0.4, 0.3 + gap, -0.2, 0.3)
+    want = companion_psi_roots(cc)
+    assert want is not None and np.min(np.abs(want - math.pi)) < 1e-12
+    assert_roots(find_roots_batch([cc])[0], want, [False] * 3)
+
+
+BATCH_SIZES = (1, 16, 17, 53)
 
 
 def with_special_rows(rows, specials):
