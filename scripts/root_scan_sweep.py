@@ -7,28 +7,39 @@ quarter of the rows of each kind:
   to B1 in half of them (Psi = pi is then a root);
 - cubics P(tan(Psi/2)) with three planted roots, a third of them on the
   seams of the scan's two charts, tan(Psi/2) = +-1/2 or +-2;
-- planted cubics with a close pair, 1e-3 to 5e-2 apart in Psi.
+- planted cubics with a close pair, 3e-7 to 5e-2 apart in Psi (beyond
+  the 1e-7 either side of the maximum of |G| between them within which
+  the scan takes two crossings for a double root that rounding split),
+  and the third root at least 0.05 from the pair.
 Each reported crossing must zero g_factored to 1e-9 times the row's
 largest coefficient, and each tangential root to _TANGENT_TOL, the
 absolute bound it is accepted by. Where the companion-matrix roots of the
 degree-6 polynomial in exp(i Psi/2) are well posed (no close pair, no
 root near the unit circle or the ends), the reported crossings must be
-those roots to 1e-8, and every planted root that is not within 2e-8 of an
-end must be a reported crossing to 1e-8 (a tangential root where two
-seam draws plant a double root). Tangential roots where the
-companion finds none are counted and printed. Exits 1 at the first failed
-check and prints it. Usage:
+those roots to 1e-8. On planted rows, the planted roots that are not
+within 2e-8 of an end must be the reported roots, one to one: simple
+roots crossings, to 1e-8 or to how far rounding the row can move them
+where that is more (a close pair's roots), and a double root (two seam
+draws alike) a tangential root to 1e-8. A triple root (three alike),
+which rounding the row moves by about 1e-5 and may split, must be where
+every reported root is, to 1e-5. Tangential roots where the
+companion finds none are counted and printed. Exits 1 at the first
+failed check and prints it. The oracle is tests/companion.py. Usage:
     python scripts/root_scan_sweep.py [--rows 20000] [--seed 1]
 """
 import argparse
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from hopfphase import find_roots_batch, g_factored
 from hopfphase.cluster import _TANGENT_TOL
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from companion import companion_psi_roots  # noqa: E402
 
 TAU = 2.0 * math.pi
 SEAMS = np.array([0.5, 2.0, -0.5, -2.0])
@@ -59,31 +70,29 @@ def draw(rng, n):
     yield "planted", planted_rows(np.tan(psi / 2)), psi
     m = n - 3 * m
     psi = rng.uniform(0.0, TAU, size=(m, 3))
-    psi[:, 1] = (psi[:, 0] + 10.0 ** rng.uniform(-3, math.log10(5e-2), m)) % TAU
+    gap = 10.0 ** rng.uniform(math.log10(3e-7), math.log10(5e-2), m)
+    psi[:, 1] = (psi[:, 0] + gap) % TAU
+    psi[:, 2] = (psi[:, 0] + rng.uniform(0.1, TAU - 0.05, m)) % TAU
     yield "close pair", planted_rows(np.tan(psi / 2)), psi
 
 
-def companion_roots(row):
-    """Roots of G in (0, 2*pi) from the companion matrix of w^3 times the
-    bracket, w = exp(i Psi/2), or None where they are not well posed."""
-    a1, b1, a2, b2 = row
-    w = np.roots([(a2 - 1j * b2) / 2, 0.0, (a1 - 1j * b1) / 2, 0.0,
-                  (a1 + 1j * b1) / 2, 0.0, (a2 + 1j * b2) / 2])
-    off = np.abs(np.abs(w) - 1.0)
-    if np.any((off >= 1e-9) & (off < 1e-3)):
-        return None
-    circle = np.sort(2.0 * np.angle(w[off < 1e-9]))
-    if np.any(np.diff(np.append(circle, circle[:1] + 2.0 * TAU)) < 0.05):
-        return None
-    psi = circle[circle > 0.0]
-    if np.any(np.minimum(psi, TAU - psi) < 2e-8):
-        return None
-    return psi
+def matched(want, got, tol=1e-8):
+    """Whether every value of want lies within tol (one, or one for each
+    value) of one of got."""
+    return all(np.min(np.abs(got - x), initial=np.inf) < t
+               for x, t in zip(want, np.broadcast_to(tol, len(want))))
 
 
-def matched(want, got):
-    """Whether every value of want lies within 1e-8 of one of got."""
-    return all(np.min(np.abs(got - x), initial=np.inf) < 1e-8 for x in want)
+def root_tolerance(planted, psi):
+    """Tolerance of each simple root psi of the cubic with the planted
+    roots: 1e-8, or where more, how far in Psi an error of 2e-15 of P's
+    largest term moves it (3e-7 apart, a pair's roots move by about 1e-8
+    when the row rounds)."""
+    poly = np.polynomial.polynomial
+    p = poly.polyfromroots(np.tan(planted / 2))
+    u = np.tan(psi / 2)
+    slope = np.abs(poly.polyval(u, poly.polyder(p))) * (1.0 + u * u) / 2
+    return np.maximum(1e-8, 2e-15 * poly.polyval(np.abs(u), np.abs(p)) / slope)
 
 
 def check(kind, rows, planted, counts):
@@ -106,7 +115,7 @@ def check(kind, rows, planted, counts):
         for psi in tangent:
             if not abs(g_factored(psi, row)) < _TANGENT_TOL:
                 return f"{where}: |G({psi!r})| of a tangential root above 1e-8"
-        want = companion_roots(row)
+        want = companion_psi_roots(row)
         if want is not None:
             counts["companion"] += 1
             if not (matched(want, cross) and matched(cross, want)):
@@ -116,7 +125,13 @@ def check(kind, rows, planted, counts):
             psi = planted[i][np.minimum(planted[i], TAU - planted[i]) >= 2e-8]
             # two seam draws alike plant a double root, which is tangential
             psi, times = np.unique(psi, return_counts=True)
-            if not (matched(psi[times == 1], cross)
+            simple = psi[times == 1]
+            if times.max(initial=0) == 3:
+                if not (scan.roots and matched([r.psi for r in scan.roots], psi, 1e-5)):
+                    return f"{where}: the planted triple root is {psi.tolist()}"
+            elif not (len(cross) == simple.size
+                    and len(tangent) == psi.size - simple.size
+                    and matched(simple, cross, root_tolerance(planted[i], simple))
                     and matched(psi[times > 1], np.array(tangent))):
                 return f"{where}: the planted roots are {psi.tolist()} {times.tolist()}"
     return None

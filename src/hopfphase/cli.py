@@ -37,9 +37,9 @@ from .reduction import (build_coupling, canonical_xi_chi, coupling_to_text,
 
 
 # a lower bound on what a cluster scan holds per point of alpha_grid +
-# psi_grid: its tracemalloc peak was 274-730 B per point with grids of
+# psi_grid: its tracemalloc peak was 274-726 B per point with grids of
 # 4,096 to 65,536 on the configs/ files, one of them (the other 64) or both,
-# and 366-432 B with both grids 64; find_roots_batch's own working set is
+# and 369-432 B with both grids 64; find_roots_batch's own working set is
 # most of it where the alpha grid is the larger
 _SCAN_POINT_BYTES = 270
 _LINE_BLOCK = 2 ** 12  # cluster-scan writes its tables this many lines at a time

@@ -249,33 +249,22 @@ def find_roots_batch(ccs) -> list:
     |w| <= 2 and scaled to (-1, 1): on the monotone pieces between the
     closed-form critical points, bisected to 1e-12 in the chart. u = 0 is
     Psi = 0 or 2*pi, and roots within 1e-8 of either end are dropped. A
-    critical point where |G| < _TANGENT_TOL is a tangential (grazing)
-    root. Candidates of a row within 1e-7 of each other are one root,
-    tangential if any of them is. A G that vanishes for every Psi is
+    critical point where |G| < _TANGENT_TOL is a tangential (grazing) root
+    if |P| has a local minimum there, or a maximum with crossings less
+    than 1e-7 away on both sides (a double root split by rounding), and no
+    root otherwise. Candidates of a row within 1e-7 of each other are one
+    root, tangential if any of them is. A G that vanishes for every Psi is
     reported through the identically_zero flag instead of a root list. All
     rows are solved together: row i of the result equals a scan of ccs[i]
     alone.
     """
     coef = np.asarray(ccs, dtype=float).reshape(-1, 4)
     degenerate = np.max(np.abs(coef), axis=1) < _IDENTICALLY_ZERO_TOL
-    scanned = np.flatnonzero(~degenerate)
-    n = scanned.size
-    a1, b1, a2, b2 = coef[scanned].T
-    p = np.stack([a1 + a2, b1 + 3.0 * b2, a1 - 3.0 * a2, b1 - b2], axis=1)
-    charts = np.concatenate([p, p[:, ::-1]]) * _CHART_SCALE
-    degree, charts = _trim(charts, np.max(np.abs(charts), axis=1))
-    r, x, crits = _monotone_roots(charts, degree)
-    cr, ck = np.nonzero(~np.isnan(crits))
-    c_psi = _chart_psi(crits[cr, ck], cr >= n)
-    c_rows = scanned[cr % n]
-    grazing = np.abs(g_factored(c_psi, coef[c_rows])) < _TANGENT_TOL
+    rows, psi, tangential = _psi_candidates(coef, np.flatnonzero(~degenerate))
 
     # candidates inside the interval by row and Psi; a run of them less
     # than 1e-7 apart is one root, at its first tangential candidate if it
     # has one and tangential then, else at its first candidate
-    rows = np.concatenate([scanned[r % n], c_rows[grazing]])
-    psi = np.concatenate([_chart_psi(x, r >= n), c_psi[grazing]])
-    tangential = np.arange(rows.size) >= r.size
     inside = np.flatnonzero((1e-8 < psi) & (psi < 2.0 * np.pi - 1e-8))
     order = inside[np.lexsort((psi[inside], rows[inside]))]
     rows, psi, tangential = rows[order], psi[order], tangential[order]
@@ -293,6 +282,41 @@ def find_roots_batch(ccs) -> list:
     return [RootScanResult((), identically_zero=True) if flat
             else RootScanResult(tuple(roots)) for flat, roots in
             zip(degenerate.tolist(), found)]
+
+
+def _psi_candidates(coef, scanned):
+    """(row, Psi, tangential) arrays of the root candidates of the rows
+    coef[scanned] of find_roots_batch: the crossings in both charts, then
+    the critical points that are tangential roots. The chart arrays are
+    freed on return, before the caller builds its result."""
+    n = scanned.size
+    a1, b1, a2, b2 = coef[scanned].T
+    p = np.stack([a1 + a2, b1 + 3.0 * b2, a1 - 3.0 * a2, b1 - b2], axis=1)
+    charts = np.concatenate([p, p[:, ::-1]]) * _CHART_SCALE
+    degree, charts = _trim(charts, np.max(np.abs(charts), axis=1))
+    r, k, x, crits = _monotone_roots(charts, degree)
+    x_psi = _chart_psi(x, r >= n)
+    # the tangential rule of find_roots_batch: |P| has a local minimum
+    # where P and P'' have one sign, and a maximum of |P| is a split double
+    # root where the crossings on both sides are within 1e-7
+    val = _poly_rows(crits, charts[:, None, :])
+    dip = (val == 0.0) | (val * (charts[:, 2:3]
+                                 + 3.0 * charts[:, 3:4] * crits) > 0.0)
+    side = np.full((charts.shape[0], 3), np.nan)
+    side[r, k] = x_psi
+    cr, ck = np.nonzero(~np.isnan(crits))
+    xc = crits[cr, ck]
+    c_psi = _chart_psi(xc, cr >= n)
+    c_rows = scanned[cr % n]
+    # a row's j-th critical point in sorted order ends its piece j
+    j = (xc > crits[cr, 1 - ck]).astype(int)
+    split = np.maximum(np.abs(side[cr, j] - c_psi),
+                       np.abs(side[cr, j + 1] - c_psi)) < 1e-7
+    grazing = ((np.abs(g_factored(c_psi, coef[c_rows])) < _TANGENT_TOL)
+               & (dip[cr, ck] | split))
+    rows = np.concatenate([scanned[r % n], c_rows[grazing]])
+    return (rows, np.concatenate([x_psi, c_psi[grazing]]),
+            np.arange(rows.size) >= r.size)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +385,7 @@ def polynomial_alpha_roots_batch(psis, a1_poly, b1_poly, a2_poly,
     found = [[] for _ in range(psis.size)]
     curved = np.flatnonzero(~flat & (degree >= 2))
     q = p[curved]
-    rows, roots, crits = _monotone_roots(q, degree[curved])
+    rows, _, roots, crits = _monotone_roots(q, degree[curved])
     # a critical point where the polynomial vanishes to 1e-12 * scale is a
     # double root
     r, k = np.nonzero(np.abs(_poly_rows(crits, q[:, None, :]))
@@ -410,8 +434,9 @@ def _critical_points(q, degree):
         vertex = -q[:, 1] / (2.0 * q[:, 2])
         qa, qb, qc = 3.0 * q[:, 3], 2.0 * q[:, 2], q[:, 1]
         disc = qb * qb - 4.0 * qa * qc
-        sq = np.sqrt(disc)
-        lower, upper = (-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)
+        # the pair of roots that does not cancel, q1 / qa and qc / q1
+        q1 = -0.5 * (qb + np.copysign(np.sqrt(disc), qb))
+        lower, upper = q1 / qa, qc / q1
         double = -qb / (2.0 * qa)
     crits = np.full((q.shape[0], 2), np.nan)
     quad, cubic = degree == 2, degree == 3
@@ -425,19 +450,19 @@ def _critical_points(q, degree):
 
 def _monotone_roots(q, degree):
     """Roots in (-1, 1) of ascending polynomial rows q of degree 3 at most
-    (degree[i] that of row i), before de-duplication: (row index, root)
-    arrays, and the rows' _critical_points. These split (-1, 1) into
-    monotone pieces, and sign changes over a piece are bisected to 1e-12. A
-    root at a critical point is a double root, which the caller finds by
-    testing the critical points."""
+    (degree[i] that of row i), before de-duplication: (row index, piece,
+    root) arrays, and the rows' _critical_points. These split (-1, 1) into
+    monotone pieces 0, 1, 2, and sign changes over a piece are bisected to
+    1e-12. A root at a critical point is a double root, which the caller
+    finds by testing the critical points."""
     crits = _critical_points(q, degree)
-    r, lo, hi, f_lo = _sign_changes(q, crits)
-    return r, _bisect(_poly_rows, q[r], lo, hi, f_lo, 1e-12), crits
+    r, k, lo, hi, f_lo = _sign_changes(q, crits)
+    return r, k, _bisect(_poly_rows, q[r], lo, hi, f_lo, 1e-12), crits
 
 
 def _sign_changes(q, crits):
-    """(row, start, end, value at the start) of the monotone pieces of the
-    rows q between their critical points crits over which the sign
+    """(row, piece, start, end, value at the start) of the monotone pieces
+    of the rows q between their critical points crits over which the sign
     changes, a piece that starts at a zero excluded. The (n, 3) arrays of
     all pieces are freed on return, before the bisection runs."""
     # sorted breakpoints; an absent critical point leaves an empty piece [1, 1]
@@ -450,4 +475,4 @@ def _sign_changes(q, crits):
     q_rows = q[:, None, :]
     fa, fb = _poly_rows(a, q_rows), _poly_rows(b, q_rows)
     r, k = np.nonzero((fa != 0.0) & ((fa < 0) != (fb < 0)))
-    return r, a[r, k], b[r, k], fa[r, k]
+    return r, k, a[r, k], b[r, k], fa[r, k]

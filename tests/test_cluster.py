@@ -18,6 +18,7 @@ from hopfphase import (ClusterCoefficients, ClusterConfig, ab_coefficients,
                        sync_stability, two_cluster_H)
 from hopfphase.cluster import _sync_labels
 
+from companion import companion_psi_roots
 from conftest import make_rng, random_coupling, random_params
 
 TAU = 2 * math.pi
@@ -259,10 +260,12 @@ def assert_roots(scan, want, tangential, tol=1e-9):
     assert np.max(np.abs(np.array([r.psi for r in scan.roots]) - want)) < tol
 
 
-@pytest.mark.parametrize("g", [0.0015, 0.004])
+@pytest.mark.parametrize("g", [5e-5, 0.0015, 0.004])
 def test_find_roots_separates_a_close_pair(g):
     # simple roots at Psi = pi/2 and pi/2 + 2g, closer together than the
-    # 0.0087 cells of a 720-interval grid, and at 2*pi - 2 atan 2
+    # 0.0087 cells of a 720-interval grid, and at 2*pi - 2 atan 2; at
+    # g = 5e-5, |G| < _TANGENT_TOL at its maximum between the pair, which
+    # is no root
     cc = cubic_coefficients([1.0, math.tan(math.pi / 4 + g), -2.0])
     want = [math.pi / 2, math.pi / 2 + 2 * g, TAU - 2 * math.atan(2.0)]
     assert_roots(find_roots_batch([cc])[0], want, [False] * 3)
@@ -287,37 +290,6 @@ def test_find_roots_double_root_at_a_chart_seam(double):
     scan = find_roots_batch([cubic_coefficients([double, double, simple])])[0]
     order = sorted([(psi_of(double), True), (psi_of(simple), False)])
     assert_roots(scan, [psi for psi, _ in order], [flag for _, flag in order])
-
-
-def companion_psi_roots(cc):
-    """Roots of G in (0, 2*pi) as unit-circle roots of a degree-6 polynomial,
-    or None where a root sits too close to another (across the ends of the
-    interval too), to the circle or to the ends of the interval for the
-    comparison to be well posed.
-
-    With w = exp(i Psi/2), w^3 times the bracket A1 cos(Psi/2) + B1 sin(Psi/2)
-    + A2 cos(3Psi/2) + B2 sin(3Psi/2) is a polynomial in w; since sin(Psi/2)
-    > 0 inside the interval, G vanishes exactly where it has a root with
-    |w| = 1 and arg(w) in (0, pi) (Boyd's companion-matrix approach).
-    Roots within 2e-8 of Psi = 0 or 2*pi are left out: the scan drops roots
-    within 1e-8 of the ends, and bisects to 1e-10.
-    """
-    a1, b1, a2, b2 = cc.a1_coef, cc.b1_coef, cc.a2_coef, cc.b2_coef
-    w = np.roots([(a2 - 1j * b2) / 2, 0.0, (a1 - 1j * b1) / 2, 0.0,
-                  (a1 + 1j * b1) / 2, 0.0, (a2 + 1j * b2) / 2])
-    off = np.abs(np.abs(w) - 1.0)
-    # a near-double root leaves the circle as a close pair, or grazes it
-    if np.any((off >= 1e-9) & (off < 1e-3)):
-        return None
-    # unit-circle roots as Psi in (-2*pi, 2*pi]; a close pair, also one
-    # straddling Psi = 0 or 2*pi, is a near-double root
-    circle = np.sort(2.0 * np.angle(w[off < 1e-9]))
-    if np.any(np.diff(np.append(circle, circle[:1] + 2.0 * TAU)) < 0.05):
-        return None
-    psi = circle[circle > 0.0]
-    if np.any(np.minimum(psi, TAU - psi) < 2e-8):
-        return None
-    return psi
 
 
 coefficient = st.one_of(st.just(0.0), st.floats(0.05, 1.0), st.floats(-1.0, -0.05))
@@ -351,6 +323,26 @@ def test_psi_roots_near_the_ends_against_companion_oracle(d, right, b1, a2, b2):
     h = (TAU - d if right else d) / 2
     a1 = -(b1 * math.sin(h) + a2 * math.cos(3 * h) + b2 * math.sin(3 * h)) / math.cos(h)
     check_scan_against_companion(a1, b1, a2, b2)
+
+
+def test_find_roots_maximum_of_a_small_row_is_no_root():
+    # P = 1e-7 (u - 1/2)(u^2 - 1): three simple roots, and |G| is below
+    # _TANGENT_TOL at the critical points of both charts between the first
+    # two, which are maxima of |G| and no roots
+    scan = find_roots_batch([ClusterCoefficients(2.5e-8, 5e-8, 2.5e-8, -5e-8)])[0]
+    want = [2 * math.atan(0.5), math.pi / 2, 3 * math.pi / 2]
+    assert_roots(scan, want, [False] * 3)
+
+
+def test_find_roots_double_root_beside_a_tiny_cubic_term():
+    # P = (u - 0.2)^2 + 1e-13 u^3: a double root at tan(Psi/2) = 0.2 and a
+    # simple one within 1e-12 of pi; the critical point of the tan chart is
+    # the cubic's small one, which the cancelling quadratic formula put
+    # 8e-5 off
+    p0, p1, p2, p3 = 0.04, -0.4, 1.0, 1e-13
+    a2, b2 = (p0 - p2) / 4, (p1 - p3) / 4
+    scan = find_roots_batch([ClusterCoefficients(p0 - a2, p3 + b2, a2, b2)])[0]
+    assert_roots(scan, [2 * math.atan(0.2), math.pi], [True, False])
 
 
 @pytest.mark.parametrize("gap", [0.0, 1e-13, -1e-13])
@@ -565,6 +557,13 @@ def test_polynomial_roots_synthetic_quadratic():
     assert len(result.roots) == 2
     assert abs(result.roots[0] - 0.25) < 1e-9
     assert abs(result.roots[1] - 0.5) < 1e-9
+
+
+def test_polynomial_roots_double_root_beside_a_tiny_cubic_term():
+    # (alpha - 0.3)^2 + 1e-13 alpha^3 at Psi = pi/2
+    result = polynomial_alpha_roots_batch([math.pi / 2], (0.09, -0.6, 1.0, 1e-13),
+                                          (), (), ())[0]
+    assert len(result.roots) == 1 and abs(result.roots[0] - 0.3) < 1e-9
 
 
 def test_polynomial_roots_validate_psi0():
