@@ -1,7 +1,9 @@
-"""Seeded check of find_roots_batch against G itself and a companion oracle.
+"""Seeded check of both root scans against their functions and oracles.
 
-Solves seeded batches of (A1, B1, A2, B2) rows with find_roots_batch. A
-quarter of the rows of each kind:
+Solves seeded batches of (A1, B1, A2, B2) rows with find_roots_batch, and
+seeded alpha cubics with polynomial_alpha_roots_batch, which share one
+rule for double roots and for merging close candidates. A fifth of the
+rows of each kind:
 - normal draws, scaled by 10**U(-6, 2);
 - the same with each coefficient zeroed with probability 1/3, and B2 set
   to B1 in half of them (Psi = pi is then a root);
@@ -10,21 +12,30 @@ quarter of the rows of each kind:
 - planted cubics with a close pair, 3e-7 to 5e-2 apart in Psi (beyond
   the 1e-7 either side of the maximum of |G| between them within which
   the scan takes two crossings for a double root that rounding split),
-  and the third root at least 0.05 from the pair.
-Each reported crossing must zero g_factored to 1e-9 times the row's
-largest coefficient, and each tangential root to _TANGENT_TOL, the
-absolute bound it is accepted by. Where the companion-matrix roots of the
-degree-6 polynomial in exp(i Psi/2) are well posed (no close pair, no
-root near the unit circle or the ends), the reported crossings must be
-those roots to 1e-8. On planted rows, the planted roots that are not
-within 2e-8 of an end must be the reported roots, one to one: simple
-roots crossings, to 1e-8 or to how far rounding the row can move them
-where that is more (a close pair's roots), and a double root (two seam
-draws alike) a tangential root to 1e-8. A triple root (three alike),
-which rounding the row moves by about 1e-5 and may split, must be where
-every reported root is, to 1e-5. Tangential roots where the
-companion finds none are counted and printed. Exits 1 at the first
-failed check and prints it. The oracle is tests/companion.py. Usage:
+  and the third root at least 0.05 from the pair;
+- psi-scan rows: alpha cubics, scaled by 10**U(-6, 2), with a close pair
+  3e-7 to 5e-2 apart, a double root, or a root within 1e-10 to 1e-2 of
+  +-1 on either side (a third of those a line with that root alone).
+Each reported root of G, crossing or tangential, must zero g_factored to
+1e-9 times the row's largest coefficient. Where the companion-matrix
+roots of the degree-6 polynomial in exp(i Psi/2) are well posed (no
+close pair, no root near the unit circle or the ends), the reported
+crossings must be those roots to 1e-8. On planted rows, the planted
+roots that are not within 2e-8 of an end must be the reported roots, one
+to one: simple roots crossings, to 1e-8 or to how far rounding the row
+can move them where that is more (a close pair's roots), and a double
+root (two seam draws alike) a tangential root to 1e-8. A triple root
+(three alike), which rounding the row moves by about 1e-5 and may split,
+must be where every reported root is, to 1e-5. Tangential roots where
+the companion finds none are counted and printed. Each alpha root must
+zero its cubic to 1e-9 times the row's largest coefficient; the planted
+roots inside (-1, 1) must be the reported roots, one to one, to 1e-8 or
+how far rounding moves them, and a double root, reported once, to 1e-7.
+So must the real roots from np.polynomial.polynomial.polyroots that are
+not within 1e-8 of an end, to the same tolerances, or to 1e-6 on a row
+with a double root, which polyroots moves by about 1e-7. Exits 1 at the
+first failed check and prints it. The oracle for G is
+tests/companion.py. Usage:
     python scripts/root_scan_sweep.py [--rows 20000] [--seed 1]
 """
 import argparse
@@ -35,8 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hopfphase import find_roots_batch, g_factored
-from hopfphase.cluster import _TANGENT_TOL
+from hopfphase import find_roots_batch, g_factored, polynomial_alpha_roots_batch
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from companion import companion_psi_roots  # noqa: E402
@@ -57,8 +67,9 @@ def planted_rows(u):
 
 
 def draw(rng, n):
-    """(kind, rows, planted Psi roots or None) batches, n rows in all."""
-    m = n // 4
+    """(kind, rows, planted Psi roots or None) batches of find_roots_batch
+    rows, then the psi-scan batch, n rows in all."""
+    m = n // 5
     scaled = rng.normal(size=(m, 4)) * 10.0 ** rng.uniform(-6, 2, size=(m, 1))
     yield "normal", scaled, None
     sparse = rng.normal(size=(m, 4)) * (rng.uniform(size=(m, 4)) > 1 / 3)
@@ -68,12 +79,34 @@ def draw(rng, n):
     seam = rng.uniform(size=(m, 3)) < 1 / 9
     psi[seam] = (2.0 * np.arctan(rng.choice(SEAMS, seam.sum()))) % TAU
     yield "planted", planted_rows(np.tan(psi / 2)), psi
-    m = n - 3 * m
     psi = rng.uniform(0.0, TAU, size=(m, 3))
     gap = 10.0 ** rng.uniform(math.log10(3e-7), math.log10(5e-2), m)
     psi[:, 1] = (psi[:, 0] + gap) % TAU
     psi[:, 2] = (psi[:, 0] + rng.uniform(0.1, TAU - 0.05, m)) % TAU
     yield "close pair", planted_rows(np.tan(psi / 2)), psi
+    yield "alpha cubic", *alpha_cubics(rng, n - 4 * m)
+
+
+def alpha_cubics(rng, m):
+    """m rows (Psi, ascending alpha coefficients scaled by 10**U(-6, 2)) of
+    polynomial_alpha_roots_batch, and each row's planted roots: r0 in
+    (-0.9, 0.9); a close pair r0 + s*gap, a double root r0, or a root
+    s*(1 +- d) near an end, where s is the sign of r0; and r0 - s*U(0.1, 1.5).
+    A third of the rows with a root near an end keep that root alone."""
+    r0 = rng.uniform(-0.9, 0.9, m)
+    s = np.where(r0 < 0, -1.0, 1.0)
+    kind = rng.integers(0, 3, m)
+    gap = 10.0 ** rng.uniform(math.log10(3e-7), math.log10(5e-2), m)
+    end = s * (1.0 + rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-10, -2, m))
+    r1 = np.select([kind == 0, kind == 1], [r0 + s * gap, r0], end)
+    planted = np.stack([r0, r1, r0 - s * rng.uniform(0.1, 1.5, m)], axis=1)
+    line = (kind == 2) & (rng.uniform(size=m) < 1 / 3)
+    scale = 10.0 ** rng.uniform(-6, 2, m)
+    psi = rng.uniform(0.1, math.pi - 0.1, m)
+    poly = np.polynomial.polynomial
+    rows = [(x, scale[i] * poly.polyfromroots(planted[i, 1:2] if line[i] else planted[i]))
+            for i, x in enumerate(psi.tolist())]
+    return rows, [planted[i, 1:2] if line[i] else planted[i] for i in range(m)]
 
 
 def matched(want, got, tol=1e-8):
@@ -83,16 +116,22 @@ def matched(want, got, tol=1e-8):
                for x, t in zip(want, np.broadcast_to(tol, len(want))))
 
 
+def tolerance(p, x, rate=1.0):
+    """Tolerance of each simple root x of the polynomial p, in a variable
+    that changes by rate per unit of x: 1e-8, or where more, how far an
+    error of 2e-15 of p's largest term moves the root (3e-7 apart, a
+    pair's roots move by about 1e-8 when the row rounds)."""
+    poly = np.polynomial.polynomial
+    slope = np.abs(poly.polyval(x, poly.polyder(p))) / rate
+    return np.maximum(1e-8, 2e-15 * poly.polyval(np.abs(x), np.abs(p)) / slope)
+
+
 def root_tolerance(planted, psi):
     """Tolerance of each simple root psi of the cubic with the planted
-    roots: 1e-8, or where more, how far in Psi an error of 2e-15 of P's
-    largest term moves it (3e-7 apart, a pair's roots move by about 1e-8
-    when the row rounds)."""
-    poly = np.polynomial.polynomial
-    p = poly.polyfromroots(np.tan(planted / 2))
+    roots in u = tan(Psi/2); Psi changes by 2 / (1 + u^2) per unit of u."""
     u = np.tan(psi / 2)
-    slope = np.abs(poly.polyval(u, poly.polyder(p))) * (1.0 + u * u) / 2
-    return np.maximum(1e-8, 2e-15 * poly.polyval(np.abs(u), np.abs(p)) / slope)
+    return tolerance(np.polynomial.polynomial.polyfromroots(np.tan(planted / 2)),
+                     u, 2.0 / (1.0 + u * u))
 
 
 def check(kind, rows, planted, counts):
@@ -113,8 +152,8 @@ def check(kind, rows, planted, counts):
             if not abs(g_factored(psi, row)) <= 1e-9 * scale[i]:
                 return f"{where}: |G({psi!r})| above 1e-9 * scale"
         for psi in tangent:
-            if not abs(g_factored(psi, row)) < _TANGENT_TOL:
-                return f"{where}: |G({psi!r})| of a tangential root above 1e-8"
+            if not abs(g_factored(psi, row)) <= 1e-9 * scale[i]:
+                return f"{where}: |G({psi!r})| of a tangential root above 1e-9 * scale"
         want = companion_psi_roots(row)
         if want is not None:
             counts["companion"] += 1
@@ -137,6 +176,38 @@ def check(kind, rows, planted, counts):
     return None
 
 
+def check_alpha(rows, planted, counts):
+    """None, or a line naming the first psi-scan row that fails a check."""
+    poly = np.polynomial.polynomial
+    for (psi, p), want in zip(rows, planted):
+        scan = polynomial_alpha_roots_batch([psi], p, (), (), ())[0]
+        where = f"alpha cubic {p.tolist()} at Psi = {psi!r}: {scan}"
+        if scan.identically_zero:
+            return f"{where} is not identically zero"
+        got = np.array(scan.roots)
+        counts["alpha roots"] += got.size
+        row = p * math.cos(psi / 2)
+        for x in got:
+            if not abs(poly.polyval(x, row)) <= 1e-9 * np.max(np.abs(row)):
+                return f"{where}: |P({x!r})| above 1e-9 * scale"
+        # a double root is reported once, to 1e-7
+        want, times = np.unique(want[np.abs(want) < 1.0], return_counts=True)
+        tol = np.full(want.size, 1e-7)
+        tol[times == 1] = tolerance(p, want[times == 1])
+        if not (got.size == want.size and matched(want, got, tol)):
+            return f"{where}: the planted roots are {want.tolist()} {times.tolist()}"
+        # polyroots moves a double root by up to about 1e-7, off the axis too
+        double = times.max(initial=1) > 1
+        oracle = poly.polyroots(p)
+        real = oracle.real[(np.abs(oracle.imag) <= (1e-6 if double else 1e-9))
+                           & (np.abs(oracle.real) < 1.0 - 1e-8)]
+        inner = got[np.abs(got) < 1.0 - 1e-8]
+        if not (matched(real, got, 1e-6 if double else tolerance(p, real))
+                and matched(inner, real, 1e-6 if double else tolerance(p, inner))):
+            return f"{where}: the polyroots roots are {oracle.tolist()}"
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--rows", type=int, default=20_000)
@@ -144,17 +215,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     rng = np.random.Generator(np.random.Philox(args.seed))
     counts = dict.fromkeys(["roots", "tangential", "companion",
-                            "tangential beside the companion"], 0)
+                            "tangential beside the companion", "alpha roots"], 0)
     start = time.perf_counter()
     for kind, rows, planted in draw(rng, args.rows):
-        failed = check(kind, rows, planted, counts)
+        failed = (check_alpha(rows, planted, counts) if kind == "alpha cubic"
+                  else check(kind, rows, planted, counts))
         if failed is not None:
             print(failed)
             return 1
     print(f"{args.rows} rows, {counts['roots']} roots ({counts['tangential']} "
           f"tangential) zero G; {counts['companion']} rows match the companion "
           f"roots, {counts['tangential beside the companion']} tangential roots "
-          f"where it has none; {time.perf_counter() - start:.1f} s")
+          f"where it has none; {counts['alpha roots']} alpha roots match the "
+          f"planted and polyroots roots; {time.perf_counter() - start:.1f} s")
     return 0
 
 

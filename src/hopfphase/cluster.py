@@ -31,7 +31,8 @@ import numpy as np
 from .reduction import PhaseCouplingSet
 
 _IDENTICALLY_ZERO_TOL = 1e-15
-_TANGENT_TOL = 1e-8
+# candidates closer than this in the scan's variable are one root
+_MERGE = 1e-7
 # x^k of a chart cubic on (-1, 1) is (2x)^k of the cubic in tan or cot(Psi/2)
 _CHART_SCALE = np.array([1.0, 2.0, 4.0, 8.0])
 
@@ -201,22 +202,23 @@ def sync_frequency(coupling: PhaseCouplingSet) -> float:
 # ---------------------------------------------------------------------------
 # root finding
 #
-# Both scans reduce each row to cubics on (-1, 1), collect the brackets of
-# all their rows and bisect them together. f(x, coef) evaluates the function
-# of row coef[i] at x[i]; the bisection repeats the scalar iteration per
-# element, so a bracket gets the same midpoints, exits and stopping tests
-# whatever else is refined with it.
+# Both scans reduce each row to cubics on (-1, 1) and hand them all to
+# _cubic_roots, which bisects their brackets together and decides double
+# roots and merges by one rule. The bisection repeats the scalar iteration
+# per element, so a bracket gets the same midpoints, exits and stopping
+# tests whatever else is refined with it.
 
 
-def _bisect(f, coef, lo, hi, f_lo, tol):
-    """Bisect every sign-changing bracket [lo[i], hi[i]] to width tol; an
-    element whose midpoint evaluates to exactly zero stops there."""
+def _bisect(coef, lo, hi, f_lo, tol):
+    """Bisect every sign-changing bracket [lo[i], hi[i]] of the polynomial
+    row coef[i] to width tol; an element whose midpoint evaluates to
+    exactly zero stops there."""
     root = 0.5 * (lo + hi)
     live = np.flatnonzero(hi - lo > tol)
     lo, hi, f_lo, coef = lo[live], hi[live], f_lo[live], coef[live]
     while live.size:
         mid = 0.5 * (lo + hi)
-        f_mid = f(mid, coef)
+        f_mid = _poly_rows(mid, coef)
         # an exact zero collapses the bracket onto mid, which ends it
         zero = f_mid == 0.0
         flip = (f_lo < 0) != (f_mid < 0)
@@ -246,77 +248,27 @@ def find_roots_batch(ccs) -> list:
     + (A1 - 3 A2) u^2 + (B1 - B2) u^3, so G has at most three roots. They
     are found exactly in two charts that overlap, u = tan t and
     w = cot t = 1/u (the cubic w^3 P(1/w), P reversed), each for |u| or
-    |w| <= 2 and scaled to (-1, 1): on the monotone pieces between the
-    closed-form critical points, bisected to 1e-12 in the chart. u = 0 is
-    Psi = 0 or 2*pi, and roots within 1e-8 of either end are dropped. A
-    critical point where |G| < _TANGENT_TOL is a tangential (grazing) root
-    if |P| has a local minimum there, or a maximum with crossings less
-    than 1e-7 away on both sides (a double root split by rounding), and no
-    root otherwise. Candidates of a row within 1e-7 of each other are one
-    root, tangential if any of them is. A G that vanishes for every Psi is
-    reported through the identically_zero flag instead of a root list. All
-    rows are solved together: row i of the result equals a scan of ccs[i]
-    alone.
+    |w| <= 2 and scaled to (-1, 1), by _cubic_roots, which also decides
+    the tangential (grazing) roots and merges the two charts' candidates.
+    u = 0 is Psi = 0 or 2*pi, and roots within 1e-8 of either end are
+    dropped. A G that vanishes for every Psi is reported through the
+    identically_zero flag instead of a root list. All rows are solved
+    together: row i of the result equals a scan of ccs[i] alone.
     """
     coef = np.asarray(ccs, dtype=float).reshape(-1, 4)
     degenerate = np.max(np.abs(coef), axis=1) < _IDENTICALLY_ZERO_TOL
-    rows, psi, tangential = _psi_candidates(coef, np.flatnonzero(~degenerate))
-
-    # candidates inside the interval by row and Psi; a run of them less
-    # than 1e-7 apart is one root, at its first tangential candidate if it
-    # has one and tangential then, else at its first candidate
-    inside = np.flatnonzero((1e-8 < psi) & (psi < 2.0 * np.pi - 1e-8))
-    order = inside[np.lexsort((psi[inside], rows[inside]))]
-    rows, psi, tangential = rows[order], psi[order], tangential[order]
-    root = np.cumsum((np.diff(rows, prepend=-1) != 0)
-                     | (np.diff(psi, prepend=-1.0) >= 1e-7)) - 1
-    first = np.flatnonzero(np.diff(root, prepend=-1))
-    tangent = np.flatnonzero(tangential)
-    tangent = tangent[np.diff(root[tangent], prepend=-1) > 0]
-    first[root[tangent]] = tangent
-
-    found = [[] for _ in range(coef.shape[0])]
-    for r, x, flag in zip(rows[first].tolist(), psi[first].tolist(),
-                          tangential[first].tolist()):
-        found[r].append(PsiRoot(x, flag))
-    return [RootScanResult((), identically_zero=True) if flat
-            else RootScanResult(tuple(roots)) for flat, roots in
-            zip(degenerate.tolist(), found)]
-
-
-def _psi_candidates(coef, scanned):
-    """(row, Psi, tangential) arrays of the root candidates of the rows
-    coef[scanned] of find_roots_batch: the crossings in both charts, then
-    the critical points that are tangential roots. The chart arrays are
-    freed on return, before the caller builds its result."""
+    scanned = np.flatnonzero(~degenerate)
     n = scanned.size
-    a1, b1, a2, b2 = coef[scanned].T
-    p = np.stack([a1 + a2, b1 + 3.0 * b2, a1 - 3.0 * a2, b1 - b2], axis=1)
-    charts = np.concatenate([p, p[:, ::-1]]) * _CHART_SCALE
-    degree, charts = _trim(charts, np.max(np.abs(charts), axis=1))
-    r, k, x, crits = _monotone_roots(charts, degree)
-    x_psi = _chart_psi(x, r >= n)
-    # the tangential rule of find_roots_batch: |P| has a local minimum
-    # where P and P'' have one sign, and a maximum of |P| is a split double
-    # root where the crossings on both sides are within 1e-7
-    val = _poly_rows(crits, charts[:, None, :])
-    dip = (val == 0.0) | (val * (charts[:, 2:3]
-                                 + 3.0 * charts[:, 3:4] * crits) > 0.0)
-    side = np.full((charts.shape[0], 3), np.nan)
-    side[r, k] = x_psi
-    cr, ck = np.nonzero(~np.isnan(crits))
-    xc = crits[cr, ck]
-    c_psi = _chart_psi(xc, cr >= n)
-    c_rows = scanned[cr % n]
-    # a row's j-th critical point in sorted order ends its piece j
-    j = (xc > crits[cr, 1 - ck]).astype(int)
-    split = np.maximum(np.abs(side[cr, j] - c_psi),
-                       np.abs(side[cr, j + 1] - c_psi)) < 1e-7
-    grazing = ((np.abs(g_factored(c_psi, coef[c_rows])) < _TANGENT_TOL)
-               & (dip[cr, ck] | split))
-    rows = np.concatenate([scanned[r % n], c_rows[grazing]])
-    return (rows, np.concatenate([x_psi, c_psi[grazing]]),
-            np.arange(rows.size) >= r.size)
+    # P of each row, (A1 + A2, B1 + 3 B2, A1 - 3 A2, B1 - B2), in one
+    # expression, so no copy of the rows stays alive through the scan
+    p = (coef[np.ix_(scanned, [0, 1, 0, 1])]
+         + coef[np.ix_(scanned, [2, 3, 2, 3])] * np.array([1.0, 3.0, -3.0, -1.0]))
+    found = _cubic_roots(np.concatenate([p, p[:, ::-1]]) * _CHART_SCALE,
+                         lambda x, rows: _chart_psi(x, rows >= n),
+                         1e-8, 2.0 * np.pi - 1e-8, scanned, coef.shape[0])
+    return [RootScanResult((), identically_zero=True) if flat
+            else RootScanResult(tuple(map(PsiRoot._make, roots)))
+            for flat, roots in zip(degenerate.tolist(), found)]
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +306,13 @@ def polynomial_alpha_roots_batch(psis, a1_poly, b1_poly, a2_poly,
     The four inputs are ascending alpha-polynomial coefficient sequences
     (length up to 4), shared by every separation; alpha_polynomials gives
     them for a coupling set (degree at most 3, at most 1 when the three-
-    and four-phase couplings vanish). Roots are isolated on monotone pieces
-    between the closed-form critical points of the cubic and refined by
-    bisection, so no companion-matrix eigenvalue solve is involved. A
-    bracket that vanishes for every alpha is reported through the
-    identically_zero flag. The brackets of all separations are bisected
-    together; entry i of the result equals a call with psis[i] alone.
+    and four-phase couplings vanish). The roots are found, double roots
+    decided and close candidates merged by _cubic_roots, so no
+    companion-matrix eigenvalue solve is involved; they are rounded to 14
+    decimals and cut to within 1e-12 of the ends. A bracket that vanishes
+    for every alpha is reported through the identically_zero flag. The
+    brackets of all separations are bisected together; entry i of the
+    result equals a call with psis[i] alone.
     """
     psis = np.asarray(psis, dtype=float).reshape(-1)
     outside = psis[~((0.0 < psis) & (psis < 2.0 * np.pi))]
@@ -378,43 +331,67 @@ def polynomial_alpha_roots_batch(psis, a1_poly, b1_poly, a2_poly,
     coeffs = polys[0] * c1 + polys[1] * s1 + polys[2] * c3 + polys[3] * s3
 
     in_scale = max(1e-300, float(np.max(np.abs(polys))))
-    scale = np.max(np.abs(coeffs), axis=1)
-    flat = scale <= 1e-14 * in_scale
+    flat = np.max(np.abs(coeffs), axis=1) <= 1e-14 * in_scale
+    scanned = np.flatnonzero(~flat)
+    found = _cubic_roots(coeffs[scanned],
+                         lambda x, _: np.array([round(v, 14) for v in x.tolist()]),
+                         -1.0 + 1e-12, 1.0 - 1e-12, scanned, psis.size)
+    zero, none = RootScanResult((), identically_zero=True), RootScanResult(())
+    return [zero if is_flat else none if not roots
+            else RootScanResult(tuple(x for x, _ in roots))
+            for is_flat, roots in zip(flat.tolist(), found)]
 
-    degree, p = _trim(coeffs, scale)
-    found = [[] for _ in range(psis.size)]
-    curved = np.flatnonzero(~flat & (degree >= 2))
-    q = p[curved]
-    rows, _, roots, crits = _monotone_roots(q, degree[curved])
-    # a critical point where the polynomial vanishes to 1e-12 * scale is a
-    # double root
-    r, k = np.nonzero(np.abs(_poly_rows(crits, q[:, None, :]))
-                      <= 1e-12 * scale[curved, None])
-    for row, x in zip(curved[np.concatenate([rows, r])].tolist(),
-                      np.concatenate([roots, crits[r, k]]).tolist()):
-        found[row].append(x)
 
-    results, none = [], RootScanResult(())
-    zero = RootScanResult((), identically_zero=True)
-    for is_flat, d, (p0, p1, _, _), candidates in zip(flat.tolist(), degree.tolist(),
-                                                     p.tolist(), found):
-        if is_flat:
-            results.append(zero)
-        elif d < 2:
-            x = -p0 / p1 if d == 1 else math.nan
-            results.append(RootScanResult((x,) if -1.0 < x < 1.0 else ()))
-        elif not candidates:
-            results.append(none)
-        else:
-            # de-duplicated, then cut to the open interval
-            roots, last = [], math.nan
-            for x in sorted({round(x, 14) for x in candidates}):
-                if not abs(x - last) < 1e-9:
-                    last = x
-                    if -1.0 + 1e-12 < x < 1.0 - 1e-12:
-                        roots.append(x)
-            results.append(RootScanResult(tuple(roots)))
-    return results
+def _cubic_roots(q, to_var, lo, hi, owner, n_out):
+    """The roots of ascending cubic rows q on (-1, 1) for both scans: n_out
+    lists of (value, tangential) pairs, the roots of row i in list
+    owner[i % owner.size]. to_var(x, rows) maps points x of the rows to
+    the scan's variable, in which roots outside (lo, hi) are dropped.
+
+    The crossings are those of _monotone_roots. A critical point where
+    |P| <= 1e-12 * scale (the row's largest coefficient) is a double
+    (tangential) root if |P| has a local minimum there (P and P'' of one
+    sign), or a maximum with crossings less than _MERGE away on both sides
+    (a double root split by rounding), and no root otherwise. Candidates
+    of a list less than _MERGE apart in the scan's variable are one root:
+    at the run's first tangential candidate if it has one, and tangential
+    then, else at its first.
+    """
+    scale = np.max(np.abs(q), axis=1)
+    degree, q = _trim(q, scale)
+    r, k, x, crits = _monotone_roots(q, degree)
+    var = to_var(x, r)
+    val = _poly_rows(crits, q[:, None, :])
+    cr, ck = np.nonzero(np.abs(val) <= 1e-12 * scale[:, None])
+    xc, vc = crits[cr, ck], val[cr, ck]
+    c_var = to_var(xc, cr)
+    side = np.full((q.shape[0], 3), np.nan)
+    side[r, k] = var
+    # a row's j-th critical point in sorted order ends its piece j
+    j = (xc > crits[cr, 1 - ck]).astype(int)
+    split = np.maximum(np.abs(side[cr, j] - c_var),
+                       np.abs(side[cr, j + 1] - c_var)) < _MERGE
+    double = (vc == 0.0) | (vc * (q[cr, 2] + 3.0 * q[cr, 3] * xc) > 0.0) | split
+    # the arrays of every row are freed before the root lists are built
+    del scale, degree, q, crits, val, side
+    rows = owner[np.concatenate([r, cr[double]]) % owner.size]
+    var = np.concatenate([var, c_var[double]])
+    tangential = np.arange(rows.size) >= r.size
+
+    inside = np.flatnonzero((lo < var) & (var < hi))
+    order = inside[np.lexsort((var[inside], rows[inside]))]
+    rows, var, tangential = rows[order], var[order], tangential[order]
+    root = np.cumsum((np.diff(rows, prepend=-1) != 0)
+                     | (np.diff(var, prepend=-np.inf) >= _MERGE)) - 1
+    first = np.flatnonzero(np.diff(root, prepend=-1))
+    tangent = np.flatnonzero(tangential)
+    tangent = tangent[np.diff(root[tangent], prepend=-1) > 0]
+    first[root[tangent]] = tangent
+    found = [[] for _ in range(n_out)]
+    for i, v, flag in zip(rows[first].tolist(), var[first].tolist(),
+                          tangential[first].tolist()):
+        found[i].append((v, flag))
+    return found
 
 
 def _trim(coeffs, scale):
@@ -449,15 +426,18 @@ def _critical_points(q, degree):
 
 
 def _monotone_roots(q, degree):
-    """Roots in (-1, 1) of ascending polynomial rows q of degree 3 at most
-    (degree[i] that of row i), before de-duplication: (row index, piece,
-    root) arrays, and the rows' _critical_points. These split (-1, 1) into
-    monotone pieces 0, 1, 2, and sign changes over a piece are bisected to
-    1e-12. A root at a critical point is a double root, which the caller
-    finds by testing the critical points."""
+    """Crossings in (-1, 1) of ascending polynomial rows q of degree 3 at
+    most (degree[i] that of row i): (row index, piece, root) arrays, and
+    the rows' _critical_points. These split (-1, 1) into monotone pieces
+    0, 1, 2; a linear row's root is -q0/q1, and the other sign changes
+    over a piece are bisected to 1e-12. The brackets are freed on return."""
     crits = _critical_points(q, degree)
     r, k, lo, hi, f_lo = _sign_changes(q, crits)
-    return r, k, _bisect(_poly_rows, q[r], lo, hi, f_lo, 1e-12), crits
+    line = degree[r] == 1
+    x = np.empty(r.size)
+    x[line] = -q[r[line], 0] / q[r[line], 1]
+    x[~line] = _bisect(q[r[~line]], lo[~line], hi[~line], f_lo[~line], 1e-12)
+    return r, k, x, crits
 
 
 def _sign_changes(q, crits):

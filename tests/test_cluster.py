@@ -264,7 +264,7 @@ def assert_roots(scan, want, tangential, tol=1e-9):
 def test_find_roots_separates_a_close_pair(g):
     # simple roots at Psi = pi/2 and pi/2 + 2g, closer together than the
     # 0.0087 cells of a 720-interval grid, and at 2*pi - 2 atan 2; at
-    # g = 5e-5, |G| < _TANGENT_TOL at its maximum between the pair, which
+    # g = 5e-5, |G| is below 1e-8 at its maximum between the pair, which
     # is no root
     cc = cubic_coefficients([1.0, math.tan(math.pi / 4 + g), -2.0])
     want = [math.pi / 2, math.pi / 2 + 2 * g, TAU - 2 * math.atan(2.0)]
@@ -327,8 +327,8 @@ def test_psi_roots_near_the_ends_against_companion_oracle(d, right, b1, a2, b2):
 
 def test_find_roots_maximum_of_a_small_row_is_no_root():
     # P = 1e-7 (u - 1/2)(u^2 - 1): three simple roots, and |G| is below
-    # _TANGENT_TOL at the critical points of both charts between the first
-    # two, which are maxima of |G| and no roots
+    # 1e-8 at the critical points of both charts between the first two,
+    # which are maxima of |G| and no roots
     scan = find_roots_batch([ClusterCoefficients(2.5e-8, 5e-8, 2.5e-8, -5e-8)])[0]
     want = [2 * math.atan(0.5), math.pi / 2, 3 * math.pi / 2]
     assert_roots(scan, want, [False] * 3)
@@ -343,6 +343,16 @@ def test_find_roots_double_root_beside_a_tiny_cubic_term():
     a2, b2 = (p0 - p2) / 4, (p1 - p3) / 4
     scan = find_roots_batch([ClusterCoefficients(p0 - a2, p3 + b2, a2, b2)])[0]
     assert_roots(scan, [2 * math.atan(0.2), math.pi], [True, False])
+
+
+def test_find_roots_nonzero_minimum_of_a_small_row_is_no_root():
+    # P = 1e-6 ((u - 1/2)^2 + 0.005): |P| dips to 5e-9, 0.5% of its largest
+    # coefficient, at a minimum in both charts, and never vanishes; the
+    # cubic term is zero, so the cot chart has a crossing at Psi = pi
+    p0, p1, p2, p3 = 1e-6 * 0.255, -1e-6, 1e-6, 0.0
+    a2, b2 = (p0 - p2) / 4, (p1 - p3) / 4
+    scan = find_roots_batch([ClusterCoefficients(p0 - a2, p3 + b2, a2, b2)])[0]
+    assert_roots(scan, [math.pi], [False])
 
 
 @pytest.mark.parametrize("gap", [0.0, 1e-13, -1e-13])
@@ -564,6 +574,17 @@ def test_polynomial_roots_double_root_beside_a_tiny_cubic_term():
     result = polynomial_alpha_roots_batch([math.pi / 2], (0.09, -0.6, 1.0, 1e-13),
                                           (), (), ())[0]
     assert len(result.roots) == 1 and abs(result.roots[0] - 0.3) < 1e-9
+
+
+def test_polynomial_roots_close_pair_has_no_root_between():
+    # (alpha - a)(alpha - b), b - a = 1e-6: between the pair |P| peaks at
+    # (b - a)^2 / 4 = 2.5e-13 of the row's scale, within 1e-12 of zero, but
+    # it is a maximum with the crossings 5e-7 away, so no root
+    a, b = 0.3, 0.3 + 1e-6
+    result = polynomial_alpha_roots_batch([math.pi / 2], (a * b, -(a + b), 1.0, 0.0),
+                                          (), (), ())[0]
+    assert len(result.roots) == 2
+    assert abs(result.roots[0] - a) < 1e-9 and abs(result.roots[1] - b) < 1e-9
 
 
 def test_polynomial_roots_validate_psi0():
