@@ -5,8 +5,9 @@ Verbs: derive (coefficient report), simulate (one model run), compare
 and stability tables). All output is JSON or columnar text ready for external
 plotting; every file records the seed, so a fixed config gives byte-identical
 results. Exit codes: 0 success, 2 configuration problem (including
-trajectories or scan grids too large for physical memory and output files
-that cannot be made), 3 numerical failure.
+trajectories or scan grids too large for physical memory, output files that
+cannot be made, and writes that fail part way, such as on a full disk, which
+may leave partial text in the file), 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, replace
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -53,17 +54,15 @@ def _unwritable(path: Path, reason: str) -> ConfigError:
     return ConfigError(f"cannot write output file '{path}': {reason}")
 
 
-def _open_out(path: Path):
+def _write(path: Path, texts):
+    """Write the texts to path in turn, making its directory; an OSError from
+    the open, any write or the close is a ConfigError, and what was written stays."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        return open(path, "w", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(texts)
     except OSError as exc:
         raise _unwritable(path, exc.strerror or exc) from exc
-
-
-def _write(path: Path, text: str):
-    with _open_out(path) as fh:
-        fh.write(text)
 
 
 def _out_path(cfg: RunConfig, args, default: str) -> Path:
@@ -151,7 +150,7 @@ def cmd_derive(cfg: RunConfig, args) -> int:
         ],
         "sync_frequency": sync_frequency(coupling),
     }
-    _write(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write(out, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
     return 0
 
 
@@ -175,9 +174,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         traj = integrate(lambda p: phase_rhs_fast(p, coupling), phi0, dt, t_end)
         text_args["r_star"] = math.sqrt(coupling.r_star_sq)
     # a block of rows at a time: the text in memory is O(N), not the run's
-    with _open_out(out) as fh:
-        for rows in _row_blocks(traj.times.size, traj.n_osc, _TEXT_ELEMENTS):
-            fh.write(trajectory_text(traj, rows=rows, **text_args))
+    blocks = _row_blocks(traj.times.size, traj.n_osc, _TEXT_ELEMENTS)
+    _write(out, (trajectory_text(traj, rows=rows, **text_args) for rows in blocks))
     return 0
 
 
@@ -208,7 +206,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
     del phi0
     report = compare(full_traj, phase_traj)
     doc = {"seed": cfg.seed, "dt": dt, **asdict(report)}
-    _write(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write(out, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
     return 0
 
 
@@ -271,10 +269,8 @@ def cmd_cluster_scan(cfg: RunConfig, args) -> int:
     if synth is not None:
         polys = (synth.a1_poly, synth.b1_poly, synth.a2_poly, synth.b2_poly)
     psi_scans = polynomial_alpha_roots_batch(psis, *polys)
-    with _open_out(out) as fh:
-        fh.write(f"# seed={cfg.seed}\n# model=cluster-scan\n")
-        fh.writelines(alpha_text)
-        fh.writelines(_text_blocks(_psi_scan_lines(psis, psi_scans)))
+    _write(out, chain([f"# seed={cfg.seed}\n# model=cluster-scan\n"], alpha_text,
+                      _text_blocks(_psi_scan_lines(psis, psi_scans))))
     return 0
 
 

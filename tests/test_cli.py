@@ -637,6 +637,18 @@ def test_unwritable_output_exits_2_before_any_work(
     assert blocker.is_dir() or blocker.read_text(encoding="utf-8") == "keep"
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("verb", ALL_VERBS)
+def test_full_disk_exits_2(tmp_path, capsys, verb):
+    # /dev/full opens, but every write to it fails with ENOSPC: the failure
+    # comes from a write or the close, after the run has done its work
+    cfg = write_config(tmp_path, dt=0.05, t_end=2.0)
+    assert run([*verb, "--config", cfg, "--out", "/dev/full"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: cannot write output file '/dev/full': " in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("verb", ALL_VERBS)
 def test_overlong_output_name_exits_2(tmp_path, capsys, verb):
     cfg = write_config(tmp_path, dt=0.05, t_end=2.0)

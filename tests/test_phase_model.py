@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfphase import (PhaseCouplingSet, as_phase_vector, integrate, moments,
-                       phase_rhs_fast, phase_rhs_naive)
+from hopfphase import (PhaseCouplingSet, as_phase_vector, build_coupling,
+                       full_rhs_array, integrate, moments, phase_rhs_fast,
+                       phase_rhs_naive)
 from hopfphase.normal_form import complex_mean
 
-from conftest import make_rng, random_coupling
+from conftest import make_rng, random_coupling, random_params
 
 TAU = 2 * math.pi
 
@@ -201,6 +202,34 @@ def test_rhs_permutation_equivariant(seed):
     direct = phase_rhs_fast(phi[perm], coupling)
     routed = phase_rhs_fast(phi, coupling)[perm]
     assert np.max(np.abs(direct - routed)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [*range(2, 9), 64, 10_000])
+def test_fast_is_the_isochron_projection_of_the_full_field(n):
+    # at delta = 0 and z = r* e^{i phi} the phase model is Kuramoto's
+    # isochron projection of the normal form's coupling field on the
+    # uncoupled torus, Omega + Im w - (Im a1/Re a1) Re w with
+    # w = full_rhs_array(z)/z - i*Omega: exact in lambda, so the two sides
+    # differ by rounding only. That rounding is at most 4e-14 of |eps| times
+    # the largest coefficient modulus where |eps| > 0.02 (3,200 draws at
+    # N = 2..39, both signs), plus up to 3 ulps of Omega, which both sides
+    # add and which do not shrink with eps; a 1e-9 relative error in the
+    # g3..g5 amplitudes exceeds this bound 80-fold
+    rng = make_rng(17_000 + n)
+    for trial in range(12 if n < 100 else 2):
+        sign = 1.0 if trial % 2 else -1.0
+        params = random_params(rng, n, epsilon=sign * rng.uniform(0.0, 0.2))
+        coupling = build_coupling(params, delta=0.0)
+        omega, a1 = coupling.omega_cap, params.coeffs.a1
+        phi = rng.uniform(-TAU, TAU, n)
+        z = math.sqrt(coupling.r_star_sq) * np.exp(1j * phi)
+        w = full_rhs_array(z, params) / z - 1j * omega
+        projection = omega + w.imag - (a1.imag / a1.real) * w.real
+        moduli = [abs(getattr(params.coeffs, f.name))
+                  for f in dataclasses.fields(params.coeffs)]
+        tol = (5e-12 * abs(params.epsilon) * max(1.0, *moduli)
+               + 4 * np.spacing(abs(omega)))
+        assert np.max(np.abs(phase_rhs_fast(phi, coupling) - projection)) <= tol
 
 
 def test_two_cluster_subspace_is_invariant(rng):
