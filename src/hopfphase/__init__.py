@@ -9,8 +9,7 @@ from .cluster import (ClusterCoefficients, ClusterConfig, PsiRoot,
                       polynomial_alpha_roots_batch, sync_frequency,
                       sync_stability, two_cluster_H)
 from .config import (ClusterScanSpec, ConfigError, InitialSpec, RunConfig,
-                     SyntheticAB, initial_full_state, initial_phases,
-                     parse_config)
+                     initial_full_state, initial_phases, parse_config)
 from .integrator import (AmplitudeCollapseError, ComparisonReport,
                          IntegrationError, Trajectory, TrajectoryTooLargeError,
                          compare, default_dt, extract_phases, integrate,
@@ -42,6 +41,6 @@ __all__ = [
     "two_cluster_H", "g_raw", "ab_coefficients",
     "g_factored", "find_roots_batch", "sync_stability", "sync_frequency",
     "alpha_polynomials", "polynomial_alpha_roots_batch",
-    "RunConfig", "InitialSpec", "ClusterScanSpec", "SyntheticAB",
+    "RunConfig", "InitialSpec", "ClusterScanSpec",
     "ConfigError", "parse_config", "initial_phases", "initial_full_state",
 ]

@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, replace
 from itertools import chain, islice
 from pathlib import Path
@@ -265,10 +266,7 @@ def cmd_cluster_scan(cfg: RunConfig, args) -> int:
         _alpha_scan_lines(alphas, labels, find_roots_batch(rows))))
     del rows
     psis = np.linspace(0.0, 2.0 * np.pi, cfg.cluster.psi_grid, endpoint=False)[1:]
-    synth = cfg.cluster.synthetic_ab
-    if synth is not None:
-        polys = (synth.a1_poly, synth.b1_poly, synth.a2_poly, synth.b2_poly)
-    psi_scans = polynomial_alpha_roots_batch(psis, *polys)
+    psi_scans = polynomial_alpha_roots_batch(psis, *(cfg.cluster.synthetic_ab or polys))
     _write(out, chain([f"# seed={cfg.seed}\n# model=cluster-scan\n"], alpha_text,
                       _text_blocks(_psi_scan_lines(psis, psi_scans))))
     return 0
@@ -319,8 +317,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        cfg = _load_config(args)
-        return args.handler(cfg, args)
+        # each distinct warning the filters let through is one stderr line,
+        # printed before any error line
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                cfg = _load_config(args)
+                return args.handler(cfg, args)
+            finally:
+                for message in dict.fromkeys(str(w.message) for w in caught):
+                    print(f"warning: {message}", file=sys.stderr)
     except (ConfigError, TrajectoryTooLargeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,9 +24,7 @@ _INITIAL_KEYS = {"random-phases": (), "explicit": ("phases", "z"), "splay": (),
                  "two-cluster": ("q_size", "p_size", "psi"),
                  "perturbed-sync": ("amplitude",)}
 
-_COEFF_KEYS = tuple(
-    "a_minus1" if k == -1 else f"a{k}" for k in (-1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
-)
+_COEFF_KEYS = tuple(f.name for f in fields(NormalFormCoefficients))
 
 
 class ConfigError(ValueError):
@@ -49,23 +47,18 @@ class InitialSpec:
                               "be positive")
         if self.amplitude < 0:
             raise ConfigError("field 'initial.amplitude' must be nonnegative")
-
-
-@dataclass(frozen=True)
-class SyntheticAB:
-    """Hand-specified alpha-polynomial coefficients for the cluster bracket."""
-
-    a1_poly: tuple
-    b1_poly: tuple
-    a2_poly: tuple
-    b2_poly: tuple
+        if not math.isfinite(2 * self.amplitude):  # the width of the draw
+            raise ConfigError("field 'initial.amplitude' must be at most half the "
+                              "largest float, so that 2 * amplitude is finite")
 
 
 @dataclass(frozen=True)
 class ClusterScanSpec:
     alpha_grid: int = 64
     psi_grid: int = 64
-    synthetic_ab: SyntheticAB | None = None
+    # hand-specified ascending coefficients of the alpha polynomials
+    # (a1, b1, a2, b2), in polynomial_alpha_roots_batch's argument order
+    synthetic_ab: tuple | None = None
 
     def __post_init__(self):
         for name in ("alpha_grid", "psi_grid"):
@@ -99,9 +92,13 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError("field 'seed' must be nonnegative")
         try:
-            self.system_params()
+            params = SystemParams(lam=self.lam, omega=self.omega,
+                                  epsilon=self.epsilon, n_osc=self.n_osc,
+                                  coeffs=self.coeffs)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # not a field, so dataclasses.replace builds and checks a new one
+        object.__setattr__(self, "_params", params)
         init = self.initial
         length = len(init.phases or init.z)
         if init.kind == "explicit" and length != self.n_osc:
@@ -113,8 +110,7 @@ class RunConfig:
                 f"({self.n_osc}), got {init.q_size + init.p_size}")
 
     def system_params(self) -> SystemParams:
-        return SystemParams(lam=self.lam, omega=self.omega, epsilon=self.epsilon,
-                            n_osc=self.n_osc, coeffs=self.coeffs)
+        return self._params
 
     def resolved_dt(self) -> float:
         if self.dt is not None:
@@ -226,14 +222,11 @@ def _parse_cluster(raw) -> ClusterScanSpec:
              for key in ("alpha_grid", "psi_grid")}
     synth = None
     if raw.get("synthetic_ab") is not None:
-        sub = _object(raw["synthetic_ab"], "cluster.synthetic_ab",
-                      ("a1", "b1", "a2", "b2"))
-        fields = {}
-        for name in ("a1", "b1", "a2", "b2"):
-            label = f"cluster.synthetic_ab.{name}"
-            fields[f"{name}_poly"] = _parse_poly(_require(sub, name, label),
-                                                 label)
-        synth = SyntheticAB(**fields)
+        labels = {name: f"cluster.synthetic_ab.{name}"
+                  for name in ("a1", "b1", "a2", "b2")}
+        sub = _object(raw["synthetic_ab"], "cluster.synthetic_ab", labels)
+        synth = tuple(_parse_poly(_require(sub, name, label), label)
+                      for name, label in labels.items())
     return ClusterScanSpec(**grids, synthetic_ab=synth)
 
 

@@ -2,6 +2,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +18,9 @@ from hopfphase.cli import main
 from hopfphase.cluster import ClusterConfig, g_raw
 from hopfphase.config import ConfigError, InitialSpec, parse_config
 from hopfphase.integrator import _TEXT_ELEMENTS
+from hopfphase.normal_form import SystemParams
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 RICH_COEFFS = {"a1": [-1.0, 0.3], "a_minus1": [0.1, 0.05], "a2": [0.2, -0.1]}
 
 
@@ -647,6 +650,62 @@ def test_full_disk_exits_2(tmp_path, capsys, verb):
     err = capsys.readouterr().err
     assert "config error: cannot write output file '/dev/full': " in err
     assert "Traceback" not in err
+
+
+def test_a_warning_is_one_stderr_line(tmp_path, capsys):
+    # pyproject's filterwarnings hides this warning in the suite; a command
+    # line run has Python's default filters
+    example = CONFIGS / "example.json"
+    line = ("warning: n_osc < 4: the thirteen symmetry-adapted basis fields "
+            "satisfy one linear relation, so the coefficients are not uniquely "
+            "identifiable (config field 'n_osc' = 3)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        # the override builds a second RunConfig, which warns again
+        for flags in ([], ["--t-end", "5"]):
+            assert run(["derive", "--config", example, *flags,
+                        "--out", tmp_path / "derive.json"]) == 0
+            assert capsys.readouterr().err.splitlines() == [line]
+        # the warning comes before the error line, which stays the last
+        assert run(["cluster-scan", "--config", example, "--alpha-grid", "63",
+                    "--out", tmp_path / "scan.txt"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            line, "config error: cluster-scan grids must be at least 64, got "
+                  "field 'cluster.alpha_grid' = 63"]
+        # numpy's overflow warnings on huge synthetic polynomials
+        huge = write_config(tmp_path, n_osc=4, cluster={"synthetic_ab": {
+            key: [1e300] * 4 for key in ("a1", "b1", "a2", "b2")}})
+        assert run(["cluster-scan", "--config", huge, "--out", tmp_path / "huge.txt"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err and len(set(err)) == len(err)
+        assert all(l.startswith("warning: overflow") and ".py:" not in l for l in err)
+
+
+@pytest.mark.parametrize("verb", ALL_VERBS)
+def test_one_system_params_per_run_config(monkeypatch, tmp_path, verb):
+    built = []
+    post_init = SystemParams.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(SystemParams, "__post_init__", counted)
+    config = CONFIGS / "two_cluster.json"
+    assert run([*verb, "--config", config, "--t-end", "2",
+                "--out", tmp_path / "out"]) == 0
+    # the file's RunConfig and the one the --t-end override makes
+    assert len(built) == 2 and built[0].n_osc == built[1].n_osc == 8
+
+
+def test_perturbation_too_wide_to_draw_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, n_osc=4, t_end=1.0,
+                       initial={"kind": "perturbed-sync", "amplitude": 1e308})
+    out = tmp_path / "x.txt"
+    assert run(["simulate", "--model", "phase", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: field 'initial.amplitude' must be at most")
+    assert err.count("\n") == 1 and not out.exists()
 
 
 @pytest.mark.parametrize("verb", ALL_VERBS)

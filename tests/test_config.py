@@ -1,12 +1,15 @@
 """Run-file parsing, validation errors, initial states."""
+import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from hopfphase.config import (ConfigError, initial_full_state, initial_phases,
-                              parse_config)
+import hopfphase
+from hopfphase.config import (ConfigError, InitialSpec, initial_full_state,
+                              initial_phases, parse_config)
 
 
 def doc_text(**over):
@@ -65,6 +68,8 @@ def test_error_messages_name_the_field():
                                             "b2": [0.0]}}),
          "synthetic_ab.a1"),
         (doc_text(cluster={"synthetic_ab": {"a1": [1.0]}}), "synthetic_ab.b1"),
+        (doc_text(initial={"kind": "perturbed-sync", "amplitude": 1e308}),
+         "initial.amplitude"),
         ("{not json", "not valid JSON"),
         ("[1, 2]", "must be a JSON object"),
     ]
@@ -147,3 +152,32 @@ def test_resolved_dt():
     # lambda=0.1, a1 real: cycle frequency stays at omega=1, amplitude rate
     # bound 0.01/lambda is the tighter of the two
     assert cfg.resolved_dt() == pytest.approx(0.1)
+
+
+def test_amplitude_range_must_be_finite():
+    # perturbed-sync draws from [-amplitude, amplitude], whose width
+    # 2 * amplitude must be a finite float
+    largest = sys.float_info.max / 2
+    assert InitialSpec(kind="perturbed-sync", amplitude=largest).amplitude == largest
+    for amplitude in (math.nextafter(largest, math.inf), math.inf, math.nan):
+        with pytest.raises(ConfigError, match="'initial.amplitude' must be at most"):
+            InitialSpec(kind="perturbed-sync", amplitude=amplitude)
+
+
+def test_system_params_are_built_once_per_config():
+    cfg = parse_config(doc_text(n_osc=4))
+    params = cfg.system_params()
+    assert params is cfg.system_params()
+    assert (params.lam, params.omega, params.epsilon, params.n_osc, params.coeffs) == (
+        cfg.lam, cfg.omega, cfg.epsilon, cfg.n_osc, cfg.coeffs)
+    # not a field: replace builds a new RunConfig, and with it new params
+    assert dataclasses.replace(cfg, n_osc=5).system_params().n_osc == 5
+    assert cfg.system_params() is params and params.n_osc == 4
+
+
+def test_synthetic_ab_is_the_four_coefficient_tuples():
+    cfg = parse_config(doc_text(cluster={"synthetic_ab": {
+        "a1": [0.125, 0.0, 1.0], "b1": [0.0, -0.75], "a2": [0], "b2": [1, 2, 3, 4]}}))
+    assert cfg.cluster.synthetic_ab == ((0.125, 0.0, 1.0), (0.0, -0.75), (0.0,),
+                                        (1.0, 2.0, 3.0, 4.0))
+    assert not hasattr(hopfphase, "SyntheticAB")

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfphase import (PhaseCouplingSet, as_phase_vector, build_coupling,
-                       full_rhs_array, integrate, moments, phase_rhs_fast,
-                       phase_rhs_naive)
+from hopfphase import (NormalFormCoefficients, PhaseCouplingSet, SystemParams,
+                       as_phase_vector, build_coupling, full_rhs_array,
+                       integrate, moments, phase_rhs_fast, phase_rhs_naive)
 from hopfphase.normal_form import complex_mean
 
-from conftest import make_rng, random_coupling, random_params
+from conftest import COUPLING_KEYS, make_rng, random_coupling, random_params
 
 TAU = 2 * math.pi
 
@@ -230,6 +230,29 @@ def test_fast_is_the_isochron_projection_of_the_full_field(n):
         tol = (5e-12 * abs(params.epsilon) * max(1.0, *moduli)
                + 4 * np.spacing(abs(omega)))
         assert np.max(np.abs(phase_rhs_fast(phi, coupling) - projection)) <= tol
+
+
+@pytest.mark.parametrize("n, rank", [(2, 5), (3, 10), *((n, 12) for n in range(4, 9))])
+def test_drift_rank_in_the_coupling_coefficients(n, rank):
+    # the drift is affine in the 22 real parts of a_minus1, a2..a11, so a
+    # unit value of each, less the uncoupled drift, is one exact column of
+    # the map; from N = 4 its rank is 12: two real directions each for the
+    # pairwise orders 1 and 2, g3, g4 and g5, one each for the mean-field
+    # and constant frequency shifts. At N = 2..8 the singular values kept
+    # are at least 1.0e-2 of the largest and those cut at most 3.6e-15
+    phis = make_rng(600 + n).uniform(0.0, TAU, size=(40, n))
+
+    def drift(**coupling):
+        coeffs = NormalFormCoefficients(a1=-1.0 + 0.3j, **coupling)
+        params = SystemParams(lam=0.2, omega=1.0, epsilon=0.1, n_osc=n, coeffs=coeffs)
+        phase_coupling = build_coupling(params)
+        return np.concatenate([phase_rhs_fast(phi, phase_coupling) for phi in phis])
+
+    uncoupled = drift()
+    columns = [drift(**{key: unit}) - uncoupled
+               for key in COUPLING_KEYS for unit in (1.0, 1j)]
+    sv = np.linalg.svd(np.array(columns), compute_uv=False)
+    assert int(np.sum(sv > 1e-9 * sv[0])) == rank
 
 
 def test_two_cluster_subspace_is_invariant(rng):
