@@ -33,9 +33,12 @@ roots inside (-1, 1) must be the reported roots, one to one, to 1e-8 or
 how far rounding moves them, and a double root, reported once, to 1e-7.
 So must the real roots from np.polynomial.polynomial.polyroots that are
 not within 1e-8 of an end, to the same tolerances, or to 1e-6 on a row
-with a double root, which polyroots moves by about 1e-7. Exits 1 at the
-first failed check and prints it. The oracle for G is
-tests/companion.py. Usage:
+with a double root, which polyroots moves by about 1e-7. Only an all-zero
+row may be reported as identically zero. Every find_roots_batch row, and
+every fourth psi-scan row, is solved again at an exact rescaling by 2^k,
+k drawn from [-1000, 1000] where the scan's inputs stay normal floats and
+finite, and must give the same result. Exits 1 at the first failed check
+and prints it. The oracle for G is tests/companion.py. Usage:
     python scripts/root_scan_sweep.py [--rows 20000] [--seed 1]
 """
 import argparse
@@ -134,14 +137,33 @@ def root_tolerance(planted, psi):
                      u, 2.0 / (1.0 + u * u))
 
 
-def check(kind, rows, planted, counts):
+def scale_powers(rng, rows, factor=1.0):
+    """A power k for each row, drawn from [-1000, 1000] where every nonzero
+    entry of rows * factor * 2^k is a normal float and rows * 2^k stays
+    below 2^1018. At such k a scan's input rows, and the products the psi
+    scan forms with its harmonics (factor), scale exactly, so the scan's
+    results must not change."""
+    size = np.abs(rows)
+    tiny = np.frexp(np.min(np.where(size > 0, size * factor, np.inf), axis=1))[1]
+    huge = np.frexp(np.max(size, axis=1))[1]
+    return rng.integers(np.maximum(-1000, -1020 - tiny),
+                        np.minimum(1000, 1018 - huge) + 1)
+
+
+def check(kind, rows, planted, counts, powers):
     """None, or a line naming the first row that fails a check."""
     scale = np.max(np.abs(rows), axis=1)
-    for i, scan in enumerate(find_roots_batch(rows)):
+    scans = find_roots_batch(rows)
+    k = scale_powers(powers, rows)
+    for i, again in enumerate(find_roots_batch(np.ldexp(rows, k[:, None]))):
+        if again != scans[i]:
+            return f"{kind} row {rows[i].tolist()}: {scans[i]}, times 2^{k[i]} {again}"
+    counts["rescaled"] += len(scans)
+    for i, scan in enumerate(scans):
         row = rows[i].tolist()
         where = f"{kind} row {row}: {scan}"
         if scan.identically_zero:
-            if scale[i] >= 1e-15:
+            if scale[i] != 0.0:
                 return f"{where} is not identically zero"
             continue
         cross = np.array([r.psi for r in scan.roots if not r.tangential])
@@ -176,14 +198,20 @@ def check(kind, rows, planted, counts):
     return None
 
 
-def check_alpha(rows, planted, counts):
+def check_alpha(rows, planted, counts, powers):
     """None, or a line naming the first psi-scan row that fails a check."""
     poly = np.polynomial.polynomial
-    for (psi, p), want in zip(rows, planted):
+    for i, ((psi, p), want) in enumerate(zip(rows, planted)):
         scan = polynomial_alpha_roots_batch([psi], p, (), (), ())[0]
         where = f"alpha cubic {p.tolist()} at Psi = {psi!r}: {scan}"
         if scan.identically_zero:
             return f"{where} is not identically zero"
+        if i % 4 == 0:
+            k = int(scale_powers(powers, p[None, :], math.cos(psi / 2))[0])
+            again = polynomial_alpha_roots_batch([psi], np.ldexp(p, k), (), (), ())[0]
+            if again != scan:
+                return f"{where}: times 2^{k} it is {again}"
+            counts["rescaled"] += 1
         got = np.array(scan.roots)
         counts["alpha roots"] += got.size
         row = p * math.cos(psi / 2)
@@ -214,12 +242,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     rng = np.random.Generator(np.random.Philox(args.seed))
+    # the powers of two come from their own stream, so the rows are as before
+    powers = np.random.Generator(np.random.Philox(args.seed).jumped())
     counts = dict.fromkeys(["roots", "tangential", "companion",
-                            "tangential beside the companion", "alpha roots"], 0)
+                            "tangential beside the companion", "alpha roots",
+                            "rescaled"], 0)
     start = time.perf_counter()
     for kind, rows, planted in draw(rng, args.rows):
-        failed = (check_alpha(rows, planted, counts) if kind == "alpha cubic"
-                  else check(kind, rows, planted, counts))
+        failed = (check_alpha(rows, planted, counts, powers) if kind == "alpha cubic"
+                  else check(kind, rows, planted, counts, powers))
         if failed is not None:
             print(failed)
             return 1
@@ -227,7 +258,8 @@ def main(argv=None) -> int:
           f"tangential) zero G; {counts['companion']} rows match the companion "
           f"roots, {counts['tangential beside the companion']} tangential roots "
           f"where it has none; {counts['alpha roots']} alpha roots match the "
-          f"planted and polyroots roots; {time.perf_counter() - start:.1f} s")
+          f"planted and polyroots roots; {counts['rescaled']} rows rescaled by "
+          f"2^k give the same results; {time.perf_counter() - start:.1f} s")
     return 0
 
 

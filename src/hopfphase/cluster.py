@@ -30,7 +30,6 @@ import numpy as np
 
 from .reduction import PhaseCouplingSet
 
-_IDENTICALLY_ZERO_TOL = 1e-15
 # candidates closer than this in the scan's variable are one root
 _MERGE = 1e-7
 # x^k of a chart cubic on (-1, 1) is (2x)^k of the cubic in tan or cot(Psi/2)
@@ -251,24 +250,22 @@ def find_roots_batch(ccs) -> list:
     |w| <= 2 and scaled to (-1, 1), by _cubic_roots, which also decides
     the tangential (grazing) roots and merges the two charts' candidates.
     u = 0 is Psi = 0 or 2*pi, and roots within 1e-8 of either end are
-    dropped. A G that vanishes for every Psi is reported through the
-    identically_zero flag instead of a root list. All rows are solved
-    together: row i of the result equals a scan of ccs[i] alone.
+    dropped. A G that vanishes for every Psi, an all-zero row, is reported
+    through the identically_zero flag instead of a root list. All rows are
+    solved together: row i of the result equals a scan of ccs[i] alone.
     """
     coef = np.asarray(ccs, dtype=float).reshape(-1, 4)
-    degenerate = np.max(np.abs(coef), axis=1) < _IDENTICALLY_ZERO_TOL
-    scanned = np.flatnonzero(~degenerate)
-    n = scanned.size
+    n = coef.shape[0]
     # P of each row, (A1 + A2, B1 + 3 B2, A1 - 3 A2, B1 - B2), in one
     # expression, so no copy of the rows stays alive through the scan
-    p = (coef[np.ix_(scanned, [0, 1, 0, 1])]
-         + coef[np.ix_(scanned, [2, 3, 2, 3])] * np.array([1.0, 3.0, -3.0, -1.0]))
+    p = coef[:, [0, 1, 0, 1]] + coef[:, [2, 3, 2, 3]] * np.array([1.0, 3.0, -3.0, -1.0])
     found = _cubic_roots(np.concatenate([p, p[:, ::-1]]) * _CHART_SCALE,
                          lambda x, rows: _chart_psi(x, rows >= n),
-                         1e-8, 2.0 * np.pi - 1e-8, scanned, coef.shape[0])
+                         1e-8, 2.0 * np.pi - 1e-8, n)
+    # the vanishing rule with the row as its own scale: only zero rows vanish
     return [RootScanResult((), identically_zero=True) if flat
             else RootScanResult(tuple(map(PsiRoot._make, roots)))
-            for flat, roots in zip(degenerate.tolist(), found)]
+            for flat, roots in zip((~coef.any(axis=1)).tolist(), found)]
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +306,9 @@ def polynomial_alpha_roots_batch(psis, a1_poly, b1_poly, a2_poly,
     and four-phase couplings vanish). The roots are found, double roots
     decided and close candidates merged by _cubic_roots, so no
     companion-matrix eigenvalue solve is involved; they are rounded to 14
-    decimals and cut to within 1e-12 of the ends. A bracket that vanishes
-    for every alpha is reported through the identically_zero flag. The
+    decimals and cut to within 1e-12 of the ends. A bracket whose largest
+    coefficient is at most 1e-14 of the inputs' largest vanishes for every
+    alpha and is reported through the identically_zero flag. The
     brackets of all separations are bisected together; entry i of the
     result equals a call with psis[i] alone.
     """
@@ -329,36 +327,36 @@ def polynomial_alpha_roots_batch(psis, a1_poly, b1_poly, a2_poly,
         (math.cos(h), math.sin(h), math.cos(3.0 * h), math.sin(3.0 * h))
         for h in (0.5 * psis).tolist()]).reshape(-1, 4).T[:, :, None]
     coeffs = polys[0] * c1 + polys[1] * s1 + polys[2] * c3 + polys[3] * s3
-
-    in_scale = max(1e-300, float(np.max(np.abs(polys))))
-    flat = np.max(np.abs(coeffs), axis=1) <= 1e-14 * in_scale
-    scanned = np.flatnonzero(~flat)
-    found = _cubic_roots(coeffs[scanned],
+    flat = np.max(np.abs(coeffs), axis=1) <= 1e-14 * np.max(np.abs(polys))
+    found = _cubic_roots(coeffs,
                          lambda x, _: np.array([round(v, 14) for v in x.tolist()]),
-                         -1.0 + 1e-12, 1.0 - 1e-12, scanned, psis.size)
+                         -1.0 + 1e-12, 1.0 - 1e-12, psis.size)
     zero, none = RootScanResult((), identically_zero=True), RootScanResult(())
     return [zero if is_flat else none if not roots
             else RootScanResult(tuple(x for x, _ in roots))
             for is_flat, roots in zip(flat.tolist(), found)]
 
 
-def _cubic_roots(q, to_var, lo, hi, owner, n_out):
+def _cubic_roots(q, to_var, lo, hi, n_out):
     """The roots of ascending cubic rows q on (-1, 1) for both scans: n_out
     lists of (value, tangential) pairs, the roots of row i in list
-    owner[i % owner.size]. to_var(x, rows) maps points x of the rows to
-    the scan's variable, in which roots outside (lo, hi) are dropped.
+    i % n_out. to_var(x, rows) maps points x of the rows to the scan's
+    variable, in which roots outside (lo, hi) are dropped.
 
-    The crossings are those of _monotone_roots. A critical point where
-    |P| <= 1e-12 * scale (the row's largest coefficient) is a double
-    (tangential) root if |P| has a local minimum there (P and P'' of one
-    sign), or a maximum with crossings less than _MERGE away on both sides
-    (a double root split by rounding), and no root otherwise. Candidates
-    of a list less than _MERGE apart in the scan's variable are one root:
-    at the run's first tangential candidate if it has one, and tangential
-    then, else at its first.
+    Each row is scaled by an exact power of two to a largest coefficient
+    in [0.5, 1), so the roots do not depend on its magnitude and no
+    square overflows; an all-zero row has no root. The crossings are those
+    of _monotone_roots. A critical point where |P| <= 1e-12 * scale (the
+    row's largest coefficient) is a double (tangential) root if |P| has a
+    local minimum there (P and P'' of one sign), or a maximum with
+    crossings less than _MERGE away on both sides (a double root split by
+    rounding), and no root otherwise. Candidates of a list less than
+    _MERGE apart in the scan's variable are one root: at the run's first
+    tangential candidate if it has one, and tangential then, else at its
+    first.
     """
-    scale = np.max(np.abs(q), axis=1)
-    degree, q = _trim(q, scale)
+    scale, power = np.frexp(np.max(np.abs(q), axis=1))
+    degree, q = _trim(np.ldexp(q, -power[:, None]), scale)
     r, k, x, crits = _monotone_roots(q, degree)
     var = to_var(x, r)
     val = _poly_rows(crits, q[:, None, :])
@@ -373,8 +371,8 @@ def _cubic_roots(q, to_var, lo, hi, owner, n_out):
                        np.abs(side[cr, j + 1] - c_var)) < _MERGE
     double = (vc == 0.0) | (vc * (q[cr, 2] + 3.0 * q[cr, 3] * xc) > 0.0) | split
     # the arrays of every row are freed before the root lists are built
-    del scale, degree, q, crits, val, side
-    rows = owner[np.concatenate([r, cr[double]]) % owner.size]
+    del scale, power, degree, q, crits, val, side
+    rows = np.concatenate([r, cr[double]]) % n_out
     var = np.concatenate([var, c_var[double]])
     tangential = np.arange(rows.size) >= r.size
 

@@ -45,11 +45,13 @@ class InitialSpec:
         if self.kind == "two-cluster" and min(self.q_size, self.p_size) < 1:
             raise ConfigError("fields 'initial.q_size' and 'initial.p_size' must "
                               "be positive")
+        # an offset past a turn is no new state; near 1e16 phi + dt*drift is phi
         if self.amplitude < 0:
             raise ConfigError("field 'initial.amplitude' must be nonnegative")
-        if not math.isfinite(2 * self.amplitude):  # the width of the draw
-            raise ConfigError("field 'initial.amplitude' must be at most half the "
-                              "largest float, so that 2 * amplitude is finite")
+        if not self.amplitude <= math.pi:
+            raise ConfigError("field 'initial.amplitude' must be at most pi")
+        if not abs(self.psi) <= 2 * math.pi:
+            raise ConfigError("field 'initial.psi' must lie in [-2 pi, 2 pi]")
 
 
 @dataclass(frozen=True)

@@ -508,6 +508,30 @@ def test_cluster_scan_zero_coupling_flags(tmp_path):
     assert rows and all(row.endswith("identically-zero") for row in rows)
 
 
+def test_cluster_scan_ignores_the_coupling_magnitude(tmp_path):
+    # the roots of G scale out of every coupling coefficient: at 2^520 the
+    # file is the unscaled one byte for byte, with no overflow, and at 2^-50
+    # no bracket is taken to vanish identically; only the sync labels, by an
+    # absolute threshold, read "degenerate" there
+    doc = json.loads((CONFIGS / "two_cluster.json").read_text(encoding="utf-8"))
+    assert run(["cluster-scan", "--config", CONFIGS / "two_cluster.json",
+                "--out", tmp_path / "base.txt"]) == 0
+    base = (tmp_path / "base.txt").read_text(encoding="utf-8")
+    for k in (520, -50):
+        coeffs = {key: value if key == "a1" else [math.ldexp(x, k) for x in value]
+                  for key, value in doc["coefficients"].items()}
+        cfg = write_config(tmp_path, f"{k}.json", **{**doc, "coefficients": coeffs})
+        out = tmp_path / f"{k}.txt"
+        assert run(["cluster-scan", "--config", cfg, "--out", out]) == 0
+        text = out.read_text(encoding="utf-8")
+        if k > 0:
+            assert text == base
+        else:
+            assert "identically-zero" not in text
+            psi_table = text[text.index("# section=psi-scan"):]
+            assert psi_table == base[base.index("# section=psi-scan"):]
+
+
 def test_cluster_scan_synthetic_coefficients(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -674,7 +698,7 @@ def test_a_warning_is_one_stderr_line(tmp_path, capsys):
                   "field 'cluster.alpha_grid' = 63"]
         # numpy's overflow warnings on huge synthetic polynomials
         huge = write_config(tmp_path, n_osc=4, cluster={"synthetic_ab": {
-            key: [1e300] * 4 for key in ("a1", "b1", "a2", "b2")}})
+            key: [1e308] * 4 for key in ("a1", "b1", "a2", "b2")}})
         assert run(["cluster-scan", "--config", huge, "--out", tmp_path / "huge.txt"]) == 0
         err = capsys.readouterr().err.splitlines()
         assert err and len(set(err)) == len(err)

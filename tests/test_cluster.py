@@ -5,6 +5,7 @@ cluster states; the polynomial alpha solver is validated against numpy's
 companion-matrix eigenvalue root finder as an independent oracle.
 """
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from hypothesis import strategies as st
 from hopfphase import (ClusterCoefficients, ClusterConfig, ab_coefficients,
                        alpha_polynomials, build_coupling, find_roots_batch,
                        g_factored, g_raw, phase_rhs_naive,
-                       polynomial_alpha_roots_batch, sync_frequency,
-                       sync_stability, two_cluster_H)
-from hopfphase.cluster import _sync_labels
+                       parse_config, polynomial_alpha_roots_batch,
+                       sync_frequency, sync_stability, two_cluster_H)
+from hopfphase.cluster import _coefficients_at, _sync_labels
 
 from companion import companion_psi_roots
 from conftest import make_rng, random_coupling, random_params
@@ -421,6 +422,29 @@ def test_alpha_root_batch_rows_are_independent(rng, m):
         batch = polynomial_alpha_roots_batch(psis, *polys)
         assert batch == [polynomial_alpha_roots_batch([psi], *polys)[0]
                          for psi in psis]
+
+
+@pytest.mark.parametrize("k", [-1000, -600, -50, 50, 520, 1000])
+def test_both_scans_ignore_an_exact_power_of_two_scale(k):
+    # the roots of G do not depend on the coupling's magnitude, and scaling
+    # by 2^k is exact: both scans give the unscaled results, with no row
+    # taken to vanish identically however small, and no overflow however
+    # large
+    cfg = parse_config((Path(__file__).resolve().parents[1] / "configs"
+                        / "two_cluster.json").read_text(encoding="utf-8"))
+    alphas = np.linspace(-1.0, 1.0, 512)[1:-1]
+    psis = np.linspace(0.0, TAU, 512, endpoint=False)[1:]
+    for coupling in (build_coupling(cfg.system_params(), cfg.delta),
+                     random_coupling(make_rng(600), 8)):
+        polys = np.array(alpha_polynomials(coupling))
+        rows = _coefficients_at(alphas, polys)
+        want = find_roots_batch(rows), polynomial_alpha_roots_batch(psis, *polys)
+        with np.errstate(over="raise"):
+            got = (find_roots_batch(np.ldexp(rows, k)),
+                   polynomial_alpha_roots_batch(psis, *np.ldexp(polys, k)))
+        assert got == want
+        assert not any(r.identically_zero for scan in got for r in scan)
+        assert sum(len(r.roots) for scan in got for r in scan) > 100
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 import dataclasses
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -70,6 +69,8 @@ def test_error_messages_name_the_field():
         (doc_text(cluster={"synthetic_ab": {"a1": [1.0]}}), "synthetic_ab.b1"),
         (doc_text(initial={"kind": "perturbed-sync", "amplitude": 1e308}),
          "initial.amplitude"),
+        (doc_text(initial={"kind": "two-cluster", "q_size": 2, "p_size": 1,
+                           "psi": 1e300}), "'initial.psi' must lie in"),
         ("{not json", "not valid JSON"),
         ("[1, 2]", "must be a JSON object"),
     ]
@@ -155,13 +156,21 @@ def test_resolved_dt():
 
 
 def test_amplitude_range_must_be_finite():
-    # perturbed-sync draws from [-amplitude, amplitude], whose width
-    # 2 * amplitude must be a finite float
-    largest = sys.float_info.max / 2
+    # perturbed-sync draws from [-amplitude, amplitude], at most a turn wide
+    # each side: a phase of 1e16 or more no longer moves by a step
+    largest = math.pi
     assert InitialSpec(kind="perturbed-sync", amplitude=largest).amplitude == largest
     for amplitude in (math.nextafter(largest, math.inf), math.inf, math.nan):
         with pytest.raises(ConfigError, match="'initial.amplitude' must be at most"):
             InitialSpec(kind="perturbed-sync", amplitude=amplitude)
+
+
+def test_two_cluster_psi_is_at_most_a_turn_either_way():
+    for psi in (2 * math.pi, -2 * math.pi, 0.0):
+        assert InitialSpec(kind="two-cluster", q_size=1, p_size=1, psi=psi).psi == psi
+    for psi in (math.nextafter(2 * math.pi, math.inf), -7.0, 1e300, math.nan):
+        with pytest.raises(ConfigError, match=r"'initial.psi' must lie in \[-2 pi"):
+            InitialSpec(kind="two-cluster", q_size=1, p_size=1, psi=psi)
 
 
 def test_system_params_are_built_once_per_config():
