@@ -16,6 +16,9 @@ rows of each kind:
 - psi-scan rows: alpha cubics, scaled by 10**U(-6, 2), with a close pair
   3e-7 to 5e-2 apart, a double root, or a root within 1e-10 to 1e-2 of
   +-1 on either side (a third of those a line with that root alone).
+Every find_roots_batch row and every psi-scan cubic is also solved in a
+joint pass of both scans, root_scans, one call per psi-scan cubic with a
+share of the rows, and must give the two public scans' results.
 Each reported root of G, crossing or tangential, must zero g_factored to
 1e-9 times the row's largest coefficient. Where the companion-matrix
 roots of the degree-6 polynomial in exp(i Psi/2) are well posed (no
@@ -49,7 +52,8 @@ from pathlib import Path
 
 import numpy as np
 
-from hopfphase import find_roots_batch, g_factored, polynomial_alpha_roots_batch
+from hopfphase import (PsiRoot, RootScanResult, find_roots_batch, g_factored,
+                       polynomial_alpha_roots_batch, root_scans)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from companion import companion_psi_roots  # noqa: E402
@@ -198,11 +202,13 @@ def check(kind, rows, planted, counts, powers):
     return None
 
 
-def check_alpha(rows, planted, counts, powers):
-    """None, or a line naming the first psi-scan row that fails a check."""
+def check_alpha(rows, planted, counts, powers, scans):
+    """None, or a line naming the first psi-scan row that fails a check;
+    each row's result is appended to scans."""
     poly = np.polynomial.polynomial
     for i, ((psi, p), want) in enumerate(zip(rows, planted)):
         scan = polynomial_alpha_roots_batch([psi], p, (), (), ())[0]
+        scans.append(scan)
         where = f"alpha cubic {p.tolist()} at Psi = {psi!r}: {scan}"
         if scan.identically_zero:
             return f"{where} is not identically zero"
@@ -236,6 +242,31 @@ def check_alpha(rows, planted, counts, powers):
     return None
 
 
+def grouped(scan, root):
+    """A root_scans scan as a RootScanResult per list."""
+    lists, values, tangential, vanishing = scan
+    return [RootScanResult(tuple(map(root, values[lists == i].tolist(),
+                                     tangential[lists == i].tolist())), flat)
+            for i, flat in enumerate(vanishing.tolist())]
+
+
+def check_joint(rows, cubics, psi_scans, counts):
+    """None, or a line naming the first joint pass of both scans that
+    differs from the public scans (find_roots_batch, and psi_scans from
+    polynomial_alpha_roots_batch): the rows are spread over one root_scans
+    call per psi-scan cubic, each with that cubic."""
+    want = find_roots_batch(rows)
+    shares = np.array_split(np.arange(len(rows)), len(cubics))
+    for share, (psi, p), psi_scan in zip(shares, cubics, psi_scans):
+        got = root_scans(rows[share], [psi], (p, (), (), ()))
+        got = grouped(got[0], PsiRoot), grouped(got[1], lambda alpha, _: alpha)
+        if got != ([want[i] for i in share], [psi_scan]):
+            return (f"joint pass of rows {share.tolist()} and alpha cubic "
+                    f"{p.tolist()} at Psi = {psi!r}: {got}")
+    counts["joint"] += len(rows) + len(cubics)
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--rows", type=int, default=20_000)
@@ -246,20 +277,27 @@ def main(argv=None) -> int:
     powers = np.random.Generator(np.random.Philox(args.seed).jumped())
     counts = dict.fromkeys(["roots", "tangential", "companion",
                             "tangential beside the companion", "alpha roots",
-                            "rescaled"], 0)
+                            "rescaled", "joint"], 0)
     start = time.perf_counter()
+    batches, psi_scans = [], []
     for kind, rows, planted in draw(rng, args.rows):
-        failed = (check_alpha(rows, planted, counts, powers) if kind == "alpha cubic"
-                  else check(kind, rows, planted, counts, powers))
+        failed = (check_alpha(rows, planted, counts, powers, psi_scans)
+                  if kind == "alpha cubic" else check(kind, rows, planted, counts, powers))
+        batches.append(rows)
         if failed is not None:
             print(failed)
             return 1
+    failed = check_joint(np.concatenate(batches[:-1]), batches[-1], psi_scans, counts)
+    if failed is not None:
+        print(failed)
+        return 1
     print(f"{args.rows} rows, {counts['roots']} roots ({counts['tangential']} "
           f"tangential) zero G; {counts['companion']} rows match the companion "
           f"roots, {counts['tangential beside the companion']} tangential roots "
           f"where it has none; {counts['alpha roots']} alpha roots match the "
           f"planted and polyroots roots; {counts['rescaled']} rows rescaled by "
-          f"2^k give the same results; {time.perf_counter() - start:.1f} s")
+          f"2^k give the same results; {counts['joint']} rows give them in joint "
+          f"passes of both scans; {time.perf_counter() - start:.1f} s")
     return 0
 
 

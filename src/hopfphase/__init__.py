@@ -6,7 +6,7 @@ from .angles import TAU, wrap_angle
 from .cluster import (ClusterCoefficients, ClusterConfig, PsiRoot,
                       RootScanResult, ab_coefficients,
                       alpha_polynomials, find_roots_batch, g_factored, g_raw,
-                      polynomial_alpha_roots_batch, sync_frequency,
+                      polynomial_alpha_roots_batch, root_scans, sync_frequency,
                       sync_stability, two_cluster_H)
 from .config import (ClusterScanSpec, ConfigError, InitialSpec, RunConfig,
                      initial_full_state, initial_phases, parse_config)
@@ -40,7 +40,7 @@ __all__ = [
     "ClusterConfig", "ClusterCoefficients", "PsiRoot", "RootScanResult",
     "two_cluster_H", "g_raw", "ab_coefficients",
     "g_factored", "find_roots_batch", "sync_stability", "sync_frequency",
-    "alpha_polynomials", "polynomial_alpha_roots_batch",
+    "alpha_polynomials", "polynomial_alpha_roots_batch", "root_scans",
     "RunConfig", "InitialSpec", "ClusterScanSpec",
     "ConfigError", "parse_config", "initial_phases", "initial_full_state",
 ]

@@ -18,20 +18,19 @@ import math
 import sys
 import warnings
 from dataclasses import asdict, replace
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .cluster import (_coefficients_at, _sync_labels, alpha_polynomials,
-                      find_roots_batch, polynomial_alpha_roots_batch,
-                      sync_frequency)
+                      root_scans, sync_frequency)
 from .config import (ConfigError, RunConfig, _on_cycle, initial_full_state,
                      initial_phases, parse_config)
 from .integrator import (_TEXT_ELEMENTS, AmplitudeCollapseError,
                          IntegrationError, TrajectoryTooLargeError,
-                         _budget_steps, _require_memory, _row_blocks, compare,
-                         integrate, trajectory_text)
+                         _budget_steps, _require_memory, _row_blocks,
+                         _value_texts, compare, integrate, trajectory_text)
 from .normal_form import full_rhs_array
 from .phase_model import phase_rhs_fast
 from .reduction import (build_coupling, canonical_xi_chi, coupling_to_text,
@@ -39,16 +38,15 @@ from .reduction import (build_coupling, canonical_xi_chi, coupling_to_text,
 
 
 # a lower bound on what a cluster scan holds per point of alpha_grid +
-# psi_grid: its tracemalloc peak was 230-651 B per point with grids of
+# psi_grid: its tracemalloc peak was 321-666 B per point with grids of
 # 4,096 to 65,536 on the configs/ files, one of them (the other 64) or both,
-# and 341-431 B with both grids 64; find_roots_batch's own working set is
-# most of it where the alpha grid is the larger
-_SCAN_POINT_BYTES = 225
+# and 600-608 B with both grids 64; most of it is the root kernel's working
+# set, both scans' cubics at once
+_SCAN_POINT_BYTES = 320
 _LINE_BLOCK = 2 ** 12  # cluster-scan writes its tables this many lines at a time
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+# a table line's flag by code: see _table_texts
+_ALPHA_FLAGS = np.array(["0", "1", "none", "identically-zero"])
+_PSI_FLAGS = np.array(["root", "root", "none", "identically-zero"])
 
 
 def _unwritable(path: Path, reason: str) -> ConfigError:
@@ -165,7 +163,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     # its initial state is built
     _budget_steps("a trajectory", dt, t_end, cfg.n_osc,
                   16 if args.model == "full" else 8)
-    text_args = {"seed": cfg.seed, "extra_header": {"dt": _fmt(dt)}}
+    text_args = {"seed": cfg.seed, "extra_header": {"dt": f"{dt:.17g}"}}
     if args.model == "full":
         z0 = initial_full_state(cfg)
         traj = integrate(lambda v: full_rhs_array(v, params), z0, dt, t_end)
@@ -211,39 +209,29 @@ def cmd_compare(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _text_blocks(lines):
-    """The lines, _LINE_BLOCK to a text, each ended by a newline."""
-    while block := list(islice(lines, _LINE_BLOCK)):
-        yield "\n".join(block) + "\n"
-
-
-def _alpha_scan_lines(alphas, labels, scans):
-    """The alpha-scan table, a line at a time."""
-    yield "# section=alpha-scan"
-    yield "# columns: alpha, psi_root, stability_of_sync, tangential_flag"
-    for alpha, stability, scan in zip(alphas.tolist(), labels, scans):
-        if scan.identically_zero:
-            yield f"{_fmt(alpha)}, nan, {stability}, identically-zero"
-        elif not scan.roots:
-            yield f"{_fmt(alpha)}, nan, {stability}, none"
-        else:
-            for root in scan.roots:
-                flag = 1 if root.tangential else 0
-                yield f"{_fmt(alpha)}, {_fmt(root.psi)}, {stability}, {flag}"
-
-
-def _psi_scan_lines(psis, results):
-    """The psi-scan table, a line at a time."""
-    yield "# section=psi-scan"
-    yield "# columns: psi, alpha_root, flag"
-    for psi, result in zip(psis.tolist(), results):
-        if result.identically_zero:
-            yield f"{_fmt(psi)}, nan, identically-zero"
-        elif not result.roots:
-            yield f"{_fmt(psi)}, nan, none"
-        else:
-            for root in result.roots:
-                yield f"{_fmt(psi)}, {_fmt(root)}, root"
+def _table_texts(head, points, scan, words):
+    """head, then the table of a root_scans scan over its points,
+    _LINE_BLOCK lines a text: "point, root, words" for each root of a point,
+    or "point, nan, words" for a point with none. The %.17g text kernel
+    renders the numbers; the nan cells, which it would format one at a time,
+    are put in directly. words(owner, code) gives the lines' words by point
+    and code: 0 or 1 a root (1 tangential), 2 none, 3 vanishing."""
+    yield head
+    lists, values, tangential, vanishing = scan
+    bare = np.flatnonzero(np.bincount(lists, minlength=vanishing.size) == 0)
+    order = np.argsort(np.concatenate([lists, bare]), kind="stable")
+    owner = np.concatenate([lists, bare])[order]
+    value = np.concatenate([values, np.full(bare.size, np.nan)])[order]
+    code = np.concatenate([tangential, 2 + vanishing[bare]])[order]
+    for start in range(0, owner.size, _LINE_BLOCK):
+        own, kind, root = (a[start:start + _LINE_BLOCK] for a in (owner, code, value))
+        found = kind < 2
+        numbers = "".join(_value_texts(np.concatenate([points[own], root[found]]), 1))
+        numbers = np.array(numbers.split("\n")[:-1], dtype=object)
+        cells = np.full(own.size, "nan", dtype=object)
+        cells[found] = numbers[own.size:]
+        yield "".join(map("{}, {}, {}\n".format, numbers[:own.size].tolist(),
+                          cells.tolist(), words(own, kind).tolist()))
 
 
 def cmd_cluster_scan(cfg: RunConfig, args) -> int:
@@ -256,19 +244,21 @@ def cmd_cluster_scan(cfg: RunConfig, args) -> int:
     params = cfg.system_params()
     coupling = build_coupling(params, cfg.delta)
     polys = alpha_polynomials(coupling)
-    # both scans run before the file is opened, so a failed one leaves none;
-    # the alpha table is text before the psi scan starts, about 60 B a line
-    # against the 210 B that find_roots_batch's results hold per alpha
+    # both scans run, in one root-kernel pass, before the file is opened,
+    # so a failed one leaves none
     alphas = np.linspace(-1.0, 1.0, cfg.cluster.alpha_grid + 1)[1:-1]
-    rows = _coefficients_at(alphas, polys)
-    labels = _sync_labels(rows[:, 0] + rows[:, 2]).tolist()
-    alpha_text = list(_text_blocks(
-        _alpha_scan_lines(alphas, labels, find_roots_batch(rows))))
-    del rows
     psis = np.linspace(0.0, 2.0 * np.pi, cfg.cluster.psi_grid, endpoint=False)[1:]
-    psi_scans = polynomial_alpha_roots_batch(psis, *(cfg.cluster.synthetic_ab or polys))
-    _write(out, chain([f"# seed={cfg.seed}\n# model=cluster-scan\n"], alpha_text,
-                      _text_blocks(_psi_scan_lines(psis, psi_scans))))
+    rows = _coefficients_at(alphas, polys)
+    labels = _sync_labels(rows[:, 0] + rows[:, 2])
+    alpha_scan, psi_scan = root_scans(rows, psis, cfg.cluster.synthetic_ab or polys)
+    del rows
+    _write(out, chain(
+        [f"# seed={cfg.seed}\n# model=cluster-scan\n"],
+        _table_texts("# section=alpha-scan\n# columns: alpha, psi_root, "
+                     "stability_of_sync, tangential_flag\n", alphas, alpha_scan,
+                     lambda own, code: labels[own] + ", " + _ALPHA_FLAGS[code]),
+        _table_texts("# section=psi-scan\n# columns: psi, alpha_root, flag\n",
+                     psis, psi_scan, lambda own, code: _PSI_FLAGS[code])))
     return 0
 
 

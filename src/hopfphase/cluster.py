@@ -201,11 +201,11 @@ def sync_frequency(coupling: PhaseCouplingSet) -> float:
 # ---------------------------------------------------------------------------
 # root finding
 #
-# Both scans reduce each row to cubics on (-1, 1) and hand them all to
-# _cubic_roots, which bisects their brackets together and decides double
-# roots and merges by one rule. The bisection repeats the scalar iteration
-# per element, so a bracket gets the same midpoints, exits and stopping
-# tests whatever else is refined with it.
+# Both scans reduce each row to cubics on (-1, 1), and root_scans hands
+# all of them to one _cubic_roots call, which bisects their brackets
+# together and decides double roots and merges by one rule. The bisection
+# repeats the scalar iteration per element, so a bracket gets the same
+# midpoints, exits and stopping tests whatever else is refined with it.
 
 
 def _bisect(coef, lo, hi, f_lo, tol):
@@ -254,18 +254,7 @@ def find_roots_batch(ccs) -> list:
     through the identically_zero flag instead of a root list. All rows are
     solved together: row i of the result equals a scan of ccs[i] alone.
     """
-    coef = np.asarray(ccs, dtype=float).reshape(-1, 4)
-    n = coef.shape[0]
-    # P of each row, (A1 + A2, B1 + 3 B2, A1 - 3 A2, B1 - B2), in one
-    # expression, so no copy of the rows stays alive through the scan
-    p = coef[:, [0, 1, 0, 1]] + coef[:, [2, 3, 2, 3]] * np.array([1.0, 3.0, -3.0, -1.0])
-    found = _cubic_roots(np.concatenate([p, p[:, ::-1]]) * _CHART_SCALE,
-                         lambda x, rows: _chart_psi(x, rows >= n),
-                         1e-8, 2.0 * np.pi - 1e-8, n)
-    # the vanishing rule with the row as its own scale: only zero rows vanish
-    return [RootScanResult((), identically_zero=True) if flat
-            else RootScanResult(tuple(map(PsiRoot._make, roots)))
-            for flat, roots in zip((~coef.any(axis=1)).tolist(), found)]
+    return _scan_results(root_scans(ccs, (), ((),) * 4)[0], PsiRoot)
 
 
 # ---------------------------------------------------------------------------
@@ -309,39 +298,79 @@ def polynomial_alpha_roots_batch(psis, a1_poly, b1_poly, a2_poly,
     decimals and cut to within 1e-12 of the ends. A bracket whose largest
     coefficient is at most 1e-14 of the inputs' largest vanishes for every
     alpha and is reported through the identically_zero flag. The
-    brackets of all separations are bisected together; entry i of the
-    result equals a call with psis[i] alone.
+    brackets of all separations are bisected together, by root_scans;
+    entry i of the result equals a call with psis[i] alone.
     """
+    scan = root_scans((), psis, (a1_poly, b1_poly, a2_poly, b2_poly))[1]
+    return _scan_results(scan, lambda alpha, _: alpha)
+
+
+def root_scans(ccs, psis, polys):
+    """find_roots_batch(ccs) and polynomial_alpha_roots_batch(psis, *polys)
+    in one _cubic_roots pass, bit for bit, as arrays: per scan (lists,
+    values, tangential, vanishing), its roots sorted by list (row of ccs,
+    or separation) and value, and whether each list's function vanishes
+    identically, which leaves it no roots."""
+    coef = np.asarray(ccs, dtype=float).reshape(-1, 4)
     psis = np.asarray(psis, dtype=float).reshape(-1)
+    n, m = coef.shape[0], psis.size
     outside = psis[~((0.0 < psis) & (psis < 2.0 * np.pi))]
     if outside.size:
         raise ValueError(f"psi0 must lie in (0, 2*pi), got {float(outside[0])}")
-    polys = [list(poly) + [0.0] * (4 - len(poly))
-             for poly in (a1_poly, b1_poly, a2_poly, b2_poly)]
+    polys = [list(poly) + [0.0] * (4 - len(poly)) for poly in polys]
     if max(map(len, polys)) > 4:
         raise ValueError("alpha polynomials have degree at most 3")
     polys = np.array(polys, dtype=float)
+    # P of each row, (A1 + A2, B1 + 3 B2, A1 - 3 A2, B1 - B2), in one
+    # expression, so no copy of the rows stays alive through the scan
+    p = coef[:, [0, 1, 0, 1]] + coef[:, [2, 3, 2, 3]] * np.array([1.0, 3.0, -3.0, -1.0])
     # the harmonics come from libm through math, as they always have: numpy's
     # SIMD sin/cos may round differently on some CPUs and move the roots
     c1, s1, c3, s3 = np.array([
         (math.cos(h), math.sin(h), math.cos(3.0 * h), math.sin(3.0 * h))
         for h in (0.5 * psis).tolist()]).reshape(-1, 4).T[:, :, None]
     coeffs = polys[0] * c1 + polys[1] * s1 + polys[2] * c3 + polys[3] * s3
-    flat = np.max(np.abs(coeffs), axis=1) <= 1e-14 * np.max(np.abs(polys))
-    found = _cubic_roots(coeffs,
-                         lambda x, _: np.array([round(v, 14) for v in x.tolist()]),
-                         -1.0 + 1e-12, 1.0 - 1e-12, psis.size)
-    zero, none = RootScanResult((), identically_zero=True), RootScanResult(())
-    return [zero if is_flat else none if not roots
-            else RootScanResult(tuple(x for x, _ in roots))
-            for is_flat, roots in zip(flat.tolist(), found)]
+    # a row of ccs is its own scale, so only a zero row vanishes
+    vanishing = np.concatenate([
+        ~coef.any(axis=1),
+        np.max(np.abs(coeffs), axis=1) <= 1e-14 * np.max(np.abs(polys))])
+
+    def to_var(x, rows):
+        var = _chart_psi(x, rows >= n)
+        alpha = rows >= 2 * n
+        var[alpha] = [round(v, 14) for v in x[alpha].tolist()]
+        return var
+
+    lists, values, tangential = _cubic_roots(
+        np.concatenate([p * _CHART_SCALE, p[:, ::-1] * _CHART_SCALE, coeffs]),
+        np.concatenate([np.arange(2 * n) % n, np.arange(n, n + m)]),
+        np.repeat([1e-8, -1.0 + 1e-12], [2 * n, m]),
+        np.repeat([2.0 * np.pi - 1e-8, 1.0 - 1e-12], [2 * n, m]), to_var)
+    keep = ~vanishing[lists]
+    lists, values, tangential = lists[keep], values[keep], tangential[keep]
+    cut = np.searchsorted(lists, n)
+    return ((lists[:cut], values[:cut], tangential[:cut], vanishing[:n]),
+            (lists[cut:] - n, values[cut:], tangential[cut:], vanishing[n:]))
 
 
-def _cubic_roots(q, to_var, lo, hi, n_out):
-    """The roots of ascending cubic rows q on (-1, 1) for both scans: n_out
-    lists of (value, tangential) pairs, the roots of row i in list
-    i % n_out. to_var(x, rows) maps points x of the rows to the scan's
-    variable, in which roots outside (lo, hi) are dropped.
+def _scan_results(scan, root):
+    """A root_scans scan as a RootScanResult per list, each of its roots
+    root(value, tangential)."""
+    lists, values, tangential, vanishing = scan
+    found = [[] for _ in range(vanishing.size)]
+    for i, value, flag in zip(lists.tolist(), values.tolist(), tangential.tolist()):
+        found[i].append(root(value, flag))
+    return [RootScanResult((), identically_zero=True) if flat
+            else RootScanResult(tuple(roots))
+            for flat, roots in zip(vanishing.tolist(), found)]
+
+
+def _cubic_roots(q, owner, lo, hi, to_var):
+    """The roots of ascending cubic rows q on (-1, 1) for both scans, as
+    flat (list, value, tangential) arrays sorted by list and value: row i
+    belongs to list owner[i], to_var(x, rows) maps points x of the rows to
+    their scan's variable, and a root of row i outside (lo[i], hi[i]) in
+    it is dropped.
 
     Each row is scaled by an exact power of two to a largest coefficient
     in [0.5, 1), so the roots do not depend on its magnitude and no
@@ -370,13 +399,13 @@ def _cubic_roots(q, to_var, lo, hi, n_out):
     split = np.maximum(np.abs(side[cr, j] - c_var),
                        np.abs(side[cr, j + 1] - c_var)) < _MERGE
     double = (vc == 0.0) | (vc * (q[cr, 2] + 3.0 * q[cr, 3] * xc) > 0.0) | split
-    # the arrays of every row are freed before the root lists are built
+    # the arrays of every row are freed before the roots are merged
     del scale, power, degree, q, crits, val, side
-    rows = np.concatenate([r, cr[double]]) % n_out
+    raw = np.concatenate([r, cr[double]])
     var = np.concatenate([var, c_var[double]])
-    tangential = np.arange(rows.size) >= r.size
-
-    inside = np.flatnonzero((lo < var) & (var < hi))
+    tangential = np.arange(raw.size) >= r.size
+    inside = np.flatnonzero((lo[raw] < var) & (var < hi[raw]))
+    rows = owner[raw]
     order = inside[np.lexsort((var[inside], rows[inside]))]
     rows, var, tangential = rows[order], var[order], tangential[order]
     root = np.cumsum((np.diff(rows, prepend=-1) != 0)
@@ -385,11 +414,7 @@ def _cubic_roots(q, to_var, lo, hi, n_out):
     tangent = np.flatnonzero(tangential)
     tangent = tangent[np.diff(root[tangent], prepend=-1) > 0]
     first[root[tangent]] = tangent
-    found = [[] for _ in range(n_out)]
-    for i, v, flag in zip(rows[first].tolist(), var[first].tolist(),
-                          tangential[first].tolist()):
-        found[i].append((v, flag))
-    return found
+    return rows[first], var[first], tangential[first]
 
 
 def _trim(coeffs, scale):
@@ -441,16 +466,14 @@ def _monotone_roots(q, degree):
 def _sign_changes(q, crits):
     """(row, piece, start, end, value at the start) of the monotone pieces
     of the rows q between their critical points crits over which the sign
-    changes, a piece that starts at a zero excluded. The (n, 3) arrays of
-    all pieces are freed on return, before the bisection runs."""
+    changes, a piece that starts at a zero excluded. Piece k runs from
+    breakpoint k to k + 1, so each row is evaluated at its four breakpoints
+    once; these (n, 4) arrays are freed on return, before the bisection."""
     # sorted breakpoints; an absent critical point leaves an empty piece [1, 1]
     ends = np.where(np.isnan(crits), 1.0, crits)
-    left = np.minimum(ends[:, 0], ends[:, 1])
-    right = np.maximum(ends[:, 0], ends[:, 1])
     ones = np.ones(q.shape[0])
-    a = np.stack([-ones, left, right], axis=1)
-    b = np.stack([left, right, ones], axis=1)
-    q_rows = q[:, None, :]
-    fa, fb = _poly_rows(a, q_rows), _poly_rows(b, q_rows)
-    r, k = np.nonzero((fa != 0.0) & ((fa < 0) != (fb < 0)))
-    return r, k, a[r, k], b[r, k], fa[r, k]
+    x = np.stack([-ones, np.minimum(ends[:, 0], ends[:, 1]),
+                  np.maximum(ends[:, 0], ends[:, 1]), ones], axis=1)
+    f = _poly_rows(x, q[:, None, :])
+    r, k = np.nonzero((f[:, :3] != 0.0) & ((f[:, :3] < 0) != (f[:, 1:] < 0)))
+    return r, k, x[r, k], x[r, k + 1], f[r, k]

@@ -52,6 +52,9 @@ class InitialSpec:
             raise ConfigError("field 'initial.amplitude' must be at most pi")
         if not abs(self.psi) <= 2 * math.pi:
             raise ConfigError("field 'initial.psi' must lie in [-2 pi, 2 pi]")
+        # up to 2**25 rad doubles lie at most 7.5e-9 rad apart
+        if any(not abs(phi) <= 2 ** 25 for phi in self.phases):
+            raise ConfigError("field 'initial.phases' must lie in [-2**25, 2**25]")
 
 
 @dataclass(frozen=True)

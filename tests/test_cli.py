@@ -15,10 +15,13 @@ import hopfphase.cluster as cluster
 import hopfphase.integrator as integrator
 import hopfphase.phase_model as phase_model
 from hopfphase.cli import main
-from hopfphase.cluster import ClusterConfig, g_raw
+from hopfphase.cluster import (ClusterConfig, ab_coefficients, alpha_polynomials,
+                               find_roots_batch, g_raw, polynomial_alpha_roots_batch,
+                               sync_stability)
 from hopfphase.config import ConfigError, InitialSpec, parse_config
 from hopfphase.integrator import _TEXT_ELEMENTS
 from hopfphase.normal_form import SystemParams
+from hopfphase.reduction import build_coupling
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 RICH_COEFFS = {"a1": [-1.0, 0.3], "a_minus1": [0.1, 0.05], "a2": [0.2, -0.1]}
@@ -390,13 +393,13 @@ def test_cluster_scan_builds_the_alpha_polynomials_once(tmp_path, monkeypatch):
 def test_cluster_scan_budgets_its_grids_before_any_work(
         tmp_path, capsys, monkeypatch):
     calls = []
-    scan = cli.find_roots_batch
+    scan = cli.root_scans
 
     def counted(*args, **kwargs):
         calls.append(args)
         return scan(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "find_roots_batch", counted)
+    monkeypatch.setattr(cli, "root_scans", counted)
     points = 4096 + 4096
     need = points * cli._SCAN_POINT_BYTES
     monkeypatch.setattr(integrator, "_physical_memory_bytes", lambda: need - 1)
@@ -419,7 +422,7 @@ def test_cluster_scan_scans_before_it_opens_its_file(tmp_path, monkeypatch):
     def failing(*args):
         raise RuntimeError("psi scan failed")
 
-    monkeypatch.setattr(cli, "polynomial_alpha_roots_batch", failing)
+    monkeypatch.setattr(cli, "root_scans", failing)
     cfg = write_config(tmp_path, seed=1, coefficients=RICH_COEFFS)
     with pytest.raises(RuntimeError, match="psi scan failed"):
         run(["cluster-scan", "--config", cfg, "--out", tmp_path / "new" / "scan.txt"])
@@ -436,6 +439,77 @@ def test_cluster_scan_text_is_the_same_in_any_block_size(tmp_path, monkeypatch):
         texts.append(out.read_bytes())
     assert texts[1] == texts[0] and texts[2] == texts[0]
     assert texts[0].count(b"\n") > 7 * 7
+
+
+def test_cluster_scan_makes_one_root_kernel_pass(tmp_path, monkeypatch):
+    calls = []
+    kernel = cluster._cubic_roots
+
+    def counted(q, *args):
+        calls.append(q.shape[0])
+        return kernel(q, *args)
+
+    monkeypatch.setattr(cluster, "_cubic_roots", counted)
+    cfg = write_config(tmp_path, seed=1, coefficients=RICH_COEFFS)
+    assert run(["cluster-scan", "--config", cfg, "--alpha-grid", 128,
+                "--psi-grid", 96, "--out", tmp_path / "scan.txt"]) == 0
+    # both charts of the 127 alphas' rows, and the 95 separations' rows
+    assert calls == [2 * 127 + 95]
+
+
+def test_table_lines_by_code(monkeypatch):
+    # a root line per root, tangential or not, and one nan line for a point
+    # with none or whose function vanishes, across blocks of three lines
+    monkeypatch.setattr(cli, "_LINE_BLOCK", 3)
+    points = np.array([-0.5, 0.0, 1e-5, 2.5, -1e300])
+    scan = (np.array([0, 0, 3]), np.array([0.1, 0.2, -3e-7]),
+            np.array([False, True, False]), np.array([False, True, False, False, False]))
+    text = "".join(cli._table_texts("# head\n", points, scan,
+                                    lambda own, code: cli._ALPHA_FLAGS[code]))
+    lines = [("%.17g" % -0.5, "%.17g" % 0.1, "0"), ("%.17g" % -0.5, "%.17g" % 0.2, "1"),
+             ("0", "nan", "identically-zero"), ("%.17g" % 1e-5, "nan", "none"),
+             ("2.5", "%.17g" % -3e-7, "0"), ("%.17g" % -1e300, "nan", "none")]
+    assert text == "# head\n" + "".join(", ".join(line) + "\n" for line in lines)
+
+
+def scan_file_oracle(cfg) -> str:
+    """The cluster-scan file of cfg built from the two public scans, one
+    alpha at a time, with every number written by "%.17g" %."""
+    coupling = build_coupling(cfg.system_params(), cfg.delta)
+    alphas = np.linspace(-1.0, 1.0, cfg.cluster.alpha_grid + 1)[1:-1].tolist()
+    psis = np.linspace(0.0, 2.0 * math.pi, cfg.cluster.psi_grid,
+                       endpoint=False)[1:].tolist()
+    ccs = [ab_coefficients(ClusterConfig.from_alpha(a), coupling) for a in alphas]
+    lines = [f"# seed={cfg.seed}", "# model=cluster-scan", "# section=alpha-scan",
+             "# columns: alpha, psi_root, stability_of_sync, tangential_flag"]
+    for alpha, cc, scan in zip(alphas, ccs, find_roots_batch(ccs)):
+        cells = ([("%.17g" % r.psi, "%d" % r.tangential) for r in scan.roots]
+                 or [("nan", "identically-zero" if scan.identically_zero else "none")])
+        lines += [f"{'%.17g' % alpha}, {root}, {sync_stability(cc)}, {flag}"
+                  for root, flag in cells]
+    lines += ["# section=psi-scan", "# columns: psi, alpha_root, flag"]
+    polys = cfg.cluster.synthetic_ab or alpha_polynomials(coupling)
+    for psi, scan in zip(psis, polynomial_alpha_roots_batch(psis, *polys)):
+        cells = ([("%.17g" % root, "root") for root in scan.roots]
+                 or [("nan", "identically-zero" if scan.identically_zero else "none")])
+        lines += [f"{'%.17g' % psi}, {root}, {flag}" for root, flag in cells]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("grid", [64, 700])
+@pytest.mark.parametrize("source", ["two_cluster", "synthetic_ab", "example", "rich"])
+def test_cluster_scan_file_equals_the_public_scans_tables(tmp_path, source, grid):
+    # the file comes from one joint root-kernel pass and the %.17g text
+    # kernel; the oracle runs each public scan on its own and formats
+    # every number with "%.17g" %
+    cfg = (write_config(tmp_path, seed=1, coefficients=RICH_COEFFS) if source == "rich"
+           else CONFIGS / f"{source}.json")
+    out = tmp_path / "scan.txt"
+    assert run(["cluster-scan", "--config", cfg, "--alpha-grid", grid,
+                "--psi-grid", grid, "--out", out]) == 0
+    doc = parse_config(Path(cfg).read_text(encoding="utf-8"))
+    doc = replace(doc, cluster=replace(doc.cluster, alpha_grid=grid, psi_grid=grid))
+    assert out.read_text(encoding="utf-8") == scan_file_oracle(doc)
 
 
 def test_compare_report(tmp_path):

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from hopfphase import (ClusterCoefficients, ClusterConfig, ab_coefficients,
-                       alpha_polynomials, build_coupling, find_roots_batch,
-                       g_factored, g_raw, phase_rhs_naive,
-                       parse_config, polynomial_alpha_roots_batch,
+from hopfphase import (ClusterCoefficients, ClusterConfig, PsiRoot,
+                       RootScanResult, ab_coefficients, alpha_polynomials,
+                       build_coupling, find_roots_batch, g_factored, g_raw,
+                       phase_rhs_naive, parse_config,
+                       polynomial_alpha_roots_batch, root_scans,
                        sync_frequency, sync_stability, two_cluster_H)
 from hopfphase.cluster import _coefficients_at, _sync_labels
 
@@ -445,6 +446,57 @@ def test_both_scans_ignore_an_exact_power_of_two_scale(k):
         assert got == want
         assert not any(r.identically_zero for scan in got for r in scan)
         assert sum(len(r.roots) for scan in got for r in scan) > 100
+
+
+def results_of(scan, root):
+    """A root_scans scan as a RootScanResult per list, grouped here row by
+    row; the arrays must be sorted by list and, within a list, by value."""
+    lists, values, tangential, vanishing = scan
+    assert np.all(np.diff(lists) >= 0)
+    results = []
+    for i, flat in enumerate(vanishing.tolist()):
+        mine = lists == i
+        assert np.all(np.diff(values[mine]) > 0)
+        assert not (flat and mine.any())
+        results.append(RootScanResult(
+            tuple(map(root, values[mine].tolist(), tangential[mine].tolist())),
+            identically_zero=flat))
+    return results
+
+
+def padded(polys):
+    return np.array([list(p) + [0.0] * (4 - len(p)) for p in polys])
+
+
+@pytest.mark.parametrize("k", [-600, 0, 600])
+def test_joint_scan_equals_both_public_scans(k):
+    # one root-kernel pass over both scans' cubics gives what each public
+    # scan gives alone, row for row, whatever the rows' common scale
+    rng = make_rng(700)
+    coupling = random_coupling(rng, 6)
+    rows = _coefficients_at(rng.uniform(-1.0, 1.0, 101), alpha_polynomials(coupling))
+    rows[[0, 50, 100]] = 0.0
+    psis = with_special_rows(rng.uniform(0.01, TAU - 0.01, 80),
+                             [math.pi, math.pi / 2, 1e-6])
+    poly_sets = [
+        alpha_polynomials(coupling),
+        # synthetic: roots 0.25 and 0.5 at Psi = pi/2
+        ((0.125, 0.0, 1.0), (0.0, -0.75), (), ()),
+        # a bracket that vanishes at Psi = pi, where its tiny row has the
+        # root 0.5 that the scan must not report
+        ((1.0, -2.0), (), (), ()),
+    ]
+    rows = np.ldexp(rows, k)
+    for polys in (np.ldexp(padded(polys), k) for polys in poly_sets):
+        alpha_scan, psi_scan = root_scans(rows, psis, polys)
+        got = (results_of(alpha_scan, PsiRoot),
+               results_of(psi_scan, lambda alpha, _: alpha))
+        assert got == (find_roots_batch(rows), polynomial_alpha_roots_batch(psis, *polys))
+        assert sum(r.identically_zero for r in got[0]) == 3
+        assert sum(len(r.roots) for r in got[0]) > 50
+        assert any(r.roots for r in got[1])
+    assert got[1][0].identically_zero
+    assert sum(r.identically_zero for r in got[1]) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,20 @@ def test_two_cluster_psi_is_at_most_a_turn_either_way():
             InitialSpec(kind="two-cluster", q_size=1, p_size=1, psi=psi)
 
 
+def test_explicit_phases_are_at_most_2_to_the_25_either_way():
+    # at 2**25 rad the spacing of doubles is 7.5e-9 rad; unwrapped phases of
+    # runs up to t of about 3e7/|omega| still pass
+    bound = 2.0 ** 25
+    for phi in (bound, -bound, 3e7, 0.0):
+        assert InitialSpec(kind="explicit", phases=(phi, 0.0)).phases[0] == phi
+    for phi in (math.nextafter(bound, math.inf), 1e300, -1e300, math.inf, math.nan):
+        with pytest.raises(ConfigError, match=r"'initial.phases' must lie in \[-2\*\*25"):
+            InitialSpec(kind="explicit", phases=(0.0, phi))
+    text = doc_text(initial={"kind": "explicit", "phases": [1e300, 0.0, 1.0]})
+    with pytest.raises(ConfigError, match="initial.phases"):
+        parse_config(text)
+
+
 def test_system_params_are_built_once_per_config():
     cfg = parse_config(doc_text(n_osc=4))
     params = cfg.system_params()
