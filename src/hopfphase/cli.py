@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .cluster import (_coefficients_at, _sync_labels, alpha_polynomials,
-                      root_scans, sync_frequency)
+from .cluster import (_coefficients_at, alpha_polynomials, root_scans,
+                      sync_frequency, sync_stability)
 from .config import (ConfigError, RunConfig, _on_cycle, initial_full_state,
                      initial_phases, parse_config)
 from .integrator import (_TEXT_ELEMENTS, AmplitudeCollapseError,
@@ -103,29 +103,22 @@ def _given(args, *names) -> dict:
             if getattr(args, name) is not None}
 
 
-def _require_t_end(cfg: RunConfig) -> float:
-    if cfg.t_end is None:
-        raise ConfigError("field 't_end' is required here; set it in the "
-                          "config or pass --t-end")
-    return cfg.t_end
-
-
-def _check_step(dt: float, t_end: float):
+def _step(cfg: RunConfig, t_end: float, subject: str, bytes_per_osc: int,
+          coupling=None) -> float:
+    """cfg's step, refused before any work, in order, if it passes t_end, if
+    subject (bytes_per_osc bytes a step and oscillator) overflows its step
+    count or memory, or if, given the phase coupling, it can turn a phase past pi."""
+    dt = cfg.resolved_dt()
     if dt > t_end:
         raise ConfigError(f"step 'dt' = {dt!r} exceeds the horizon "
                           f"'t_end' = {t_end!r}; shorten dt or extend t_end")
-
-
-def _phase_coupling(params, delta: float, dt: float):
-    """The phase model's coupling set; a step past half a turn is refused."""
-    coupling = build_coupling(params, delta)
-    speed = coupling.speed_bound()
-    if dt * speed > math.pi:
+    _budget_steps(subject, dt, t_end, cfg.n_osc, bytes_per_osc)
+    if coupling is not None and dt * (speed := coupling.speed_bound()) > math.pi:
         raise ConfigError(
             f"step 'dt' = {dt!r} can advance a phase by dt*B = {dt * speed:.6g}, "
             f"more than half a turn, where B = {speed:.6g} bounds the phase "
             f"speed; shorten dt to at most {math.pi / speed:.6g}")
-    return coupling
+    return dt
 
 
 def cmd_derive(cfg: RunConfig, args) -> int:
@@ -154,23 +147,21 @@ def cmd_derive(cfg: RunConfig, args) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    params = cfg.system_params()
-    dt = cfg.resolved_dt()
-    t_end = _require_t_end(cfg)
-    _check_step(dt, t_end)
+    if cfg.t_end is None:
+        raise ConfigError("field 't_end' is required here; set it in the "
+                          "config or pass --t-end")
     out = _out_path(cfg, args, f"trajectory_{args.model}.txt")
-    # the dense trajectory, complex full or real phase, is refused before
-    # its initial state is built
-    _budget_steps("a trajectory", dt, t_end, cfg.n_osc,
-                  16 if args.model == "full" else 8)
+    params = cfg.system_params()
+    coupling = build_coupling(params, cfg.delta) if args.model == "phase" else None
+    # 16 B a complex value, 8 a real; refused before the initial state is built
+    dt = _step(cfg, cfg.t_end, "a trajectory", 8 if coupling else 16, coupling)
     text_args = {"seed": cfg.seed, "extra_header": {"dt": f"{dt:.17g}"}}
-    if args.model == "full":
+    if coupling is None:
         z0 = initial_full_state(cfg)
-        traj = integrate(lambda v: full_rhs_array(v, params), z0, dt, t_end)
+        traj = integrate(lambda v: full_rhs_array(v, params), z0, dt, cfg.t_end)
     else:
-        coupling = _phase_coupling(params, cfg.delta, dt)
         phi0 = initial_phases(cfg)
-        traj = integrate(lambda p: phase_rhs_fast(p, coupling), phi0, dt, t_end)
+        traj = integrate(lambda p: phase_rhs_fast(p, coupling), phi0, dt, cfg.t_end)
         text_args["r_star"] = math.sqrt(coupling.r_star_sq)
     # a block of rows at a time: the text in memory is O(N), not the run's
     blocks = _row_blocks(traj.times.size, traj.n_osc, _TEXT_ELEMENTS)
@@ -179,11 +170,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 
 def cmd_compare(cfg: RunConfig, args) -> int:
-    params = cfg.system_params()
-    dt = cfg.resolved_dt()
-    if cfg.t_end is not None:
-        t_end = cfg.t_end
-    else:
+    t_end = cfg.t_end
+    if t_end is None:
         # the phase reduction is expected to track over times of order
         # 1/(|epsilon|*lambda), whichever way the coupling acts
         rate = abs(cfg.epsilon) * cfg.lam
@@ -192,11 +180,11 @@ def cmd_compare(cfg: RunConfig, args) -> int:
             raise ConfigError(
                 f"field 't_end' is required when 'epsilon' = {cfg.epsilon!r}: "
                 f"the default horizon 1/(|epsilon|*lambda) is not finite")
-    _check_step(dt, t_end)
     out = _out_path(cfg, args, "compare.json")
+    params = cfg.system_params()
+    coupling = build_coupling(params, cfg.delta)
     # both dense trajectories, complex full and real phase, are held at once
-    _budget_steps("the full and phase trajectories", dt, t_end, cfg.n_osc, 24)
-    coupling = _phase_coupling(params, cfg.delta, dt)
+    dt = _step(cfg, t_end, "the full and phase trajectories", 24, coupling)
     phi0 = initial_phases(cfg)
     z0 = _on_cycle(math.sqrt(coupling.r_star_sq), phi0)
     full_traj = integrate(lambda v: full_rhs_array(v, params), z0, dt, t_end)
@@ -249,7 +237,7 @@ def cmd_cluster_scan(cfg: RunConfig, args) -> int:
     alphas = np.linspace(-1.0, 1.0, cfg.cluster.alpha_grid + 1)[1:-1]
     psis = np.linspace(0.0, 2.0 * np.pi, cfg.cluster.psi_grid, endpoint=False)[1:]
     rows = _coefficients_at(alphas, polys)
-    labels = _sync_labels(rows[:, 0] + rows[:, 2])
+    labels = sync_stability(rows)
     alpha_scan, psi_scan = root_scans(rows, psis, cfg.cluster.synthetic_ab or polys)
     del rows
     _write(out, chain(

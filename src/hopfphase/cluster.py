@@ -179,15 +179,16 @@ def g_factored(psi, cc):
     return float(val) if np.ndim(val) == 0 else val
 
 
-def sync_stability(cc: ClusterCoefficients) -> str:
-    """'stable' / 'unstable' / 'degenerate' by the sign of A1 + A2."""
-    return str(_sync_labels(cc.a1_coef + cc.a2_coef))
-
-
-def _sync_labels(s):
-    """sync_stability's label for every sum s = A1 + A2 of an array."""
-    return np.where(np.abs(s) < 1e-12, "degenerate",
-                    np.where(s < 0, "stable", "unstable"))
+def sync_stability(cc):
+    """'stable' / 'unstable' / 'degenerate' by the sign of A1 + A2, for one
+    (A1, B1, A2, B2) row, or an array of labels for an (n, 4) array of rows.
+    The sum is degenerate if at most 1e-12 of the row's largest |coefficient|,
+    the root kernel's double-root tolerance, so the label ignores scale."""
+    rows = np.asarray(cc, dtype=float)
+    s = rows[..., 0] + rows[..., 2]
+    labels = np.where(np.abs(s) <= 1e-12 * np.max(np.abs(rows), axis=-1),
+                      "degenerate", np.where(s < 0, "stable", "unstable"))
+    return str(labels) if labels.ndim == 0 else labels
 
 
 def sync_frequency(coupling: PhaseCouplingSet) -> float:

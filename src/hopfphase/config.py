@@ -38,8 +38,8 @@ class InitialSpec:
     z: tuple = ()
     q_size: int = 0
     p_size: int = 0
-    psi: float = 0.0
-    amplitude: float = 0.0
+    psi: float = math.pi
+    amplitude: float = 0.1
 
     def __post_init__(self):
         if self.kind == "two-cluster" and min(self.q_size, self.p_size) < 1:
@@ -186,7 +186,7 @@ def _parse_coefficients(raw, parent="coefficients") -> NormalFormCoefficients:
 def _parse_initial(raw) -> InitialSpec:
     if not isinstance(raw, dict):
         raise ConfigError("field 'initial' must be an object")
-    kind = raw.get("kind", "random-phases")
+    kind = raw.get("kind", InitialSpec.kind)
     if kind not in _INITIAL_KEYS:
         raise ConfigError(
             f"field 'initial.kind' must be one of {list(_INITIAL_KEYS)}, got {kind!r}")
@@ -208,9 +208,10 @@ def _parse_initial(raw) -> InitialSpec:
     elif kind == "two-cluster":
         for key in ("q_size", "p_size"):
             spec[key] = _as_int(_require(raw, key, f"initial.{key}"), f"initial.{key}")
-        spec["psi"] = _as_float(raw.get("psi", math.pi), "initial.psi")
+        spec["psi"] = _as_float(raw.get("psi", InitialSpec.psi), "initial.psi")
     elif kind == "perturbed-sync":
-        spec["amplitude"] = _as_float(raw.get("amplitude", 0.1), "initial.amplitude")
+        spec["amplitude"] = _as_float(raw.get("amplitude", InitialSpec.amplitude),
+                                      "initial.amplitude")
     return InitialSpec(**spec)
 
 

@@ -312,6 +312,8 @@ def compare(full_traj: Trajectory, phase_traj: Trajectory) -> ComparisonReport:
     Rows are processed in blocks of max(1, 2**16 // N) with the unwrap
     carried over, so memory beyond the two trajectories is O(N).
     """
+    if full_traj.kind != "full":
+        raise ValueError("first argument must be a full-model trajectory")
     if phase_traj.kind != "phase":
         raise ValueError("second argument must be a phase trajectory")
     if (full_traj.times.size != phase_traj.times.size

@@ -117,13 +117,14 @@ class SystemParams:
 
 def _caller_stacklevel() -> int:
     """warnings stack level, seen from the caller of this function, of the
-    first frame outside this module and the dataclasses module.
+    first frame outside this package and the dataclasses module.
 
-    The skipped frames are __post_init__, the dataclass-generated __init__
-    (which runs with this module's globals) and dataclasses.replace.
+    The skipped frames are __post_init__, the dataclass-generated __init__,
+    dataclasses.replace and the package's own callers, such as parse_config.
     """
     level, frame = 1, sys._getframe(1)
-    while frame.f_globals.get("__name__") in (__name__, "dataclasses"):
+    while (frame.f_globals.get("__name__", "").partition(".")[0]
+           in (__package__, "dataclasses")):
         level, frame = level + 1, frame.f_back
     return level
 

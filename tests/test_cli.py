@@ -168,6 +168,19 @@ def test_phase_step_beyond_half_a_turn_exits_2(tmp_path, capsys, monkeypatch):
     assert out.exists() and calls
 
 
+def test_output_path_is_checked_before_the_step(tmp_path, capsys):
+    # both integrating verbs check the output file first, then the step
+    # rules in one order: the horizon, the step count and memory, half a turn
+    cfg = write_config(tmp_path, t_end=2.0)
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    for verb in VERBS:
+        assert run([*verb, "--config", cfg, "--dt", "5",
+                    "--out", blocker / "x"]) == 2
+        err = capsys.readouterr().err
+        assert "cannot write output file" in err and "exceeds" not in err
+
+
 @pytest.mark.parametrize("epsilon", [0.0, 1e-320])
 def test_compare_without_t_end_needs_a_finite_default_horizon(tmp_path, capsys, epsilon):
     cfg = write_config(tmp_path, epsilon=epsilon)
@@ -585,8 +598,7 @@ def test_cluster_scan_zero_coupling_flags(tmp_path):
 def test_cluster_scan_ignores_the_coupling_magnitude(tmp_path):
     # the roots of G scale out of every coupling coefficient: at 2^520 the
     # file is the unscaled one byte for byte, with no overflow, and at 2^-50
-    # no bracket is taken to vanish identically; only the sync labels, by an
-    # absolute threshold, read "degenerate" there
+    # no bracket is taken to vanish identically
     doc = json.loads((CONFIGS / "two_cluster.json").read_text(encoding="utf-8"))
     assert run(["cluster-scan", "--config", CONFIGS / "two_cluster.json",
                 "--out", tmp_path / "base.txt"]) == 0

@@ -18,7 +18,7 @@ from hopfphase import (ClusterCoefficients, ClusterConfig, PsiRoot,
                        phase_rhs_naive, parse_config,
                        polynomial_alpha_roots_batch, root_scans,
                        sync_frequency, sync_stability, two_cluster_H)
-from hopfphase.cluster import _coefficients_at, _sync_labels
+from hopfphase.cluster import _coefficients_at
 
 from companion import companion_psi_roots
 from conftest import make_rng, random_coupling, random_params
@@ -510,19 +510,47 @@ def test_sync_stability_classification():
 
 
 def test_sync_labels_equal_sync_stability_at_the_threshold():
-    # the alpha scan labels every alpha at once; the 1e-12 rule is strict
+    # the alpha scan labels every row at once; a sum is degenerate at most
+    # 1e-12 of the row's largest |coefficient|, so for a lone A1 or A2 only
+    # an exact zero is
     t = 1e-12
     sums = [0.0, -0.0, t, -t, np.nextafter(t, 0.0), np.nextafter(t, 1.0),
             -np.nextafter(t, 0.0), -np.nextafter(t, 1.0), 1.0, -1.0]
-    want = ["degenerate", "degenerate", "unstable", "stable", "degenerate",
-            "unstable", "degenerate", "stable", "unstable", "stable"]
+    want = ["degenerate", "degenerate", "unstable", "stable", "unstable",
+            "unstable", "stable", "stable", "unstable", "stable"]
     assert [sync_stability(ClusterCoefficients(s, 0.0, 0.0, 0.0))
             for s in sums] == want
-    assert _sync_labels(np.array(sums)).tolist() == want
+    rows = np.zeros((len(sums), 4))
+    rows[:, 0] = sums
+    assert sync_stability(rows).tolist() == want
     # as the alpha scan forms them, from the A1 and A2 columns of rows
     rows = np.zeros((len(sums), 4))
     rows[:, 2] = sums
-    assert _sync_labels(rows[:, 0] + rows[:, 2]).tolist() == want
+    assert sync_stability(rows).tolist() == want
+    # beside a B1 of 1 the threshold is 1e-12 itself, and inclusive
+    rows[:, 1] = 1.0
+    assert sync_stability(rows).tolist() == [
+        "degenerate", "degenerate", "degenerate", "degenerate", "degenerate",
+        "unstable", "degenerate", "stable", "unstable", "stable"]
+
+
+def test_sync_labels_ignore_the_rows_scale():
+    # the coupling's magnitude scales out of every row, as it does out of
+    # the roots: random rows, rows with A1 + A2 = 0, rows about the
+    # threshold and an all-zero row keep their labels at any power of two
+    rng = make_rng(29)
+    rows = rng.normal(size=(120, 4))
+    rows[:20, 2] = -rows[:20, 0]
+    near = rng.uniform(0.25, 4.0, size=40) * rng.choice([-1e-12, 1e-12], size=40)
+    rows[20:60, 0] = 1.0 + near
+    rows[20:60, 1:] = [0.5, -1.0, 0.25]
+    rows[60] = 0.0
+    base = sync_stability(rows)
+    assert set(base.tolist()) == {"stable", "unstable", "degenerate"}
+    for k in (-600, -50, 0, 50, 600):
+        assert np.array_equal(sync_stability(np.ldexp(rows, k)), base)
+        assert [sync_stability(ClusterCoefficients(*r))
+                for r in np.ldexp(rows[:61], k).tolist()] == base[:61].tolist()
 
 
 def test_sync_frequency_zero_coupling():

@@ -187,6 +187,33 @@ def test_explicit_phases_are_at_most_2_to_the_25_either_way():
         parse_config(text)
 
 
+@pytest.mark.parametrize("raw, spec", [
+    ({"kind": "two-cluster", "q_size": 2, "p_size": 1},
+     InitialSpec(kind="two-cluster", q_size=2, p_size=1)),
+    ({"kind": "perturbed-sync"}, InitialSpec(kind="perturbed-sync")),
+], ids=["two-cluster", "perturbed-sync"])
+def test_initial_defaults_are_the_same_in_code_and_file(raw, spec):
+    # psi defaults to pi and amplitude to 0.1 either way: a two-cluster
+    # start is no synchronous state, a perturbed one is perturbed
+    from_file = parse_config(doc_text(seed=3, initial=raw))
+    from_code = dataclasses.replace(from_file, initial=spec)
+    assert from_file.initial == spec
+    phases = initial_phases(from_code)
+    assert np.array_equal(phases, initial_phases(from_file))
+    assert np.ptp(phases) > 0.0
+
+
+def test_config_warnings_name_the_calling_file():
+    # n_osc < 4 is warned from the SystemParams a RunConfig builds, through
+    # parse_config or dataclasses.replace; neither hopfphase frame is named
+    with pytest.warns(UserWarning, match="n_osc < 4") as rec:
+        cfg = parse_config(doc_text(n_osc=3))
+    assert rec and all(w.filename == __file__ for w in rec)
+    with pytest.warns(UserWarning, match="n_osc < 4") as rec:
+        dataclasses.replace(dataclasses.replace(cfg, n_osc=4), n_osc=3)
+    assert rec and all(w.filename == __file__ for w in rec)
+
+
 def test_system_params_are_built_once_per_config():
     cfg = parse_config(doc_text(n_osc=4))
     params = cfg.system_params()

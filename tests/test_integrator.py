@@ -299,6 +299,14 @@ def test_compare_validates_grids_and_sizes():
         compare(full, full)
 
 
+def test_compare_refuses_swapped_arguments():
+    full, phase = on_cycle_runs(NormalFormCoefficients(a1=-1.0),
+                                n=3, lam=0.2, eps=0.0, t_end=5.0, seed=2)
+    for first, second in ((phase, full), (phase, phase)):
+        with pytest.raises(ValueError, match="first argument must be a full"):
+            compare(first, second)
+
+
 def test_one_sample_has_no_winding_rate():
     # a rate over a horizon of zero would be nan with two divide warnings
     full = Trajectory([0.0], [[0.3 + 0.4j, -0.5j]], "full")
