@@ -5,11 +5,14 @@ columns of phase trajectories, and compares every line with the same values
 formatted one at a time by Python's "%.17g". The values are:
 - raw 64-bit patterns, seven in eight with exponents in 2**-14 .. 2**54
   (the kernel's fast set and just beyond it) and the rest anywhere, so
-  subnormals, zeros, infinities and NaNs occur too;
+  subnormals, infinities and NaNs occur too;
 - exact ties in the 17th digit, m / 4 for odd m in [4e15, 2**53), of
   either sign;
 - every power of ten that is a double, with its neighbours 1 to 3 ulp away
-  on either side, of either sign.
+  on either side, of either sign;
+- in every batch, at random places, COPIES of each of +-0.0, +-inf and
+  NaNs of either sign with several payloads, which the raw patterns would
+  give a zero of with probability 2**-63 a value.
 Exits 1 at the first mismatch and prints it. Usage:
     python scripts/text_parity_sweep.py [--values 10000000] [--seed 1]
 """
@@ -23,6 +26,11 @@ from hopfphase import Trajectory, trajectory_text
 
 WIDTH = 250  # values a row, so a batch spans many kernel passes and rows
 BATCH = 100_000
+COPIES = 16
+SPECIAL = np.concatenate([[0.0, -0.0, np.inf, -np.inf], np.array(
+    [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+     0xFFF0000000000001, 0x7FFFFFFFFFFFFFFF, 0xFFF4000000000123],
+    dtype=np.uint64).view(np.float64)])
 
 
 def raw_patterns(rng, size):
@@ -51,15 +59,21 @@ def powers_of_ten():
     return np.concatenate([values, -values])
 
 
+def with_special(rng, values):
+    """values with COPIES of each SPECIAL value put in at random places."""
+    extra = np.tile(SPECIAL, COPIES)
+    return np.insert(values, rng.integers(0, values.size + 1, extra.size), extra)
+
+
 def batches(rng, size):
     """(kind, values) batches: the powers of ten, then size values in
-    batches of BATCH."""
-    yield "powers of ten", powers_of_ten()
+    batches of BATCH, each with the SPECIAL values put in."""
+    yield "powers of ten", with_special(rng, powers_of_ten())
     n_ties = size // 10
     for kind, count, draw in (("ties", n_ties, ties),
                               ("raw patterns", size - n_ties, raw_patterns)):
         for offset in range(0, count, BATCH):
-            yield kind, draw(rng, min(BATCH, count - offset))
+            yield kind, with_special(rng, draw(rng, min(BATCH, count - offset)))
 
 
 def mismatch(values):

@@ -200,10 +200,9 @@ def cmd_compare(cfg: RunConfig, args) -> int:
 def _table_texts(head, points, scan, words):
     """head, then the table of a root_scans scan over its points,
     _LINE_BLOCK lines a text: "point, root, words" for each root of a point,
-    or "point, nan, words" for a point with none. The %.17g text kernel
-    renders the numbers; the nan cells, which it would format one at a time,
-    are put in directly. words(owner, code) gives the lines' words by point
-    and code: 0 or 1 a root (1 tangential), 2 none, 3 vanishing."""
+    or "point, nan, words" for a point with none, the numbers from the %.17g
+    text kernel. words(owner, code) gives the lines' words by point and
+    code: 0 or 1 a root (1 tangential), 2 none, 3 vanishing."""
     yield head
     lists, values, tangential, vanishing = scan
     bare = np.flatnonzero(np.bincount(lists, minlength=vanishing.size) == 0)
@@ -213,13 +212,9 @@ def _table_texts(head, points, scan, words):
     code = np.concatenate([tangential, 2 + vanishing[bare]])[order]
     for start in range(0, owner.size, _LINE_BLOCK):
         own, kind, root = (a[start:start + _LINE_BLOCK] for a in (owner, code, value))
-        found = kind < 2
-        numbers = "".join(_value_texts(np.concatenate([points[own], root[found]]), 1))
-        numbers = np.array(numbers.split("\n")[:-1], dtype=object)
-        cells = np.full(own.size, "nan", dtype=object)
-        cells[found] = numbers[own.size:]
-        yield "".join(map("{}, {}, {}\n".format, numbers[:own.size].tolist(),
-                          cells.tolist(), words(own, kind).tolist()))
+        numbers = "".join(_value_texts(np.stack([points[own], root], axis=1).ravel(), 2))
+        yield "".join(map("{}, {}\n".format, numbers.split("\n")[:-1],
+                          words(own, kind).tolist()))
 
 
 def cmd_cluster_scan(cfg: RunConfig, args) -> int:

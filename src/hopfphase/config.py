@@ -279,8 +279,9 @@ def parse_config(text: str) -> RunConfig:
 def initial_phases(cfg: RunConfig) -> np.ndarray:
     """Initial phase vector per the configured initial-condition kind.
 
-    Random draws use the counter-based Philox generator under the configured
-    seed, so equal seeds give bit-equal states.
+    Random kinds draw Philox4x64-10 keyed by SeedSequence(seed), counters
+    from 1, as low + (high - low) * (u >> 11) * 2**-53 (_philox_uniform):
+    numpy's Generator(Philox(seed)).uniform today, without relying on it.
     """
     n = cfg.n_osc
     init = cfg.initial
@@ -294,10 +295,84 @@ def initial_phases(cfg: RunConfig) -> np.ndarray:
         phi = np.zeros(n)
         phi[:init.q_size] = init.psi
         return phi
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
     if init.kind == "perturbed-sync":
-        return rng.uniform(-init.amplitude, init.amplitude, size=n)
-    return rng.uniform(0.0, 2.0 * np.pi, size=n)
+        return _philox_uniform(cfg.seed, -init.amplitude, init.amplitude, n)
+    return _philox_uniform(cfg.seed, 0.0, 2.0 * np.pi, n)
+
+
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+# SC'11) keyed as numpy's Philox(seed) keys it, through SeedSequence(seed).
+# Key words are Python ints; every numpy operand is an array or an np.uint64,
+# so numpy 1.x and 2.x promote alike and no 0-d arithmetic warns on a wrap.
+_MASK32 = 2 ** 32 - 1
+_MASK64 = 2 ** 64 - 1
+_PHILOX_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_KEY_BUMPS = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _hasher(const: int, factor: int):
+    """SeedSequence's 32-bit hash, whose constant is multiplied by factor
+    at each call."""
+    def hash32(value):
+        nonlocal const
+        value ^= const
+        const = const * factor & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hash32
+
+
+def _seed_key(seed: int) -> tuple:
+    """The two 64-bit key words of numpy's Philox(seed): the 32-bit words of
+    seed hashed and mixed into SeedSequence(seed)'s pool of four, then
+    generate_state(2, np.uint64) of that pool, low word first."""
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in (words + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = list(map(_hasher(0x8B51F9DD, 0x58F38DED), pool))
+    return state[0] | state[1] << 32, state[2] | state[3] << 32
+
+
+def _mulhilo(m: int, x):
+    """The high and low 64-bit words of m * x, for a 64-bit constant m and a
+    uint64 array x, from products of 32-bit limbs."""
+    mask, shift = np.uint64(_MASK32), np.uint64(32)
+    m_lo, m_hi = np.uint64(m & _MASK32), np.uint64(m >> 32)
+    x_lo, x_hi = x & mask, x >> shift
+    low = m_lo * x_lo
+    cross_hi = m_hi * x_lo
+    cross_lo = m_lo * x_hi
+    mid = (low >> shift) + (cross_hi & mask) + (cross_lo & mask)
+    high = m_hi * x_hi + (cross_hi >> shift) + (cross_lo >> shift) + (mid >> shift)
+    return high, np.uint64(m) * x
+
+
+def _philox_uniform(seed: int, low: float, high: float, n: int) -> np.ndarray:
+    """n doubles low + (high - low) * (u >> 11) * 2**-53 from the 64-bit words
+    u of Philox4x64-10 under _seed_key(seed), at counters 1, 2, ... in turn:
+    bit for bit numpy's Generator(Philox(seed)).uniform(low, high, n)."""
+    keys = _seed_key(seed)
+    v0 = np.arange(1, -(-n // 4) + 1, dtype=np.uint64)
+    v1 = v2 = v3 = np.zeros_like(v0)
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(_PHILOX_MULTIPLIERS[0], v0)
+        hi1, lo1 = _mulhilo(_PHILOX_MULTIPLIERS[1], v2)
+        v0, v1, v2, v3 = (hi1 ^ v1 ^ np.uint64(keys[0]), lo1,
+                          hi0 ^ v3 ^ np.uint64(keys[1]), lo0)
+        keys = [(k + bump) & _MASK64 for k, bump in zip(keys, _PHILOX_KEY_BUMPS)]
+    words = np.stack([v0, v1, v2, v3], axis=1).reshape(-1)[:n]
+    return low + (high - low) * ((words >> np.uint64(11)) * 2.0 ** -53)
 
 
 def initial_full_state(cfg: RunConfig) -> np.ndarray:

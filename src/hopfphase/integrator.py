@@ -369,7 +369,9 @@ def compare(full_traj: Trajectory, phase_traj: Trajectory) -> ComparisonReport:
 #
 # A keep-mask table indexed by (sign, X, last nonzero digit) picks the sign,
 # one run of digits and the separator out of the slot, and one boolean index
-# joins the picked bytes of a pass.
+# joins the picked bytes of a pass. Zeros, infinities and NaNs put %.17g's
+# fixed text ("0", "inf" or "nan") in bytes 2-4 and keep it, with byte 1 for
+# a negative zero or infinity.
 
 _SLOT = 28
 
@@ -385,6 +387,8 @@ def _text_tables() -> SimpleNamespace:
     value, and of the pair (negative when all are zero). pow10: 10**s, s = 0
     to 21, with its 26-bit halves pow10_hi and pow10_lo. int_div, int_nine:
     10**(16 - X) and 9 * 10**(16 - X), or 1 and 0 when X < 0, by X + 4.
+    fixed_chars, fixed_keep: the fixed texts' bytes 2-4 and keep masks over
+    bytes 0-23, by kind (0 zero, 1 infinity, 2 NaN) * 2 + sign bit.
     """
     pos = np.arange(_SLOT)
     neg = np.arange(2)[:, None, None, None]
@@ -404,6 +408,13 @@ def _text_tables() -> SimpleNamespace:
     pow10_hi = split - (split - pow10)
     int_div = np.array([10 ** (16 - e) if e >= 0 else 1 for e in range(-4, 16)],
                        dtype=np.int64)
+    fixed_chars = np.zeros((6, 3), dtype=np.uint8)
+    fixed_keep = np.zeros((6, 24), dtype=bool)
+    for row, text in enumerate(("0", "-0", "inf", "-inf", "nan", "nan")):
+        body = text.lstrip("-")
+        fixed_chars[row, :len(body)] = list(body.encode("ascii"))
+        fixed_keep[row, 1] = text != body
+        fixed_keep[row, 2:2 + len(body)] = True
     tables = SimpleNamespace(
         slots=np.tile(np.frombuffer(b"\0-0000" + b"0" * 18 + b", \0\0",
                                     dtype=np.uint8), (_TEXT_PASS, 1)),
@@ -413,7 +424,8 @@ def _text_tables() -> SimpleNamespace:
         quad_last=(quad_last.reshape(-1) + np.arange(8, 24, 4, dtype=np.int8)[:, None]),
         pair_last=pair_last + np.int8(6),
         pow10=pow10, pow10_hi=pow10_hi, pow10_lo=pow10 - pow10_hi,
-        int_div=int_div, int_nine=np.where(int_div > 1, 9 * int_div, 0))
+        int_div=int_div, int_nine=np.where(int_div > 1, 9 * int_div, 0),
+        fixed_chars=fixed_chars, fixed_keep=fixed_keep)
     for table in vars(tables).values():
         table.flags.writeable = False  # shared by every call
     return tables
@@ -421,8 +433,8 @@ def _text_tables() -> SimpleNamespace:
 
 def _significands(v):
     """(D, X + 4, slow) for the values v: D = |v| * 10**(16 - X) rounded half
-    to even, exact on the fast set, and the indices of the values left to
-    Python, whose D and X are placeholders."""
+    to even, exact on the fast set, and the indices of the other values,
+    whose D and X are placeholders."""
     tab = _text_tables()
     a = np.abs(v)
     fast = a >= 1e-4
@@ -503,12 +515,26 @@ def _render_pass(v, start: int, width: int, slots, keep) -> str:
     row_ends = np.arange((-start - 1) % width, v.size, width)
     slots[row_ends, 24] = ord("\n")
     keep[row_ends, 25] = False
-    for i, value in zip(slow.tolist(), v.take(slow).tolist()):
+    if slow.size:  # most passes have none; its checks cost 13 us on empty arrays
+        _render_slow(v.take(slow), slow, slots, keep)
+    return slots.ravel()[keep.ravel()].tobytes().decode("ascii")
+
+
+def _render_slow(w, slow, slots, keep):
+    """Write the values w, at rows slow of slots and keep, off the fast set:
+    zeros, infinities and NaNs as fixed texts, the rest by Python's "%.17g"."""
+    tab = _text_tables()
+    fixed = ~np.isfinite(w)
+    fixed |= w == 0
+    row = (np.isnan(w) * 2 + np.isinf(w)) * 2 + np.signbit(w)
+    at, row = slow[fixed], row[fixed]
+    slots[at, 2:5] = tab.fixed_chars.take(row, axis=0)
+    keep[at, :24] = tab.fixed_keep.take(row, axis=0)
+    for i, value in zip(slow[~fixed].tolist(), w[~fixed].tolist()):
         text = ("%.17g" % value).encode("ascii")  # at most 24 bytes
         slots[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
         keep[i, :24] = False
         keep[i, :len(text)] = True
-    return slots.ravel()[keep.ravel()].tobytes().decode("ascii")
 
 
 def _value_texts(values: np.ndarray, width: int):
@@ -540,10 +566,10 @@ def trajectory_text(traj: Trajectory, seed=None, r_star: float | None = None,
     numpy kernel, 2**11 values a pass, so its working memory is bounded
     whatever N is. Values with 1e-4 <= |x| < 1e16 get their 17 digits
     exactly, from Dekker's error-free product |x| * 10**(16 - X) rounded
-    half to even; the rest (zeros, tiny, huge and non-finite values, and
-    the few next to a power of ten whose decimal exponent X the logarithm
-    misjudges or that round up to one) are formatted by Python's "%.17g"
-    one at a time.
+    half to even. Zeros, infinities and NaNs get "%.17g"'s fixed texts in
+    the same pass; the rest (tiny and huge values, and the few next to a
+    power of ten whose decimal exponent X the logarithm misjudges or that
+    round up to one) are formatted by Python's "%.17g" one at a time.
     """
     n = traj.n_osc
     with_rcos = traj.kind == "phase" and r_star is not None

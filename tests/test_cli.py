@@ -1,6 +1,9 @@
 """End-to-end command line checks, run in process through main()."""
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -897,3 +900,25 @@ def test_simulate_text_goes_through_trajectory_text_in_blocks(tmp_path, monkeypa
         assert len(texts) == 4
         assert all(isinstance(text, str) for text in texts)
         assert "".join(texts).encode("utf-8") == data
+
+
+def test_compare_and_simulate_never_import_numpy_random(tmp_path):
+    # a fresh interpreter, since the tests themselves draw from numpy.random;
+    # numpy 1.x imports numpy.random with numpy itself, so there it proves nothing
+    cfg = write_config(tmp_path, seed=2 ** 64, initial={"kind": "random-phases"})
+    out = tmp_path / "out"
+    code = (
+        "import sys, numpy\n"
+        "eager = 'numpy.random' in sys.modules\n"
+        "from hopfphase.cli import main\n"
+        "for verb in (['compare'], ['simulate', '--model', 'phase']):\n"
+        f"    assert main([*verb, '--config', {str(cfg)!r}, '--t-end', '2',\n"
+        f"                 '--out', {str(out)!r}]) == 0\n"
+        "print(eager, 'numpy.random' in sys.modules)\n")
+    src = str(Path(hopfphase.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    eager, loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                   capture_output=True, text=True).stdout.split()
+    if eager == "True":
+        pytest.skip("this numpy imports numpy.random with numpy")
+    assert loaded == "False"

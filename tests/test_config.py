@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import hopfphase
-from hopfphase.config import (ConfigError, InitialSpec, initial_full_state,
-                              initial_phases, parse_config)
+from hopfphase.config import (ConfigError, InitialSpec, _philox_uniform,
+                              initial_full_state, initial_phases, parse_config)
 
 
 def doc_text(**over):
@@ -119,20 +119,31 @@ def test_initial_phases_two_cluster():
     assert np.array_equal(initial_phases(cfg), [1.5, 1.5, 0.0])
 
 
-def test_initial_phases_random_kinds_are_seed_deterministic():
-    cfg = parse_config(doc_text(seed=11))
-    phases = initial_phases(cfg)
-    oracle = np.random.Generator(np.random.Philox(11)).uniform(0, 2 * np.pi, 3)
-    assert np.array_equal(phases, oracle)
-    assert np.array_equal(phases, initial_phases(cfg))
-    assert not np.array_equal(phases, initial_phases(parse_config(doc_text(seed=12))))
+# (initial spec, low, high) of each random kind; amplitude 0 draws -0.0 + 0.0
+RANDOM_KINDS = [({"kind": "random-phases"}, 0.0, 2 * np.pi),
+                ({"kind": "perturbed-sync", "amplitude": 0.0}, -0.0, 0.0),
+                ({"kind": "perturbed-sync", "amplitude": math.pi}, -math.pi, math.pi)]
 
-    cfg = parse_config(doc_text(
-        seed=5, initial={"kind": "perturbed-sync", "amplitude": 0.2}))
-    perturbed = initial_phases(cfg)
-    oracle = np.random.Generator(np.random.Philox(5)).uniform(-0.2, 0.2, 3)
-    assert np.array_equal(perturbed, oracle)
-    assert np.max(np.abs(perturbed)) <= 0.2
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64,
+                                  2 ** 128 + 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 10 ** 5])
+def test_initial_phases_random_kinds_are_seed_deterministic(seed, n):
+    # numpy's Philox stream is the oracle; a config has at least 2 oscillators
+    for initial, low, high in RANDOM_KINDS:
+        oracle = np.random.Generator(np.random.Philox(seed)).uniform(low, high, n)
+        assert _philox_uniform(seed, low, high, n).tobytes() == oracle.tobytes()
+        if n < 2:
+            continue
+        cfg = parse_config(doc_text(seed=seed, n_osc=n, initial=initial))
+        phases = initial_phases(cfg)
+        assert phases.tobytes() == oracle.tobytes()
+        assert np.all((low <= phases) & (phases <= high))
+    if n >= 2:
+        draws = [initial_phases(parse_config(doc_text(seed=s, n_osc=n)))
+                 for s in (seed, seed + 1)]
+        assert not np.array_equal(*draws)
 
 
 def test_initial_full_state_radius_and_explicit_z():

@@ -21,7 +21,7 @@ from hopfphase import (AmplitudeCollapseError, IntegrationError,
                        write_trajectory)
 from hopfphase.angles import TAU, wrap_angle
 from hopfphase.integrator import (_BLOCK_ELEMENTS, _TEXT_ELEMENTS, _TEXT_PASS,
-                                  _abs_wrapped, _text_tables)
+                                  _abs_wrapped, _text_tables, _value_texts)
 
 from conftest import make_rng, random_coupling, random_params
 
@@ -862,3 +862,22 @@ def test_writing_text_memory_does_not_grow_with_the_run(tmp_path):
         short = Trajectory(traj.times[:40], traj.states[:40], traj.kind)
         path = tmp_path / f"{traj.kind}.txt"
         assert _write_peak(path, traj, **kw) <= 1.2 * _write_peak(path, short, **kw)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7])
+def test_text_kernel_writes_zeros_infinities_and_nans_as_percent_17g(width):
+    # %.17g writes "nan" whatever the sign bit and payload
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0xFFF0000000000001, 0x7FFFFFFFFFFFFFFF, 0xFFF4000000000123],
+                    dtype=np.uint64).view(float)
+    special = np.concatenate([[0.0, -0.0, np.inf, -np.inf], nans])
+    assert np.signbit(special).sum() == 5
+    # alone, between fast-set values and across a pass boundary
+    between = np.column_stack([special, np.full(special.size, 1.5)]).ravel()
+    values = np.concatenate([special, between, special[::-1],
+                             np.full(_TEXT_PASS - 2 * special.size - 3, 0.25),
+                             special, [-1e-5, 3e20]])
+    items = ["%.17g" % x for x in values.tolist()]
+    oracle = "".join(item + ("\n" if (i + 1) % width == 0 else ", ")
+                     for i, item in enumerate(items))
+    assert "".join(_value_texts(values, width)) == oracle
