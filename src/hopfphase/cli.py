@@ -74,10 +74,10 @@ def _out_path(cfg: RunConfig, args, default: str) -> Path:
     else:
         path = Path(default)
     try:
-        ancestor = next(p for p in path.parents if p.exists())
+        # "", "." and "/" are directories with no parents
         if path.is_dir():
             reason = "it is a directory"
-        elif not ancestor.is_dir():
+        elif not (ancestor := next(p for p in path.parents if p.exists())).is_dir():
             reason = f"'{ancestor}' is not a directory"
         else:
             return path
@@ -89,7 +89,7 @@ def _out_path(cfg: RunConfig, args, default: str) -> Path:
 def _load_config(args) -> RunConfig:
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     cfg = parse_config(text)
     # replace re-runs RunConfig's checks on the overridden fields

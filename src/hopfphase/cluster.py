@@ -32,6 +32,11 @@ from .reduction import PhaseCouplingSet
 
 # candidates closer than this in the scan's variable are one root
 _MERGE = 1e-7
+# |P| at a double root, or |A1 + A2| of degenerate sync, over the row's scale
+_DOUBLE_ROOT = 1e-12
+# a negligible coefficient over its row's scale, or row over its scan's
+_NEGLIGIBLE = 1e-14
+_BRACKET = 1e-12  # width the bisection narrows each bracket to
 # x^k of a chart cubic on (-1, 1) is (2x)^k of the cubic in tan or cot(Psi/2)
 _CHART_SCALE = np.array([1.0, 2.0, 4.0, 8.0])
 
@@ -182,11 +187,11 @@ def g_factored(psi, cc):
 def sync_stability(cc):
     """'stable' / 'unstable' / 'degenerate' by the sign of A1 + A2, for one
     (A1, B1, A2, B2) row, or an array of labels for an (n, 4) array of rows.
-    The sum is degenerate if at most 1e-12 of the row's largest |coefficient|,
-    the root kernel's double-root tolerance, so the label ignores scale."""
+    The sum is degenerate if at most _DOUBLE_ROOT of the row's largest
+    |coefficient|, as a double root is, so the label ignores scale."""
     rows = np.asarray(cc, dtype=float)
     s = rows[..., 0] + rows[..., 2]
-    labels = np.where(np.abs(s) <= 1e-12 * np.max(np.abs(rows), axis=-1),
+    labels = np.where(np.abs(s) <= _DOUBLE_ROOT * np.max(np.abs(rows), axis=-1),
                       "degenerate", np.where(s < 0, "stable", "unstable"))
     return str(labels) if labels.ndim == 0 else labels
 
@@ -209,12 +214,12 @@ def sync_frequency(coupling: PhaseCouplingSet) -> float:
 # midpoints, exits and stopping tests whatever else is refined with it.
 
 
-def _bisect(coef, lo, hi, f_lo, tol):
+def _bisect(coef, lo, hi, f_lo):
     """Bisect every sign-changing bracket [lo[i], hi[i]] of the polynomial
-    row coef[i] to width tol; an element whose midpoint evaluates to
+    row coef[i] to width _BRACKET; an element whose midpoint evaluates to
     exactly zero stops there."""
     root = 0.5 * (lo + hi)
-    live = np.flatnonzero(hi - lo > tol)
+    live = np.flatnonzero(hi - lo > _BRACKET)
     lo, hi, f_lo, coef = lo[live], hi[live], f_lo[live], coef[live]
     while live.size:
         mid = 0.5 * (lo + hi)
@@ -225,7 +230,7 @@ def _bisect(coef, lo, hi, f_lo, tol):
         hi = np.where(flip | zero, mid, hi)
         lo = np.where(flip & ~zero, lo, mid)
         f_lo = np.where(flip, f_lo, f_mid)
-        wide = hi - lo > tol
+        wide = hi - lo > _BRACKET
         if not wide.all():
             root[live[~wide]] = 0.5 * (lo[~wide] + hi[~wide])
             live, lo, hi, f_lo, coef = (x[wide] for x in (live, lo, hi, f_lo, coef))
@@ -334,7 +339,7 @@ def root_scans(ccs, psis, polys):
     # a row of ccs is its own scale, so only a zero row vanishes
     vanishing = np.concatenate([
         ~coef.any(axis=1),
-        np.max(np.abs(coeffs), axis=1) <= 1e-14 * np.max(np.abs(polys))])
+        np.max(np.abs(coeffs), axis=1) <= _NEGLIGIBLE * np.max(np.abs(polys))])
 
     def to_var(x, rows):
         var = _chart_psi(x, rows >= n)
@@ -376,8 +381,8 @@ def _cubic_roots(q, owner, lo, hi, to_var):
     Each row is scaled by an exact power of two to a largest coefficient
     in [0.5, 1), so the roots do not depend on its magnitude and no
     square overflows; an all-zero row has no root. The crossings are those
-    of _monotone_roots. A critical point where |P| <= 1e-12 * scale (the
-    row's largest coefficient) is a double (tangential) root if |P| has a
+    of _monotone_roots. A critical point where |P| <= _DOUBLE_ROOT * scale
+    (the row's largest coefficient) is a double (tangential) root if |P| has a
     local minimum there (P and P'' of one sign), or a maximum with
     crossings less than _MERGE away on both sides (a double root split by
     rounding), and no root otherwise. Candidates of a list less than
@@ -386,11 +391,11 @@ def _cubic_roots(q, owner, lo, hi, to_var):
     first.
     """
     scale, power = np.frexp(np.max(np.abs(q), axis=1))
-    degree, q = _trim(np.ldexp(q, -power[:, None]), scale)
-    r, k, x, crits = _monotone_roots(q, degree)
+    q = _trim(np.ldexp(q, -power[:, None]), scale)
+    r, k, x, crits = _monotone_roots(q)
     var = to_var(x, r)
     val = _poly_rows(crits, q[:, None, :])
-    cr, ck = np.nonzero(np.abs(val) <= 1e-12 * scale[:, None])
+    cr, ck = np.nonzero(np.abs(val) <= _DOUBLE_ROOT * scale[:, None])
     xc, vc = crits[cr, ck], val[cr, ck]
     c_var = to_var(xc, cr)
     side = np.full((q.shape[0], 3), np.nan)
@@ -401,7 +406,7 @@ def _cubic_roots(q, owner, lo, hi, to_var):
                        np.abs(side[cr, j + 1] - c_var)) < _MERGE
     double = (vc == 0.0) | (vc * (q[cr, 2] + 3.0 * q[cr, 3] * xc) > 0.0) | split
     # the arrays of every row are freed before the roots are merged
-    del scale, power, degree, q, crits, val, side
+    del scale, power, q, crits, val, side
     raw = np.concatenate([r, cr[double]])
     var = np.concatenate([var, c_var[double]])
     tangential = np.arange(raw.size) >= r.size
@@ -418,49 +423,42 @@ def _cubic_roots(q, owner, lo, hi, to_var):
     return rows[first], var[first], tangential[first]
 
 
-def _trim(coeffs, scale):
-    """Degree and coefficients of ascending cubic rows with the leading
-    coefficients at or below 1e-14 * scale of their row set to zero."""
-    degree = np.full(coeffs.shape[0], 3)
-    for d in (3, 2, 1):
-        degree[(degree == d) & (np.abs(coeffs[:, d]) <= 1e-14 * scale)] = d - 1
-    return degree, np.where(np.arange(4) <= degree[:, None], coeffs, 0.0)
+def _trim(q, scale):
+    """Ascending cubic rows q with their leading coefficients, from q3 down
+    to q1, zeroed while at or below _NEGLIGIBLE * scale of their row."""
+    small = np.abs(q) <= _NEGLIGIBLE * scale[:, None]
+    small[:, 0] = False  # q0 stays, and stops the run from q3 down
+    return np.where(np.logical_and.accumulate(small[:, ::-1], axis=1)[:, ::-1], 0.0, q)
 
 
-def _critical_points(q, degree):
-    """The (n, 2) real critical points inside (-1, 1) of ascending polynomial
-    rows q of degree 3 at most (degree[i] that of row i), NaN where there is
-    none: closed-form roots of the derivative."""
+def _critical_points(q):
+    """The (n, 2) real critical points inside (-1, 1) of ascending cubic
+    rows q, NaN where there is none: the roots q1 / qa and qc / q1 of the
+    derivative, which do not cancel, the second where the discriminant is
+    positive. A quadratic row (qa = 0) has q1 = -qb exactly, so they are
+    infinite and the vertex; at a zero discriminant the first is the double
+    root -qb / (2 qa) bit for bit; a linear or constant row has none."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        vertex = -q[:, 1] / (2.0 * q[:, 2])
         qa, qb, qc = 3.0 * q[:, 3], 2.0 * q[:, 2], q[:, 1]
         disc = qb * qb - 4.0 * qa * qc
-        # the pair of roots that does not cancel, q1 / qa and qc / q1
         q1 = -0.5 * (qb + np.copysign(np.sqrt(disc), qb))
-        lower, upper = q1 / qa, qc / q1
-        double = -qb / (2.0 * qa)
-    crits = np.full((q.shape[0], 2), np.nan)
-    quad, cubic = degree == 2, degree == 3
-    two, one = cubic & (disc > 0), cubic & (disc == 0)
-    crits[quad, 0] = vertex[quad]
-    crits[two, 0], crits[two, 1] = lower[two], upper[two]
-    crits[one, 0] = double[one]
+        crits = np.stack([q1 / qa, np.where(disc > 0.0, qc / q1, np.nan)], axis=1)
     crits[~((-1.0 < crits) & (crits < 1.0))] = np.nan
     return crits
 
 
-def _monotone_roots(q, degree):
-    """Crossings in (-1, 1) of ascending polynomial rows q of degree 3 at
-    most (degree[i] that of row i): (row index, piece, root) arrays, and
-    the rows' _critical_points. These split (-1, 1) into monotone pieces
-    0, 1, 2; a linear row's root is -q0/q1, and the other sign changes
-    over a piece are bisected to 1e-12. The brackets are freed on return."""
-    crits = _critical_points(q, degree)
+def _monotone_roots(q):
+    """Crossings in (-1, 1) of ascending cubic rows q: (row index, piece,
+    root) arrays, and the rows' _critical_points. These split (-1, 1) into
+    monotone pieces 0, 1, 2; the root of a linear row (q2 = q3 = 0) is
+    -q0/q1, and the other sign changes over a piece are bisected to
+    _BRACKET. The brackets are freed on return."""
+    crits = _critical_points(q)
     r, k, lo, hi, f_lo = _sign_changes(q, crits)
-    line = degree[r] == 1
+    line = (q[r, 2] == 0.0) & (q[r, 3] == 0.0)
     x = np.empty(r.size)
     x[line] = -q[r[line], 0] / q[r[line], 1]
-    x[~line] = _bisect(q[r[~line]], lo[~line], hi[~line], f_lo[~line], 1e-12)
+    x[~line] = _bisect(q[r[~line]], lo[~line], hi[~line], f_lo[~line])
     return r, k, x, crits
 
 

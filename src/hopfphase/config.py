@@ -243,7 +243,7 @@ _TOP_KEYS = {"lambda", "omega", "epsilon", "n_osc", "coefficients", "delta",
 def parse_config(text: str) -> RunConfig:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")

@@ -695,6 +695,47 @@ def test_out_falls_back_to_config_output(tmp_path):
     assert target.exists()
 
 
+def test_output_defaults_to_the_verbs_file_in_the_working_directory(
+        tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, dt=0.05, t_end=2.0)
+    monkeypatch.chdir(tmp_path)
+    for verb, name in ((["derive"], "derive.json"), (["compare"], "compare.json"),
+                       (["cluster-scan"], "cluster_scan.txt"),
+                       (["simulate", "--model", "full"], "trajectory_full.txt"),
+                       (["simulate", "--model", "phase"], "trajectory_phase.txt")):
+        assert run([*verb, "--config", cfg]) == 0
+        assert (tmp_path / name).stat().st_size > 0, name
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("out", ["", ".", "/"])
+def test_output_path_with_no_parent_exits_2(tmp_path, capsys, monkeypatch, out, route):
+    # these paths have no parents to search for an existing ancestor
+    cfg = write_config(tmp_path, **({"output": out} if route == "config" else {}))
+    monkeypatch.chdir(tmp_path)
+    flags = ["--out", out] if route == "flag" else []
+    assert run(["derive", "--config", cfg, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"config error: cannot write output file '{Path(out)}': "
+                        "it is a directory\n")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe{}", "cannot read config file: "),  # not UTF-8
+    (b"[" * 100_000, "configuration is not valid JSON: "),  # past the recursion limit
+], ids=["not-utf8", "nested-too-deep"])
+def test_unparsable_config_file_exits_2(tmp_path, capsys, content, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(content)
+    assert run(["derive", "--config", cfg, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_help_and_usage_errors(tmp_path, capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()

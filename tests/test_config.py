@@ -73,6 +73,21 @@ def test_error_messages_name_the_field():
                            "psi": 1e300}), "'initial.psi' must lie in"),
         ("{not json", "not valid JSON"),
         ("[1, 2]", "must be a JSON object"),
+        (doc_text(**{"lambda": "0.1"}), "'lambda' must be a number"),
+        (doc_text(n_osc=4.0), "'n_osc' must be an integer"),
+        (doc_text(n_osc=1), "n_osc must be at least 2"),
+        (doc_text(coefficients={"a1": [-1.0, 0.0], "a2": [1, 2, 3]}),
+         "'coefficients.a2' must be a [re, im] pair"),
+        (doc_text(coefficients={"a1": [-1.0, 0.0], "a2": "x"}),
+         "'coefficients.a2' must be [re, im] or {modulus, phase}"),
+        (doc_text(coefficients=[1]), "'coefficients' must be an object"),
+        (doc_text(cluster=3), "'cluster' must be an object"),
+        (doc_text(initial=[]), "'initial' must be an object"),
+        (doc_text(initial={"kind": "splay", "q_size": 2}),
+         "keys ['q_size'] not valid for kind 'splay'"),
+        (doc_text(initial={"kind": "explicit", "phases": []}),
+         "'initial.phases' must be a nonempty list"),
+        (doc_text(output=3), "'output' must be a string path"),
     ]
     for text, needle in cases:
         with pytest.raises(ConfigError) as exc_info:
