@@ -22,7 +22,8 @@ from .phase_model import (as_phase_vector, moments, phase_rhs_fast,
 from .reduction import (HarmonicTerm, PhaseCouplingSet, ReductionConstants,
                         abc_constants, beta_gamma, build_coupling,
                         canonical_xi_chi, coupling_to_text, evaluate_harmonics,
-                        limit_cycle, reduction_constants, xi_chi_lambda_split)
+                        limit_cycle, reduction_constants, with_delta,
+                        xi_chi_lambda_split)
 
 __all__ = [
     "TAU", "wrap_angle",
@@ -31,7 +32,7 @@ __all__ = [
     "ReductionConstants", "HarmonicTerm", "PhaseCouplingSet", "limit_cycle",
     "abc_constants", "reduction_constants", "beta_gamma", "build_coupling",
     "canonical_xi_chi", "xi_chi_lambda_split", "evaluate_harmonics",
-    "coupling_to_text",
+    "coupling_to_text", "with_delta",
     "as_phase_vector", "moments", "phase_rhs_naive", "phase_rhs_fast",
     "Trajectory", "ComparisonReport", "IntegrationError",
     "AmplitudeCollapseError", "TrajectoryTooLargeError", "default_dt",

@@ -34,7 +34,7 @@ from .integrator import (_TEXT_ELEMENTS, AmplitudeCollapseError,
 from .normal_form import full_rhs_array
 from .phase_model import phase_rhs_fast
 from .reduction import (build_coupling, canonical_xi_chi, coupling_to_text,
-                        reduction_constants, xi_chi_lambda_split)
+                        reduction_constants, with_delta, xi_chi_lambda_split)
 
 
 # a lower bound on what a cluster scan holds per point of alpha_grid +
@@ -89,8 +89,11 @@ def _out_path(cfg: RunConfig, args, default: str) -> Path:
 def _load_config(args) -> RunConfig:
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config file '{args.config}': "
+                          f"not UTF-8 ({exc})") from exc
     cfg = parse_config(text)
     # replace re-runs RunConfig's checks on the overridden fields
     overrides = _given(args, "seed", "dt", "t_end")
@@ -123,9 +126,9 @@ def _step(cfg: RunConfig, t_end: float, subject: str, bytes_per_osc: int,
 
 def cmd_derive(cfg: RunConfig, args) -> int:
     out = _out_path(cfg, args, "derive.json")
-    params = cfg.system_params()
-    consts = reduction_constants(params, cfg.delta)
-    coupling = build_coupling(params, cfg.delta)
+    params = with_delta(cfg.system_params(), cfg.delta)
+    consts = reduction_constants(params)
+    coupling = build_coupling(params)
     doc = {
         "seed": cfg.seed,
         "constants": asdict(consts),
@@ -151,8 +154,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         raise ConfigError("field 't_end' is required here; set it in the "
                           "config or pass --t-end")
     out = _out_path(cfg, args, f"trajectory_{args.model}.txt")
-    params = cfg.system_params()
-    coupling = build_coupling(params, cfg.delta) if args.model == "phase" else None
+    params = with_delta(cfg.system_params(), cfg.delta)  # both models run it
+    coupling = build_coupling(params) if args.model == "phase" else None
     # 16 B a complex value, 8 a real; refused before the initial state is built
     dt = _step(cfg, cfg.t_end, "a trajectory", 8 if coupling else 16, coupling)
     text_args = {"seed": cfg.seed, "extra_header": {"dt": f"{dt:.17g}"}}
@@ -181,8 +184,8 @@ def cmd_compare(cfg: RunConfig, args) -> int:
                 f"field 't_end' is required when 'epsilon' = {cfg.epsilon!r}: "
                 f"the default horizon 1/(|epsilon|*lambda) is not finite")
     out = _out_path(cfg, args, "compare.json")
-    params = cfg.system_params()
-    coupling = build_coupling(params, cfg.delta)
+    params = with_delta(cfg.system_params(), cfg.delta)  # both models run it
+    coupling = build_coupling(params)
     # both dense trajectories, complex full and real phase, are held at once
     dt = _step(cfg, t_end, "the full and phase trajectories", 24, coupling)
     phi0 = initial_phases(cfg)
@@ -224,8 +227,7 @@ def cmd_cluster_scan(cfg: RunConfig, args) -> int:
     _require_memory(f"a cluster scan of {points} alpha and psi grid points",
                     points * _SCAN_POINT_BYTES, "shrink alpha_grid or psi_grid")
     out = _out_path(cfg, args, "cluster_scan.txt")
-    params = cfg.system_params()
-    coupling = build_coupling(params, cfg.delta)
+    coupling = build_coupling(with_delta(cfg.system_params(), cfg.delta))
     polys = alpha_polynomials(coupling)
     # both scans run, in one root-kernel pass, before the file is opened,
     # so a failed one leaves none

@@ -131,7 +131,6 @@ def g_raw(psi: float, cfg: ClusterConfig, coupling: PhaseCouplingSet) -> float:
         return amp * ((q - p) * cos(ph) + p * cos(ph - psi) - q * cos(ph + psi))
 
     val = swap_diff(b[-1], g[-1])
-    val -= swap_diff(coupling.delta_corr, coupling.delta_phase)
     val += r2 * (swap_diff(b[3], g[3]) + swap_diff(b[8], g[8])
                  + swap_diff(b[10], g[10]))
     val += r2 * b[2] * ((q - p) * cos(g[2]) + p * cos(g[2] + psi)
@@ -198,8 +197,8 @@ def sync_stability(cc):
 
 def sync_frequency(coupling: PhaseCouplingSet) -> float:
     """Common frequency of the fully synchronized state: the prefactor kernel
-    at Z1 = Z2 = 1 and phi = 0, so every coupling harmonic, the fifth-order
-    correction folded into g2 included, enters as it does in phase_rhs_fast."""
+    at Z1 = Z2 = 1 and phi = 0, so every coupling harmonic enters as it does
+    in phase_rhs_fast."""
     base, c1, c2 = coupling.prefactors(1 + 0j, 1 + 0j)
     return base + coupling.epsilon * (c1.real + c2.real)
 

@@ -17,7 +17,7 @@ import numpy as np
 from .angles import _in_slices
 from .integrator import default_dt
 from .normal_form import NormalFormCoefficients, SystemParams
-from .reduction import limit_cycle
+from .reduction import limit_cycle, with_delta
 
 # each initial-condition kind and the keys it takes besides "kind"
 _INITIAL_KEYS = {"random-phases": (), "explicit": ("phases", "z"), "splay": (),
@@ -100,6 +100,7 @@ class RunConfig:
             params = SystemParams(lam=self.lam, omega=self.omega,
                                   epsilon=self.epsilon, n_osc=self.n_osc,
                                   coeffs=self.coeffs)
+            with_delta(params, self.delta)  # refused here if it overflows a3
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         # not a field, so dataclasses.replace builds and checks a new one

@@ -15,7 +15,7 @@ import functools
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -30,9 +30,7 @@ class ReductionConstants:
 
     r_star_sq is the squared limit-cycle radius, omega_cap the frequency on
     the cycle. a0, b0, c0 are the radial-attraction, forcing and mixing
-    constants at the bifurcation; c_ratio = c0/a0 enters the coefficient
-    transform. delta is the optional fifth-order correction coefficient and
-    is exactly zero when the cubic truncation is taken at face value.
+    constants at the bifurcation; c_ratio = c0/a0 enters the coefficient transform.
     """
 
     r_star_sq: float
@@ -41,7 +39,6 @@ class ReductionConstants:
     b0: float
     c0: float
     c_ratio: float
-    delta: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -87,13 +84,11 @@ class PhaseCouplingSet:
     """Everything the phase model needs, stored once as its inputs.
 
     beta/gamma hold the per-coefficient amplitude and phase for every coupling
-    index, omega_cap the frequency on the limit cycle. delta_corr and
-    delta_phase carry the optional fifth-order pairwise correction (amplitude
-    lam*delta*|a_minus1|, entering g2 with a minus sign); both are zero in the
-    default cubic truncation. g2..g5 and the two frequency shifts are derived
-    on first use and cached outside the fields, so a dataclasses.replace copy
-    derives its own. beta and gamma are kept as read-only copies, so no
-    change in place can leave those cached values stale.
+    index, omega_cap the frequency on the limit cycle. g2..g5 and the two
+    frequency shifts are derived on first use and cached outside the fields,
+    so a dataclasses.replace copy derives its own. beta and gamma are kept as
+    read-only copies, so no change in place can leave those cached values
+    stale.
     """
 
     omega_cap: float
@@ -102,8 +97,6 @@ class PhaseCouplingSet:
     r_star_sq: float
     epsilon: float
     n_osc: int
-    delta_corr: float = 0.0
-    delta_phase: float = 0.0
 
     def __post_init__(self):
         for name in ("beta", "gamma"):
@@ -125,8 +118,7 @@ class PhaseCouplingSet:
         """g2..g5 as HarmonicTerm tuples; only g2's order 1 merges several terms."""
         r2, beta, gamma = self.r_star_sq, self.beta, self.gamma
         q = _phasors(beta, gamma)
-        merged = (q["g2", 1, 0] + r2 * q["g2", 1, 1]
-                  - self.delta_corr * cmath.exp(1j * self.delta_phase))
+        merged = q["g2", 1, 0] + r2 * q["g2", 1, 1]
         terms = {"g2": [_term(abs(merged), cmath.phase(merged))]}
         for k, (tag, order) in _HARMONICS.items():
             if tag != "g2":
@@ -205,11 +197,11 @@ def abc_constants(coeffs: NormalFormCoefficients):
     return a0, b0, c0, c0 / a0
 
 
-def reduction_constants(params: SystemParams, delta: float = 0.0) -> ReductionConstants:
+def reduction_constants(params: SystemParams) -> ReductionConstants:
     """Bundle limit-cycle data and averaging constants in one record."""
     r2, om = limit_cycle(params)
     a0, b0, c0, c_ratio = abc_constants(params.coeffs)
-    return ReductionConstants(r2, om, a0, b0, c0, c_ratio, float(delta))
+    return ReductionConstants(r2, om, a0, b0, c0, c_ratio)
 
 
 def beta_gamma(alpha_k: float, theta_k: float, c_ratio: float):
@@ -262,21 +254,25 @@ def _term(amplitude: float, phase: float, order: int = 1) -> HarmonicTerm:
     return HarmonicTerm(amplitude, phase if amplitude != 0.0 else 0.0, order)
 
 
+def with_delta(params: SystemParams, delta: float) -> SystemParams:
+    """params with the fifth-order correction delta folded into a3. On the
+    cycle |z_j|^2 = lam/(-re(a1)), so the added term is the linear coupling
+    lam*delta*a_minus1/(c_ratio + i), and g2's order-1 phasor moves by
+    -lam*delta*a_minus1 at lambda power 1. delta == 0 returns params."""
+    if delta == 0:
+        return params
+    c = params.coeffs
+    a3 = c.a3 + float(delta) * c.a_minus1 * (-c.a1.real) / (c.a1.imag / c.a1.real + 1j)
+    if not cmath.isfinite(a3):
+        raise ValueError(f"delta = {delta!r} folds into a non-finite a3")
+    return replace(params, coeffs=replace(c, a3=a3))
+
+
 def build_coupling(params: SystemParams, delta: float = 0.0) -> PhaseCouplingSet:
-    """Derive the complete phase-coupling data from the normal-form system.
-
-    Parameters
-    ----------
-    params : SystemParams
-    delta : float
-        Fifth-order correction coefficient; 0 under the plain cubic
-        truncation. Nonzero delta subtracts
-        lam*delta*|a_minus1|*cos(arg(a_minus1) + phi) from g2.
-
-    Returns
-    -------
-    PhaseCouplingSet
-    """
+    """The complete phase-coupling data of the normal-form system, with the
+    fifth-order correction delta (0 under the plain cubic truncation) folded
+    into a3 by with_delta."""
+    params = with_delta(params, delta)
     r2, om = limit_cycle(params)
     _, _, _, c_ratio = abc_constants(params.coeffs)
 
@@ -286,13 +282,8 @@ def build_coupling(params: SystemParams, delta: float = 0.0) -> PhaseCouplingSet
         beta[k], gamma[k] = beta_gamma(abs(a), cmath.phase(a) if a != 0 else 0.0,
                                        c_ratio)
 
-    am1 = params.coeffs.a_minus1
-    delta_corr = params.lam * float(delta) * abs(am1)
-    delta_phase = cmath.phase(am1) if (delta_corr != 0.0 and am1 != 0) else 0.0
-
     return PhaseCouplingSet(omega_cap=om, beta=beta, gamma=gamma, r_star_sq=r2,
-                            epsilon=params.epsilon, n_osc=params.n_osc,
-                            delta_corr=delta_corr, delta_phase=delta_phase)
+                            epsilon=params.epsilon, n_osc=params.n_osc)
 
 
 def canonical_xi_chi(coupling: PhaseCouplingSet):
@@ -317,13 +308,12 @@ def xi_chi_lambda_split(coupling: PhaseCouplingSet):
 
     Each entry is (tag, lambda_power, HarmonicTerm). Power-0 entries are the
     bare pairwise contribution of the linear coupling coefficient; power-1
-    entries have the limit-cycle factor r_star_sq (which is proportional to
-    lam) divided out of their amplitude, so recombining as
+    entries, the cubic indices with any delta folded into a3 (with_delta),
+    have the limit-cycle factor r_star_sq (which is proportional to lam)
+    divided out of their amplitude, so recombining as
     power0 + r_star_sq * power1 phasors reproduces canonical_xi_chi.
     """
     q = _phasors(coupling.beta, coupling.gamma)
-    q["g2", 1, 1] -= ((coupling.delta_corr / coupling.r_star_sq)
-                      * cmath.exp(1j * coupling.delta_phase))
     split = [(tag, power, _term(abs(ph), cmath.phase(ph), order))
              for (tag, order, power), ph in q.items()]
     return [entry for entry in split if entry[2].amplitude != 0.0]
@@ -343,8 +333,6 @@ def coupling_to_text(coupling: PhaseCouplingSet) -> str:
         "epsilon": coupling.epsilon,
         "n_osc": coupling.n_osc,
         "mean_field_freq_amp": coupling.mean_field_freq_amp,
-        "delta_corr": coupling.delta_corr,
-        "delta_phase": coupling.delta_phase,
     }
     for tag in ("g2", "g3", "g4", "g5"):
         doc[tag] = [

@@ -24,7 +24,7 @@ from hopfphase.cluster import (ClusterConfig, ab_coefficients, alpha_polynomials
 from hopfphase.config import ConfigError, InitialSpec, parse_config
 from hopfphase.integrator import _TEXT_ELEMENTS
 from hopfphase.normal_form import SystemParams
-from hopfphase.reduction import build_coupling
+from hopfphase.reduction import build_coupling, with_delta
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 RICH_COEFFS = {"a1": [-1.0, 0.3], "a_minus1": [0.1, 0.05], "a2": [0.2, -0.1]}
@@ -723,7 +723,8 @@ def test_output_path_with_no_parent_exits_2(tmp_path, capsys, monkeypatch, out, 
 
 
 @pytest.mark.parametrize("content, message", [
-    (b"\xff\xfe{}", "cannot read config file: "),  # not UTF-8
+    # not UTF-8: named, as a file that cannot be opened is
+    (b"\xff\xfe{}", "cannot read config file '{cfg}': not UTF-8 ('utf-8' codec "),
     (b"[" * 100_000, "configuration is not valid JSON: "),  # past the recursion limit
 ], ids=["not-utf8", "nested-too-deep"])
 def test_unparsable_config_file_exits_2(tmp_path, capsys, content, message):
@@ -731,7 +732,7 @@ def test_unparsable_config_file_exits_2(tmp_path, capsys, content, message):
     cfg.write_bytes(content)
     assert run(["derive", "--config", cfg, "--out", tmp_path / "x"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {message}")
+    assert err.startswith("config error: " + message.format(cfg=cfg))
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "x").exists()
 
@@ -963,3 +964,53 @@ def test_compare_and_simulate_never_import_numpy_random(tmp_path):
     if eager == "True":
         pytest.skip("this numpy imports numpy.random with numpy")
     assert loaded == "False"
+
+
+def test_both_models_run_the_folded_delta(tmp_path, monkeypatch):
+    # compare folds delta into a3 once: the full model runs with_delta's
+    # coefficients, and the phase model the coupling that
+    # build_coupling(cfg.system_params(), cfg.delta) gives, bit for bit
+    seen = {}
+    for name in ("full_rhs_array", "phase_rhs_fast"):
+        def record(state, given, rhs=getattr(cli, name), name=name):
+            seen[name] = given
+            return rhs(state, given)
+        monkeypatch.setattr(cli, name, record)
+    cfg = write_config(tmp_path, n_osc=5, delta=-0.7, coefficients=ELEVEN_COEFFS,
+                       t_end=1.0)
+    assert run(["compare", "--config", cfg, "--out", tmp_path / "c.json"]) == 0
+    loaded = parse_config(cfg.read_text(encoding="utf-8"))
+    folded = with_delta(loaded.system_params(), loaded.delta)
+    assert folded.coeffs.a3 != loaded.coeffs.a3
+    assert seen["full_rhs_array"] == folded
+    assert seen["phase_rhs_fast"] == build_coupling(loaded.system_params(), loaded.delta)
+
+
+def test_compare_deviation_at_nonzero_delta_is_of_the_reduction_order(tmp_path):
+    # with the term in both models, delta = +-0.5 deviates about as much as
+    # delta = 0 (0.87x and 1.12x; 5.2x and 3.0x when only the phase model
+    # ran it) and halving eps cuts the deviation to 0.33x
+    doc = json.loads((CONFIGS / "two_cluster.json").read_text(encoding="utf-8"))
+
+    def deviation(delta, epsilon):
+        cfg = write_config(tmp_path, **{**doc, "delta": delta, "epsilon": epsilon})
+        out = tmp_path / "compare.json"
+        assert run(["compare", "--config", cfg, "--t-end", 200, "--out", out]) == 0
+        return json.loads(out.read_text())["max_phase_dev"]
+
+    plain = deviation(0.0, 0.05)
+    for delta in (0.5, -0.5):
+        assert deviation(delta, 0.05) <= 1.5 * plain
+    assert deviation(0.5, 0.025) <= 0.5 * deviation(0.5, 0.05)
+
+
+@pytest.mark.parametrize("verb", ALL_VERBS)
+def test_delta_that_overflows_a3_exits_2(tmp_path, capsys, verb):
+    # delta*a_minus1*(-re a1) overflows before with_delta's division
+    cfg = write_config(tmp_path, delta=1e308, t_end=1.0, coefficients={
+        "a1": [-10.0, 0.0], "a_minus1": [10.0, 0.0]})
+    out = tmp_path / "x"
+    assert run([*verb, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: delta = 1e+308 folds into a non-finite a3\n"
+    assert not out.exists()

@@ -604,15 +604,13 @@ def ab_pq_form(cfg, coupling):
     pq = p * q
     s = {k: b[k] * math.sin(g[k]) for k in b}
     c = {k: b[k] * math.cos(g[k]) for k in b}
-    sd = coupling.delta_corr * math.sin(coupling.delta_phase)
-    cd = coupling.delta_corr * math.cos(coupling.delta_phase)
 
-    a1 = (s[-1] - sd
+    a1 = (s[-1]
           + r2 * (-s[2] + s[3] + s[6] + s[8] + s[10]
                   + (p * p + q * q) * s[9]
                   + (p * p + 4.0 * pq + q * q) * s[7]
                   + (1.0 - pq) * s[11]))
-    b1 = (q - p) * (c[-1] - cd
+    b1 = (q - p) * (c[-1]
                     + r2 * (c[2] + c[3] + c[6] + c[7] + c[8] + c[9] + c[10]
                             + (1.0 - 3.0 * pq) * c[11]))
     a2 = r2 * (s[6] + (p * p + q * q) * s[7] + 2.0 * pq * s[9] + pq * s[11])
@@ -624,9 +622,10 @@ def test_ab_coefficients_match_pq_form():
     rng = make_rng(47)
     for trial in range(40):
         delta = rng.uniform(0.1, 3.0) * rng.choice([-1.0, 1.0])
-        coupling = random_coupling(rng, 6, delta=delta,
-                                   scale=rng.uniform(0.05, 1.0))
-        assert coupling.delta_corr != 0.0
+        params = random_params(rng, 6, scale=rng.uniform(0.05, 1.0))
+        coupling = build_coupling(params, delta)
+        # delta reaches the cluster coefficients through index 3
+        assert coupling.beta[3] != build_coupling(params).beta[3]
         for alpha in rng.uniform(-0.99, 0.99, size=25):
             cfg = ClusterConfig.from_alpha(float(alpha))
             cc = ab_coefficients(cfg, coupling)

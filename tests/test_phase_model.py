@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from hopfphase import (NormalFormCoefficients, PhaseCouplingSet, SystemParams,
                        as_phase_vector, build_coupling, full_rhs_array,
-                       integrate, moments, phase_rhs_fast, phase_rhs_naive)
+                       integrate, moments, phase_rhs_fast, phase_rhs_naive,
+                       with_delta)
 from hopfphase.normal_form import complex_mean
 
 from conftest import COUPLING_KEYS, make_rng, random_coupling, random_params
@@ -206,11 +207,12 @@ def test_rhs_permutation_equivariant(seed):
 
 @pytest.mark.parametrize("n", [*range(2, 9), 64, 10_000])
 def test_fast_is_the_isochron_projection_of_the_full_field(n):
-    # at delta = 0 and z = r* e^{i phi} the phase model is Kuramoto's
-    # isochron projection of the normal form's coupling field on the
-    # uncoupled torus, Omega + Im w - (Im a1/Re a1) Re w with
-    # w = full_rhs_array(z)/z - i*Omega: exact in lambda, so the two sides
-    # differ by rounding only. That rounding is at most 4e-14 of |eps| times
+    # at z = r* e^{i phi} the phase model is Kuramoto's isochron projection
+    # of the normal form's coupling field on the uncoupled torus,
+    # Omega + Im w - (Im a1/Re a1) Re w with w = full_rhs_array(z)/z - i*Omega,
+    # at every delta, which with_delta folds into a3 for the full model as
+    # the command line does. It is exact in lambda, so the two sides differ
+    # by rounding only. That rounding is at most 4e-14 of |eps| times
     # the largest coefficient modulus where |eps| > 0.02 (3,200 draws at
     # N = 2..39, both signs), plus up to 3 ulps of Omega, which both sides
     # add and which do not shrink with eps; a 1e-9 relative error in the
@@ -219,7 +221,9 @@ def test_fast_is_the_isochron_projection_of_the_full_field(n):
     for trial in range(12 if n < 100 else 2):
         sign = 1.0 if trial % 2 else -1.0
         params = random_params(rng, n, epsilon=sign * rng.uniform(0.0, 0.2))
-        coupling = build_coupling(params, delta=0.0)
+        delta = rng.uniform(-1.0, 1.0) if trial % 2 else 0.0
+        coupling = build_coupling(params, delta)
+        params = with_delta(params, delta)  # the coefficients the full model runs
         omega, a1 = coupling.omega_cap, params.coeffs.a1
         phi = rng.uniform(-TAU, TAU, n)
         z = math.sqrt(coupling.r_star_sq) * np.exp(1j * phi)
@@ -333,8 +337,7 @@ def test_fast_is_bit_identical_to_inline_prefactors():
     # g2 with its order-2 term alone: index 6 is the only pairwise one left
     last = couplings[-1]
     couplings.append(dataclasses.replace(
-        last, beta={**last.beta, **dict.fromkeys((-1, 2, 3, 8, 10), 0.0)},
-        delta_corr=0.0))
+        last, beta={**last.beta, **dict.fromkeys((-1, 2, 3, 8, 10), 0.0)}))
     assert [t.order for t in couplings[-1].g2] == [2]
     # above numpy's temporary-elision threshold for both dtypes
     big = make_rng(40_000)

@@ -19,7 +19,7 @@ from hopfphase import (HarmonicTerm, NormalFormCoefficients, SystemParams,
                        canonical_xi_chi, coupling_to_text,
                        evaluate_harmonics, limit_cycle, moments,
                        phase_rhs_fast, reduction_constants, uncoupled_field,
-                       wrap_angle, xi_chi_lambda_split)
+                       with_delta, wrap_angle, xi_chi_lambda_split)
 
 from conftest import COUPLING_KEYS, make_rng, random_coeffs, random_params
 
@@ -206,11 +206,17 @@ def test_build_coupling_order2_and_higher_terms():
 def test_build_coupling_delta_correction():
     coeffs = NormalFormCoefficients(a1=-1.0, a_minus1=cmath.rect(0.4, 0.7))
     params = SystemParams(lam=0.25, omega=1.0, epsilon=0.1, n_osc=4, coeffs=coeffs)
+    assert with_delta(params, 0.0) is params
     plain = build_coupling(params, delta=0.0)
     shifted = build_coupling(params, delta=0.8)
-    assert shifted.delta_corr == pytest.approx(0.25 * 0.8 * 0.4, abs=1e-15)
-    assert shifted.delta_phase == pytest.approx(0.7, abs=1e-15)
-    # the order-1 phasor loses delta_corr * e^{i theta_-1}
+    # with a1 = -1, delta enters as a3 = delta*a_minus1/i, whose phasor
+    # beta_3 e^{i gamma_3} = a3*(-i) is -delta*a_minus1
+    assert plain.beta[3] == 0.0
+    assert cmath.rect(shifted.beta[3], shifted.gamma[3]) == pytest.approx(
+        -0.8 * cmath.rect(0.4, 0.7), abs=1e-15)
+    assert {k: v for k, v in shifted.beta.items() if k != 3} == {
+        k: v for k, v in plain.beta.items() if k != 3}
+    # the order-1 phasor loses lam*delta*a_minus1
     p0 = plain.g2[0]
     p1 = shifted.g2[0]
     lost = (p0.amplitude * cmath.exp(1j * p0.phase_offset)
@@ -238,7 +244,6 @@ def _g2_from_maps(coupling, phi):
     """g2 evaluated directly from the unmerged beta/gamma maps."""
     b, g, r2 = coupling.beta, coupling.gamma, coupling.r_star_sq
     val = (b[-1] * np.cos(g[-1] + phi)
-           - coupling.delta_corr * np.cos(coupling.delta_phase + phi)
            + r2 * (b[2] * np.cos(g[2] - phi) + b[3] * np.cos(g[3] + phi)
                    + b[6] * np.cos(g[6] + 2 * phi) + b[8] * np.cos(g[8] + phi)
                    + b[10] * np.cos(g[10] + phi)))
@@ -313,21 +318,19 @@ def _hand_term(phasor, order):
     return HarmonicTerm(amp, cmath.phase(phasor), order)
 
 
-def _hand_g2_order1_phasor(beta, gamma, r_star_sq, delta_corr, delta_phase):
+def _hand_g2_order1_phasor(beta, gamma, r_star_sq):
     ph = beta[-1] * cmath.exp(1j * gamma[-1])
     ph += r_star_sq * (beta[2] * cmath.exp(-1j * gamma[2])
                        + beta[3] * cmath.exp(1j * gamma[3])
                        + beta[8] * cmath.exp(1j * gamma[8])
                        + beta[10] * cmath.exp(1j * gamma[10]))
-    ph -= delta_corr * cmath.exp(1j * delta_phase)
     return ph
 
 
 def _hand_terms(coupling):
     """(g2, g3, g4, g5) term tuples of the index-by-index assembly."""
     b, g, r2 = coupling.beta, coupling.gamma, coupling.r_star_sq
-    g2 = [_hand_term(_hand_g2_order1_phasor(b, g, r2, coupling.delta_corr,
-                                            coupling.delta_phase), 1),
+    g2 = [_hand_term(_hand_g2_order1_phasor(b, g, r2), 1),
           _hand_term(r2 * b[6] * cmath.exp(1j * g[6]), 2)]
     single = [(HarmonicTerm(0.0, 0.0, 1) if r2 * b[k] == 0.0
                else HarmonicTerm(r2 * b[k], g[k], 1),) for k in (7, 9, 11)]
@@ -342,7 +345,6 @@ def _hand_lambda_split(coupling):
         out.append(("g2", 0, t))
     lam1 = (b[2] * cmath.exp(-1j * g[2]) + b[3] * cmath.exp(1j * g[3])
             + b[8] * cmath.exp(1j * g[8]) + b[10] * cmath.exp(1j * g[10]))
-    lam1 -= (coupling.delta_corr / r2) * cmath.exp(1j * coupling.delta_phase)
     t = _hand_term(lam1, 1)
     if t is not None:
         out.append(("g2", 1, t))
@@ -370,7 +372,17 @@ def test_coupling_tables_are_bit_identical_to_hand_assembly():
                                only=only)
         delta = 0.0 if trial % 2 else rng.uniform(-2.0, 2.0)
         coupling = build_coupling(params, delta=delta)
-        checked_delta += coupling.delta_corr != 0.0
+        plain = build_coupling(params)
+        checked_delta += coupling.beta[3] != plain.beta[3]
+        # delta moves index 3 alone, and g2's order-1 phasor by
+        # -lam*delta*a_minus1, at lambda power 1
+        assert {**coupling.beta, 3: 0} == {**plain.beta, 3: 0}
+        assert {**coupling.gamma, 3: 0} == {**plain.gamma, 3: 0}
+        moved = coupling.r_star_sq * (cmath.rect(coupling.beta[3], coupling.gamma[3])
+                                      - cmath.rect(plain.beta[3], plain.gamma[3]))
+        want = -params.lam * delta * params.coeffs.a_minus1
+        assert abs(moved - want) <= 1e-14 * max(
+            abs(want), coupling.r_star_sq * plain.beta[3], 1e-300)
         got = (coupling.g2, coupling.g3, coupling.g4, coupling.g5)
         for got_terms, want_terms in zip(got, _hand_terms(coupling)):
             assert [_bits(t) for t in got_terms] == [_bits(t) for t in want_terms]
@@ -393,7 +405,7 @@ def test_coupling_text_records_every_field_exactly(rng):
         coupling = build_coupling(params, delta=rng.uniform(-1, 1))
         doc = json.loads(coupling_to_text(coupling))
         for key in ("omega_tilde_const", "r_star_sq", "epsilon", "n_osc",
-                    "mean_field_freq_amp", "delta_corr", "delta_phase"):
+                    "mean_field_freq_amp"):
             assert doc.pop(key) == getattr(coupling, key)
         for key in ("beta", "gamma"):
             assert {int(k): v for k, v in doc.pop(key).items()} == getattr(coupling, key)
@@ -428,11 +440,11 @@ def test_replaced_coupling_is_rederived_bit_for_bit(rng):
         eps = rng.uniform(-0.5, 0.5)
         check(replace(coupling, epsilon=eps),
               build_coupling(replace(params, epsilon=eps), delta))
-        # lambda moves r_star_sq, and with it omega_cap and delta_corr
+        # lambda moves r_star_sq, and with it omega_cap; delta's fold into a3
+        # does not depend on lambda
         built = build_coupling(replace(params, lam=rng.uniform(0.02, 0.5)), delta)
         check(replace(coupling, r_star_sq=built.r_star_sq,
-                      omega_cap=built.omega_cap, delta_corr=built.delta_corr),
-              built)
+                      omega_cap=built.omega_cap), built)
         # new coupling coefficients move only beta and gamma
         coeffs = replace(random_coeffs(rng, a1=params.coeffs.a1),
                          a_minus1=params.coeffs.a_minus1)
@@ -470,10 +482,10 @@ def test_harmonic_term_validation():
 
 
 def test_reduction_constants_bundle():
-    consts = reduction_constants(params_51(), delta=0.4)
+    consts = reduction_constants(params_51())
     assert consts.r_star_sq == 0.1
     assert consts.omega_cap == 1.0
     assert consts.a0 == -2.0
     assert consts.b0 == 0.0
     assert consts.c0 == 0.0
-    assert consts.delta == 0.4
+    assert consts.c_ratio == 0.0
