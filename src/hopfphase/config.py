@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .angles import _in_slices
-from .integrator import default_dt
 from .normal_form import NormalFormCoefficients, SystemParams
 from .reduction import limit_cycle, with_delta
 
@@ -70,6 +69,14 @@ class ClusterScanSpec:
             if (size := getattr(self, name)) < 64:
                 raise ConfigError(f"cluster-scan grids must be at least 64, got "
                                   f"field 'cluster.{name}' = {size}")
+
+
+def default_dt(lam: float, omega_cap: float) -> float:
+    """Step size resolving both the rotation and the slow attraction scale."""
+    candidates = [0.01 / lam]
+    if omega_cap != 0.0:
+        candidates.append(2.0 * np.pi / (50.0 * abs(omega_cap)))
+    return min(candidates)
 
 
 @dataclass(frozen=True)

@@ -114,14 +114,6 @@ class ComparisonReport:
     freq_phase: float
 
 
-def default_dt(lam: float, omega_cap: float) -> float:
-    """Step size resolving both the rotation and the slow attraction scale."""
-    candidates = [0.01 / lam]
-    if omega_cap != 0.0:
-        candidates.append(2.0 * np.pi / (50.0 * abs(omega_cap)))
-    return min(candidates)
-
-
 def integrate(rhs, x0, dt: float, t_end: float) -> Trajectory:
     """Integrate x' = rhs(x) with the classical 4th-order scheme.
 

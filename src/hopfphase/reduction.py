@@ -11,6 +11,7 @@ the coefficients, and assembles the full coupling set.
 from __future__ import annotations
 
 import cmath
+import copy
 import functools
 import json
 import math
@@ -265,7 +266,10 @@ def with_delta(params: SystemParams, delta: float) -> SystemParams:
     a3 = c.a3 + float(delta) * c.a_minus1 * (-c.a1.real) / (c.a1.imag / c.a1.real + 1j)
     if not cmath.isfinite(a3):
         raise ValueError(f"delta = {delta!r} folds into a non-finite a3")
-    return replace(params, coeffs=replace(c, a3=a3))
+    # a copy, not dataclasses.replace, so the checks do not run (and warn) again
+    folded = copy.copy(params)
+    object.__setattr__(folded, "coeffs", replace(c, a3=a3))
+    return folded
 
 
 def build_coupling(params: SystemParams, delta: float = 0.0) -> PhaseCouplingSet:

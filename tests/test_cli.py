@@ -1,4 +1,5 @@
 """End-to-end command line checks, run in process through main()."""
+import importlib
 import json
 import math
 import os
@@ -750,7 +751,17 @@ def test_public_names_resolve():
     # one would otherwise show only in a traced benchmark run
     assert len(hopfphase.__all__) == len(set(hopfphase.__all__))
     for name in hopfphase.__all__:
-        assert hasattr(hopfphase, name), name
+        # the lazy namespace hands out the object its defining module holds
+        home = importlib.import_module(f"hopfphase.{hopfphase._HOME[name]}")
+        value = getattr(hopfphase, name)
+        assert value is getattr(home, name), name
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name
+    assert set(hopfphase.__all__) <= set(dir(hopfphase))
+    star = {}
+    exec("from hopfphase import *", star)
+    assert set(hopfphase.__all__) <= set(star)
+    assert hopfphase.default_dt is hopfphase.config.default_dt
+    assert not hasattr(hopfphase, "no_such_name")
     for module, name in ((phase_model, "moments"), (cluster, "g_factored"),
                          (cli, "integrate"), (cli, "main"),
                          (hopfphase, "parse_config")):
@@ -964,6 +975,29 @@ def test_compare_and_simulate_never_import_numpy_random(tmp_path):
     if eager == "True":
         pytest.skip("this numpy imports numpy.random with numpy")
     assert loaded == "False"
+
+
+def test_set_up_loads_only_the_modules_it_calls():
+    # a fresh interpreter, since the tests load every module; a bare import
+    # loads no submodule, and parsing a config and building the coupling
+    # (the benchmark's set-up probe) load neither the integrator, the
+    # cluster scans, the phase model nor the command line
+    code = (
+        "import json, sys\n"
+        "import hopfphase\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('hopfphase.'))\n"
+        "bare = loaded()\n"
+        "from hopfphase.config import parse_config\n"
+        "from hopfphase.reduction import build_coupling\n"
+        "print(json.dumps([bare, loaded()]))\n")
+    src = str(Path(hopfphase.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    bare, set_up = json.loads(subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True,
+        text=True).stdout)
+    assert bare == []
+    assert set_up == [f"hopfphase.{name}" for name in
+                      ("angles", "config", "normal_form", "reduction")]
 
 
 def test_both_models_run_the_folded_delta(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ radius, independent of the closed forms under test.
 import cmath
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -222,6 +223,26 @@ def test_build_coupling_delta_correction():
     lost = (p0.amplitude * cmath.exp(1j * p0.phase_offset)
             - p1.amplitude * cmath.exp(1j * p1.phase_offset))
     assert abs(lost - 0.08 * cmath.exp(1j * 0.7)) < 1e-14
+
+
+@pytest.mark.parametrize("n_osc", [2, 3])
+def test_folding_delta_does_not_repeat_the_small_n_warning(n_osc):
+    # building params warns once that the coefficients are not identifiable;
+    # the fold changes a3 alone, so neither it nor build_coupling warns again
+    coeffs = NormalFormCoefficients(a1=-1.0 + 0.3j, a_minus1=0.1 + 0.05j)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        params = SystemParams(lam=0.1, omega=1.0, epsilon=0.05, n_osc=n_osc,
+                              coeffs=coeffs)
+        assert [str(w.message)[:10] for w in caught] == ["n_osc < 4:"]
+        folded = with_delta(params, 0.5)
+        build_coupling(params, 0.5)
+    assert len(caught) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rebuilt = replace(params, coeffs=replace(coeffs, a3=folded.coeffs.a3))
+    assert folded == rebuilt and folded.coeffs.a3 != 0
+    assert params.coeffs is coeffs  # the fold leaves its argument as it was
 
 
 def test_mean_field_frequency_terms():
