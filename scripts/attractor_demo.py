@@ -14,7 +14,7 @@ import numpy as np
 
 from hopfphase import (NormalFormCoefficients, SystemParams, build_coupling,
                        extract_phases, full_rhs_array, integrate,
-                       phase_rhs_fast, write_trajectory)
+                       phase_rhs_fast, trajectory_text)
 
 
 def run_one(a2, n_osc, t_end, dt, seed, out_dir):
@@ -30,9 +30,11 @@ def run_one(a2, n_osc, t_end, dt, seed, out_dir):
     phase = integrate(lambda p: phase_rhs_fast(p, coupling), phi0, dt, t_end)
 
     label = "pos" if a2.real > 0 else "neg"
-    write_trajectory(full, out_dir / f"full_a2_{label}.txt", seed=seed)
-    write_trajectory(phase, out_dir / f"phase_a2_{label}.txt", seed=seed,
-                     r_star=math.sqrt(coupling.r_star_sq))
+    (out_dir / f"full_a2_{label}.txt").write_text(
+        trajectory_text(full, seed=seed), encoding="utf-8")
+    (out_dir / f"phase_a2_{label}.txt").write_text(
+        trajectory_text(phase, seed=seed, r_star=math.sqrt(coupling.r_star_sq)),
+        encoding="utf-8")
 
     tail = slice(3 * full.times.size // 4, None)
     for name, traj in (("full", extract_phases(full)), ("phase", phase)):

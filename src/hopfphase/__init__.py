@@ -17,8 +17,7 @@ _EXPORTS = {
     "phase_model": "as_phase_vector moments phase_rhs_naive phase_rhs_fast",
     "integrator": "Trajectory ComparisonReport IntegrationError "
                   "AmplitudeCollapseError TrajectoryTooLargeError integrate "
-                  "extract_phases mean_winding_rate compare trajectory_text "
-                  "write_trajectory",
+                  "extract_phases mean_winding_rate compare trajectory_text",
     "cluster": "ClusterConfig ClusterCoefficients PsiRoot RootScanResult "
                "two_cluster_H g_raw ab_coefficients g_factored find_roots_batch "
                "sync_stability sync_frequency alpha_polynomials "

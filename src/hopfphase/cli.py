@@ -108,10 +108,12 @@ def _given(args, *names) -> dict:
 
 def _step(cfg: RunConfig, t_end: float, subject: str, bytes_per_osc: int,
           coupling=None) -> float:
-    """cfg's step, refused before any work, in order, if it passes t_end, if
-    subject (bytes_per_osc bytes a step and oscillator) overflows its step
+    """cfg's step, refused before any work, in order, if it is 0 or passes t_end,
+    if subject (bytes_per_osc bytes a step and oscillator) overflows its step
     count or memory, or if, given the phase coupling, it can turn a phase past pi."""
     dt = cfg.resolved_dt()
+    if dt == 0.0:  # only the default min(0.01/lambda, 2 pi/(50 |Omega|)) can be
+        raise ConfigError("the default step 'dt' is 0: 50 |Omega| overflows; set 'dt'")
     if dt > t_end:
         raise ConfigError(f"step 'dt' = {dt!r} exceeds the horizon "
                           f"'t_end' = {t_end!r}; shorten dt or extend t_end")
@@ -124,11 +126,20 @@ def _step(cfg: RunConfig, t_end: float, subject: str, bytes_per_osc: int,
     return dt
 
 
+def _coupling(params):
+    """build_coupling(params), refused before any work if it overflows."""
+    coupling = build_coupling(params)
+    try:
+        coupling._harmonic_phasors  # derives, and so checks, every harmonic
+    except ValueError as exc:
+        raise ConfigError(f"the reduced phase coupling overflows: {exc}") from exc
+    return coupling
+
+
 def cmd_derive(cfg: RunConfig, args) -> int:
     out = _out_path(cfg, args, "derive.json")
-    params = with_delta(cfg.system_params(), cfg.delta)
-    consts = reduction_constants(params)
-    coupling = build_coupling(params)
+    consts = reduction_constants(cfg.system_params())  # delta moves a3 alone
+    coupling = _coupling(with_delta(cfg.system_params(), cfg.delta))
     doc = {
         "seed": cfg.seed,
         "constants": asdict(consts),
@@ -155,7 +166,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
                           "config or pass --t-end")
     out = _out_path(cfg, args, f"trajectory_{args.model}.txt")
     params = with_delta(cfg.system_params(), cfg.delta)  # both models run it
-    coupling = build_coupling(params) if args.model == "phase" else None
+    coupling = _coupling(params) if args.model == "phase" else None
     # 16 B a complex value, 8 a real; refused before the initial state is built
     dt = _step(cfg, cfg.t_end, "a trajectory", 8 if coupling else 16, coupling)
     text_args = {"seed": cfg.seed, "extra_header": {"dt": f"{dt:.17g}"}}
@@ -185,7 +196,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
                 f"the default horizon 1/(|epsilon|*lambda) is not finite")
     out = _out_path(cfg, args, "compare.json")
     params = with_delta(cfg.system_params(), cfg.delta)  # both models run it
-    coupling = build_coupling(params)
+    coupling = _coupling(params)
     # both dense trajectories, complex full and real phase, are held at once
     dt = _step(cfg, t_end, "the full and phase trajectories", 24, coupling)
     phi0 = initial_phases(cfg)
@@ -227,15 +238,16 @@ def cmd_cluster_scan(cfg: RunConfig, args) -> int:
     _require_memory(f"a cluster scan of {points} alpha and psi grid points",
                     points * _SCAN_POINT_BYTES, "shrink alpha_grid or psi_grid")
     out = _out_path(cfg, args, "cluster_scan.txt")
-    coupling = build_coupling(with_delta(cfg.system_params(), cfg.delta))
-    polys = alpha_polynomials(coupling)
+    polys = alpha_polynomials(_coupling(with_delta(cfg.system_params(), cfg.delta)))
     # both scans run, in one root-kernel pass, before the file is opened,
     # so a failed one leaves none
     alphas = np.linspace(-1.0, 1.0, cfg.cluster.alpha_grid + 1)[1:-1]
     psis = np.linspace(0.0, 2.0 * np.pi, cfg.cluster.psi_grid, endpoint=False)[1:]
     rows = _coefficients_at(alphas, polys)
+    if not np.isfinite(rows).all():  # as they are if the polynomials are not
+        raise ConfigError("the two-cluster coefficients A1, B1, A2, B2 overflow")
     labels = sync_stability(rows)
-    alpha_scan, psi_scan = root_scans(rows, psis, cfg.cluster.synthetic_ab or polys)
+    alpha_scan, psi_scan = root_scans(rows, psis, polys)
     del rows
     _write(out, chain(
         [f"# seed={cfg.seed}\n# model=cluster-scan\n"],

@@ -326,6 +326,11 @@ def root_scans(ccs, psis, polys):
     if max(map(len, polys)) > 4:
         raise ValueError("alpha polynomials have degree at most 3")
     polys = np.array(polys, dtype=float)
+    if not (np.isfinite(coef).all() and np.isfinite(polys).all()):
+        raise ValueError("coefficients must be finite")
+    # rows, and the polynomials as one, scaled into [0.5, 1) so no product overflows
+    coef = np.ldexp(coef, -np.frexp(np.max(np.abs(coef), axis=1, keepdims=True))[1])
+    polys = np.ldexp(polys, -np.frexp(np.max(np.abs(polys)))[1])
     # P of each row, (A1 + A2, B1 + 3 B2, A1 - 3 A2, B1 - B2), in one
     # expression, so no copy of the rows stays alive through the scan
     p = coef[:, [0, 1, 0, 1]] + coef[:, [2, 3, 2, 3]] * np.array([1.0, 3.0, -3.0, -1.0])

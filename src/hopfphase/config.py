@@ -60,9 +60,6 @@ class InitialSpec:
 class ClusterScanSpec:
     alpha_grid: int = 64
     psi_grid: int = 64
-    # hand-specified ascending coefficients of the alpha polynomials
-    # (a1, b1, a2, b2), in polynomial_alpha_roots_batch's argument order
-    synthetic_ab: tuple | None = None
 
     def __post_init__(self):
         for name in ("alpha_grid", "psi_grid"):
@@ -223,27 +220,6 @@ def _parse_initial(raw) -> InitialSpec:
     return InitialSpec(**spec)
 
 
-def _parse_poly(value, key: str) -> tuple:
-    if not isinstance(value, list) or not value or len(value) > 4:
-        raise ConfigError(f"field '{key}' must be a list of 1 to 4 numbers "
-                          "(ascending polynomial coefficients)")
-    return tuple(_as_float(x, key) for x in value)
-
-
-def _parse_cluster(raw) -> ClusterScanSpec:
-    _object(raw, "cluster", ("alpha_grid", "psi_grid", "synthetic_ab"))
-    grids = {key: _as_int(raw.get(key, 64), f"cluster.{key}")
-             for key in ("alpha_grid", "psi_grid")}
-    synth = None
-    if raw.get("synthetic_ab") is not None:
-        labels = {name: f"cluster.synthetic_ab.{name}"
-                  for name in ("a1", "b1", "a2", "b2")}
-        sub = _object(raw["synthetic_ab"], "cluster.synthetic_ab", labels)
-        synth = tuple(_parse_poly(_require(sub, name, label), label)
-                      for name, label in labels.items())
-    return ClusterScanSpec(**grids, synthetic_ab=synth)
-
-
 _TOP_KEYS = {"lambda", "omega", "epsilon", "n_osc", "coefficients", "delta",
              "dt", "t_end", "seed", "initial", "cluster", "output"}
 
@@ -270,7 +246,9 @@ def parse_config(text: str) -> RunConfig:
                  for key in ("dt", "t_end"))
     seed = _as_int(raw.get("seed", 0), "seed")
     initial = _parse_initial(raw.get("initial", {}))
-    cluster = _parse_cluster(raw.get("cluster", {}))
+    grids = _object(raw.get("cluster", {}), "cluster", ("alpha_grid", "psi_grid"))
+    cluster = ClusterScanSpec(**{key: _as_int(size, f"cluster.{key}")
+                                 for key, size in grids.items()})
     output = raw.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError("field 'output' must be a string path")

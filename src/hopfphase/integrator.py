@@ -593,12 +593,3 @@ def trajectory_text(traj: Trajectory, seed=None, r_star: float | None = None,
              for name in names for k in range(1, n + 1, _TEXT_PASS)]
     return "".join(["\n".join(lines) + "\nt", *heads, "\n", text])
 
-
-def write_trajectory(traj: Trajectory, path, seed=None, r_star=None,
-                     extra_header=None) -> None:
-    """Write trajectory_text(traj, ...) to path, a block of max(1, 2**12 // N)
-    rows at a time, so the text in memory is O(N) whatever the run length."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rows in _row_blocks(traj.times.size, traj.n_osc, _TEXT_ELEMENTS):
-            fh.write(trajectory_text(traj, seed=seed, r_star=r_star,
-                                     extra_header=extra_header, rows=rows))

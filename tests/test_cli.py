@@ -505,7 +505,7 @@ def scan_file_oracle(cfg) -> str:
         lines += [f"{'%.17g' % alpha}, {root}, {sync_stability(cc)}, {flag}"
                   for root, flag in cells]
     lines += ["# section=psi-scan", "# columns: psi, alpha_root, flag"]
-    polys = cfg.cluster.synthetic_ab or alpha_polynomials(coupling)
+    polys = alpha_polynomials(coupling)
     for psi, scan in zip(psis, polynomial_alpha_roots_batch(psis, *polys)):
         cells = ([("%.17g" % root, "root") for root in scan.roots]
                  or [("nan", "identically-zero" if scan.identically_zero else "none")])
@@ -514,7 +514,7 @@ def scan_file_oracle(cfg) -> str:
 
 
 @pytest.mark.parametrize("grid", [64, 700])
-@pytest.mark.parametrize("source", ["two_cluster", "synthetic_ab", "example", "rich"])
+@pytest.mark.parametrize("source", ["two_cluster", "example", "rich"])
 def test_cluster_scan_file_equals_the_public_scans_tables(tmp_path, source, grid):
     # the file comes from one joint root-kernel pass and the %.17g text
     # kernel; the oracle runs each public scan on its own and formats
@@ -600,14 +600,15 @@ def test_cluster_scan_zero_coupling_flags(tmp_path):
 
 
 def test_cluster_scan_ignores_the_coupling_magnitude(tmp_path):
-    # the roots of G scale out of every coupling coefficient: at 2^520 the
-    # file is the unscaled one byte for byte, with no overflow, and at 2^-50
-    # no bracket is taken to vanish identically
+    # the roots of G scale out of every coupling coefficient: at 2^520, and
+    # at 2^1025 where the chart cubics overflowed before root_scans scaled
+    # its rows, the file is the unscaled one byte for byte, and at 2^-50 no
+    # bracket is taken to vanish identically
     doc = json.loads((CONFIGS / "two_cluster.json").read_text(encoding="utf-8"))
     assert run(["cluster-scan", "--config", CONFIGS / "two_cluster.json",
                 "--out", tmp_path / "base.txt"]) == 0
     base = (tmp_path / "base.txt").read_text(encoding="utf-8")
-    for k in (520, -50):
+    for k in (520, 1025, -50):
         coeffs = {key: value if key == "a1" else [math.ldexp(x, k) for x in value]
                   for key, value in doc["coefficients"].items()}
         cfg = write_config(tmp_path, f"{k}.json", **{**doc, "coefficients": coeffs})
@@ -622,23 +623,64 @@ def test_cluster_scan_ignores_the_coupling_magnitude(tmp_path):
             assert psi_table == base[base.index("# section=psi-scan"):]
 
 
-def test_cluster_scan_synthetic_coefficients(tmp_path):
+def test_cluster_scan_synthetic_coefficients(tmp_path, capsys):
+    # a scan file describes the config's coupling alone: hand-given alpha
+    # polynomials are polynomial_alpha_roots_batch's to solve
     cfg = write_config(
         tmp_path,
         cluster={"synthetic_ab": {"a1": [0.125, 0.0, 1.0], "b1": [0.0, -0.75],
                                   "a2": [0.0], "b2": [0.0]}})
     out = tmp_path / "scan.txt"
-    assert run(["cluster-scan", "--config", cfg, "--out", out]) == 0
-    alphas = []
-    for line in out.read_text().splitlines():
-        if line.startswith("#"):
-            continue
-        parts = line.split(", ")
-        if len(parts) == 3 and abs(float(parts[0]) - math.pi / 2) < 1e-12:
-            assert parts[2] == "root"
-            alphas.append(float(parts[1]))
-    assert len(alphas) == 2
-    assert abs(alphas[0] - 0.25) < 1e-9 and abs(alphas[1] - 0.5) < 1e-9
+    assert run(["cluster-scan", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "config error: field 'cluster' has unknown keys ['synthetic_ab']\n")
+    assert not out.exists()
+
+
+def scan_lines(tmp_path, doc, name):
+    """The lines of doc's cluster-scan file at 512 alphas and separations."""
+    cfg = write_config(tmp_path, f"{name}.json", **doc)
+    out = tmp_path / f"{name}.txt"
+    assert run(["cluster-scan", "--config", cfg, "--alpha-grid", 512,
+                "--psi-grid", 512, "--out", out]) == 0
+    return out.read_text(encoding="utf-8")
+
+
+def test_cluster_scan_depends_on_lambda_and_a_minus1_by_their_ratio(tmp_path):
+    # G is affine in r*^2 = lambda/(-re a1), and a_minus1 is its only term
+    # of lambda power 0: lambda and a_minus1 times one factor leave every
+    # two-cluster state and sync label, exactly at a power of two
+    doc = json.loads((CONFIGS / "two_cluster.json").read_text(encoding="utf-8"))
+
+    def scaled(factor):
+        coeffs = {**doc["coefficients"],
+                  "a_minus1": [factor * x for x in doc["coefficients"]["a_minus1"]]}
+        return scan_lines(tmp_path, {**doc, "lambda": factor * doc["lambda"],
+                                     "coefficients": coeffs}, f"x{factor}")
+
+    base = scaled(1.0)
+    assert len(base.splitlines()) > 1024
+    for factor in (0.5, 2.0 ** -10):
+        assert scaled(factor) == base
+    rows = [line.split(", ") for line in base.splitlines()]
+    for factor in (0.1, 0.01):
+        lines = [line.split(", ") for line in scaled(factor).splitlines()]
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            assert line[0] == row[0] and line[2:] == row[2:]
+            if line != row:
+                assert abs(float(line[1]) - float(row[1])) <= 1e-12, (line, row)
+
+
+def test_cluster_scan_refuses_overflowing_two_cluster_coefficients(tmp_path, capsys):
+    # 1.5 g3 overflows in the alpha polynomials; the rows would read nan
+    cfg = write_config(tmp_path, n_osc=4, **{"lambda": 1.0}, coefficients={
+        "a1": [-1.0, 0.0], "a7": [1.5e308, 0.0]})
+    out = tmp_path / "scan.txt"
+    assert run(["cluster-scan", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: the two-cluster coefficients A1, B1, A2, B2 overflow\n"
+    assert not out.exists()
 
 
 def test_cluster_scan_rejects_small_grids(tmp_path, capsys):
@@ -761,7 +803,9 @@ def test_public_names_resolve():
     exec("from hopfphase import *", star)
     assert set(hopfphase.__all__) <= set(star)
     assert hopfphase.default_dt is hopfphase.config.default_dt
-    assert not hasattr(hopfphase, "no_such_name")
+    for name in ("no_such_name", "write_trajectory", "SyntheticAB"):
+        with pytest.raises(AttributeError):
+            getattr(hopfphase, name)
     for module, name in ((phase_model, "moments"), (cluster, "g_factored"),
                          (cli, "integrate"), (cli, "main"),
                          (hopfphase, "parse_config")):
@@ -818,6 +862,10 @@ def test_full_disk_exits_2(tmp_path, capsys, verb):
     assert "Traceback" not in err
 
 
+# re(a1) = -1e-300 puts r*^2 at 1e299, so r*^2 a2 overflows
+TINY_A1 = {"a1": [-1e-300, 0.0], "a2": [1e10, 0.0]}
+
+
 def test_a_warning_is_one_stderr_line(tmp_path, capsys):
     # pyproject's filterwarnings hides this warning in the suite; a command
     # line run has Python's default filters
@@ -838,13 +886,16 @@ def test_a_warning_is_one_stderr_line(tmp_path, capsys):
         assert capsys.readouterr().err.splitlines() == [
             line, "config error: cluster-scan grids must be at least 64, got "
                   "field 'cluster.alpha_grid' = 63"]
-        # numpy's overflow warnings on huge synthetic polynomials
-        huge = write_config(tmp_path, n_osc=4, cluster={"synthetic_ab": {
-            key: [1e308] * 4 for key in ("a1", "b1", "a2", "b2")}})
-        assert run(["cluster-scan", "--config", huge, "--out", tmp_path / "huge.txt"]) == 0
-        err = capsys.readouterr().err.splitlines()
+        # numpy's warnings as the full model's first step overflows, then
+        # the numerical failure
+        huge = write_config(tmp_path, n_osc=4, t_end=2.0, coefficients=TINY_A1)
+        assert run(["simulate", "--model", "full", "--config", huge,
+                    "--out", tmp_path / "huge.txt"]) == 3
+        *err, last = capsys.readouterr().err.splitlines()
         assert err and len(set(err)) == len(err)
-        assert all(l.startswith("warning: overflow") and ".py:" not in l for l in err)
+        assert all(l.startswith("warning: ") and ".py:" not in l for l in err)
+        assert any(l.startswith("warning: overflow") for l in err)
+        assert last.startswith("numerical failure: non-finite state")
 
 
 @pytest.mark.parametrize("verb", ALL_VERBS)
@@ -1048,3 +1099,42 @@ def test_delta_that_overflows_a3_exits_2(tmp_path, capsys, verb):
     err = capsys.readouterr().err
     assert err == "config error: delta = 1e+308 folds into a non-finite a3\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["omega", "lambda"])
+@pytest.mark.parametrize("verb", VERBS)
+def test_a_default_step_of_0_exits_2(tmp_path, capsys, verb, key):
+    # 50 |Omega| overflows, so 2 pi/(50 |Omega|) is 0 and t_end/dt divides by it
+    cfg = write_config(tmp_path, n_osc=4, epsilon=0.05, t_end=2.0,
+                       coefficients={"a1": [-1.0, 0.5]}, **{key: 1e308})
+    out = tmp_path / "x"
+    assert run([*verb, "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "config error: the default step 'dt' is 0: 50 |Omega| overflows; set 'dt'\n")
+    assert not out.exists()
+    # a given step is used as it is
+    assert run([*verb, "--config", cfg, "--dt", "1e-310", "--out", out]) == 2
+    assert "the step count t_end/dt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coeffs", [TINY_A1, {"a1": [-1.0, 1e308], "a2": [1e308, 1e308]}])
+@pytest.mark.parametrize("verb", ALL_VERBS)
+def test_a_reduced_coupling_that_overflows_exits_2(tmp_path, capsys, monkeypatch,
+                                                  verb, coeffs):
+    built = []
+    monkeypatch.setattr(cli, "build_coupling",
+                        lambda *a: built.append(a) or build_coupling(*a))
+    cfg = write_config(tmp_path, n_osc=4, t_end=2.0, dt=0.1, coefficients=coeffs)
+    out = tmp_path / "x"
+    code = run([*verb, "--config", cfg, "--out", out])
+    err = capsys.readouterr().err
+    assert not out.exists() and "Traceback" not in err
+    if verb == ["simulate", "--model", "full"]:
+        # the full model builds no coupling, and its state overflows
+        assert code == 3 and built == []
+        assert err.splitlines()[-1].startswith("numerical failure: ")
+    else:
+        assert code == 2 and len(built) == 1
+        assert err.startswith("config error: the reduced phase coupling overflows: "
+                              "amplitude must be finite")
+        assert err.count("\n") == 1

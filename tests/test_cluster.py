@@ -448,6 +448,41 @@ def test_both_scans_ignore_an_exact_power_of_two_scale(k):
         assert sum(len(r.roots) for scan in got for r in scan) > 100
 
 
+def test_both_scans_hold_up_to_the_largest_floats():
+    # rows and polynomials with their largest entry in the top binade
+    # [2^1023, 2^1024): root_scans scales them by powers of two before it
+    # forms the chart cubics (up to 32 times a row) and the psi scan's
+    # products, so nothing overflows and the results are the unscaled ones
+    cfg = parse_config((Path(__file__).resolve().parents[1] / "configs"
+                        / "two_cluster.json").read_text(encoding="utf-8"))
+    polys = np.array(alpha_polynomials(build_coupling(cfg.system_params())))
+    rows = _coefficients_at(np.linspace(-1.0, 1.0, 512)[1:-1], polys)
+    psis = np.linspace(0.0, TAU, 512, endpoint=False)[1:]
+
+    def top(a):
+        return np.ldexp(a, 1024 - np.frexp(np.max(np.abs(a)))[1])
+
+    want = find_roots_batch(rows), polynomial_alpha_roots_batch(psis, *polys)
+    with np.errstate(over="raise"):
+        assert (find_roots_batch(top(rows)),
+                polynomial_alpha_roots_batch(psis, *top(polys))) == want
+    # G of (-2s, s, 0, s) grazes zero at pi/2 and crosses it at pi at
+    # every scale s whose row is finite
+    for scale in (1.0, 1e307, 8e307, 2.0 ** 1022):
+        (scan,) = find_roots_batch([(-2.0 * scale, scale, 0.0, scale)])
+        assert [r.tangential for r in scan.roots] == [True, False]
+        assert np.allclose([r.psi for r in scan.roots], [math.pi / 2, math.pi],
+                           rtol=0.0, atol=1e-9)
+
+
+def test_both_scans_refuse_coefficients_that_are_not_finite():
+    # -2s is -inf at s = 1e308: no root list can be read off such a row
+    with pytest.raises(ValueError, match="finite"):
+        find_roots_batch([(-2.0 * 1e308, 1e308, 0.0, 1e308)])
+    with pytest.raises(ValueError, match="finite"):
+        polynomial_alpha_roots_batch([1.0], (0.5, math.nan), (), (), ())
+
+
 def results_of(scan, root):
     """A root_scans scan as a RootScanResult per list, grouped here row by
     row; the arrays must be sorted by list and, within a list, by value."""

@@ -27,7 +27,7 @@ def test_minimal_config_defaults():
     assert cfg.seed == 0 and cfg.output is None
     assert cfg.initial.kind == "random-phases"
     assert cfg.cluster.alpha_grid == 64 and cfg.cluster.psi_grid == 64
-    assert cfg.cluster.synthetic_ab is None
+    assert [f.name for f in dataclasses.fields(cfg.cluster)] == ["alpha_grid", "psi_grid"]
 
 
 def test_complex_spellings_agree():
@@ -62,11 +62,6 @@ def test_error_messages_name_the_field():
                            "z": [[1.0, 0.0]]}), "exactly one"),
         (doc_text(initial={"kind": "two-cluster", "q_size": 2, "p_size": 2}),
          "sum to n_osc"),
-        (doc_text(cluster={"synthetic_ab": {"a1": [1, 0, 0, 0, 0],
-                                            "b1": [0.0], "a2": [0.0],
-                                            "b2": [0.0]}}),
-         "synthetic_ab.a1"),
-        (doc_text(cluster={"synthetic_ab": {"a1": [1.0]}}), "synthetic_ab.b1"),
         (doc_text(initial={"kind": "perturbed-sync", "amplitude": 1e308}),
          "initial.amplitude"),
         (doc_text(initial={"kind": "two-cluster", "q_size": 2, "p_size": 1,
@@ -252,8 +247,12 @@ def test_system_params_are_built_once_per_config():
 
 
 def test_synthetic_ab_is_the_four_coefficient_tuples():
-    cfg = parse_config(doc_text(cluster={"synthetic_ab": {
-        "a1": [0.125, 0.0, 1.0], "b1": [0.0, -0.75], "a2": [0], "b2": [1, 2, 3, 4]}}))
-    assert cfg.cluster.synthetic_ab == ((0.125, 0.0, 1.0), (0.0, -0.75), (0.0,),
-                                        (1.0, 2.0, 3.0, 4.0))
+    # the knob is gone: hand-given coefficient tuples are refused in a run
+    # file, and stay solvable through polynomial_alpha_roots_batch
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(doc_text(cluster={"synthetic_ab": {
+            "a1": [0.125, 0.0, 1.0], "b1": [0.0, -0.75], "a2": [0],
+            "b2": [1, 2, 3, 4]}}))
+    assert str(exc_info.value) == "field 'cluster' has unknown keys ['synthetic_ab']"
     assert not hasattr(hopfphase, "SyntheticAB")
+    assert callable(hopfphase.polynomial_alpha_roots_batch)

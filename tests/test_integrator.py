@@ -17,11 +17,11 @@ from hopfphase import (AmplitudeCollapseError, IntegrationError,
                        NormalFormCoefficients, SystemParams, Trajectory,
                        TrajectoryTooLargeError, build_coupling, compare,
                        default_dt, extract_phases, full_rhs_array, integrate,
-                       mean_winding_rate, phase_rhs_fast, trajectory_text,
-                       write_trajectory)
+                       mean_winding_rate, phase_rhs_fast, trajectory_text)
 from hopfphase.angles import TAU, wrap_angle
 from hopfphase.integrator import (_BLOCK_ELEMENTS, _TEXT_ELEMENTS, _TEXT_PASS,
-                                  _abs_wrapped, _text_tables, _value_texts)
+                                  _abs_wrapped, _row_blocks, _text_tables,
+                                  _value_texts)
 
 from conftest import make_rng, random_coupling, random_params
 
@@ -590,14 +590,6 @@ def test_phase_trajectory_text_with_projection_columns():
     assert np.max(np.abs(rows[:, 3] - r_star * np.cos(phase.states[:, 0]))) < 1e-16
 
 
-def test_write_trajectory_to_disk(tmp_path):
-    _, phase = on_cycle_runs(NormalFormCoefficients(a1=-1.0),
-                             n=2, lam=0.3, eps=0.0, t_end=1.0, seed=7)
-    path = tmp_path / "run.txt"
-    write_trajectory(phase, path, seed=7)
-    assert path.read_text(encoding="utf-8") == trajectory_text(phase, seed=7)
-
-
 def per_element_text(traj, seed=None, r_star=None, extra_header=None):
     """The export formatted one numpy scalar at a time, as the oracle."""
     fmt = "{:.17g}".format
@@ -770,7 +762,7 @@ def _text_peak(traj, **kw):
 
 
 def test_text_block_memory_is_bounded():
-    # a write_trajectory block at N = 64: 64 rows of 129 values
+    # a simulate text block at N = 64: 64 rows of 129 values
     n = 64
     full, phase = _edge_trajectories(n, _TEXT_ELEMENTS // n, seed=10)
     for traj, kw in ((full, {}), (phase, {"r_star": 0.3})):
@@ -822,31 +814,37 @@ def text_block_rows(n):
     return sorted({1, block - 1, block, block + 1, 3 * block + 5} - {0})
 
 
+def block_texts(traj, **kw):
+    """The texts simulate writes for traj: trajectory_text of each row
+    block of _row_blocks, in turn."""
+    return (trajectory_text(traj, rows=rows, **kw)
+            for rows in _row_blocks(traj.times.size, traj.n_osc, _TEXT_ELEMENTS))
+
+
 @pytest.mark.parametrize("n", [2, 64, 4096, 4097])
-def test_written_trajectory_equals_the_whole_text(tmp_path, n):
-    # write_trajectory writes row blocks; the file must be the one-piece text
-    path = tmp_path / "run.txt"
+def test_written_trajectory_equals_the_whole_text(n):
+    # simulate writes row blocks; joined, they must be the one-piece text
     for rows in text_block_rows(n):
         full, phase = _edge_trajectories(n, rows, seed=rows)
         for kw in ({}, {"seed": 4, "extra_header": {"dt": "0.05"}}):
             for traj, r_star in ((full, None), (phase, None), (phase, 0.3)):
-                write_trajectory(traj, path, r_star=r_star, **kw)
-                assert path.read_bytes() == trajectory_text(
-                    traj, r_star=r_star, **kw).encode("utf-8")
+                assert "".join(block_texts(traj, r_star=r_star, **kw)) == trajectory_text(
+                    traj, r_star=r_star, **kw)
 
 
-def test_text_of_an_empty_trajectory_is_its_header(tmp_path):
+def test_text_of_an_empty_trajectory_is_its_header():
+    # an empty trajectory still gets one block, its header
     empty = Trajectory(np.zeros(0), np.zeros((0, 2)), "phase")
-    path = tmp_path / "run.txt"
-    write_trajectory(empty, path, seed=1)
-    assert path.read_text(encoding="utf-8") == "# seed=1\n# model=phase\nt, phi_1, phi_2\n"
-    assert trajectory_text(empty, seed=1) == path.read_text(encoding="utf-8")
+    header = "# seed=1\n# model=phase\nt, phi_1, phi_2\n"
+    assert list(block_texts(empty, seed=1)) == [header]
+    assert trajectory_text(empty, seed=1) == header
 
 
 def _write_peak(path, traj, **kw):
     tracemalloc.start()
     try:
-        write_trajectory(traj, path, **kw)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(block_texts(traj, **kw))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
