@@ -40,8 +40,12 @@ with a double root, which polyroots moves by about 1e-7. Only an all-zero
 row may be reported as identically zero. Every find_roots_batch row, and
 every fourth psi-scan row, is solved again at an exact rescaling by 2^k,
 k drawn from [-1000, 1000] where the scan's inputs stay normal floats and
-finite, and must give the same result. Exits 1 at the first failed check
-and prints it. The oracle for G is tests/companion.py. Usage:
+finite, and must give the same result. Last, the psi scan's rounding of
+its roots to 14 decimals, cluster._round14, must equal Python's
+round(v, 14) bit for bit on 10^6 seeded values: uniform on (-1, 1), the
+near-ties (k + 1/2) 1e-14 and both their neighbours, multiples of 2^-41,
+magnitudes 10^U(-300, 0) and +-0. Exits 1 at the first failed check and
+prints it. The oracle for G is tests/companion.py. Usage:
     python scripts/root_scan_sweep.py [--rows 20000] [--seed 1]
 """
 import argparse
@@ -54,6 +58,7 @@ import numpy as np
 
 from hopfphase import (PsiRoot, RootScanResult, find_roots_batch, g_factored,
                        polynomial_alpha_roots_batch, root_scans)
+from hopfphase.cluster import _round14
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from companion import companion_psi_roots  # noqa: E402
@@ -267,6 +272,27 @@ def check_joint(rows, cubics, psi_scans, counts):
     return None
 
 
+def check_round14(rng, n, counts):
+    """None, or a line naming the first of n seeded values whose _round14
+    is not round(v, 14) bit for bit."""
+    m = n // 8
+    ties = (rng.integers(-10 ** 14, 10 ** 14, m) + 0.5) * 1e-14
+    x = np.concatenate([
+        rng.uniform(-1.0, 1.0, n - 7 * m - 2),
+        ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf),
+        rng.integers(-2 ** 41, 2 ** 41, 2 * m) * 2.0 ** -41,
+        rng.choice([-1.0, 1.0], 2 * m) * 10.0 ** rng.uniform(-300, 0, 2 * m),
+        [0.0, -0.0]])
+    got = _round14(x)
+    want = np.array([round(v, 14) for v in x.tolist()])
+    bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    if bad.size:
+        v = x[bad[0]]
+        return f"_round14({v!r}) = {got[bad[0]]!r}, round(v, 14) = {want[bad[0]]!r}"
+    counts["rounded"] += x.size
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--rows", type=int, default=20_000)
@@ -277,7 +303,7 @@ def main(argv=None) -> int:
     powers = np.random.Generator(np.random.Philox(args.seed).jumped())
     counts = dict.fromkeys(["roots", "tangential", "companion",
                             "tangential beside the companion", "alpha roots",
-                            "rescaled", "joint"], 0)
+                            "rescaled", "joint", "rounded"], 0)
     start = time.perf_counter()
     batches, psi_scans = [], []
     for kind, rows, planted in draw(rng, args.rows):
@@ -287,7 +313,9 @@ def main(argv=None) -> int:
         if failed is not None:
             print(failed)
             return 1
-    failed = check_joint(np.concatenate(batches[:-1]), batches[-1], psi_scans, counts)
+    failed = (check_joint(np.concatenate(batches[:-1]), batches[-1], psi_scans, counts)
+              or check_round14(np.random.Generator(np.random.Philox(args.seed).jumped(2)),
+                               10 ** 6, counts))
     if failed is not None:
         print(failed)
         return 1
@@ -297,7 +325,8 @@ def main(argv=None) -> int:
           f"where it has none; {counts['alpha roots']} alpha roots match the "
           f"planted and polyroots roots; {counts['rescaled']} rows rescaled by "
           f"2^k give the same results; {counts['joint']} rows give them in joint "
-          f"passes of both scans; {time.perf_counter() - start:.1f} s")
+          f"passes of both scans; {counts['rounded']} values round to 14 decimals "
+          f"as round does; {time.perf_counter() - start:.1f} s")
     return 0
 
 

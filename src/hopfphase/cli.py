@@ -18,7 +18,7 @@ import math
 import sys
 import warnings
 from dataclasses import asdict, replace
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -38,15 +38,20 @@ from .reduction import (build_coupling, canonical_xi_chi, coupling_to_text,
 
 
 # a lower bound on what a cluster scan holds per point of alpha_grid +
-# psi_grid: its tracemalloc peak was 321-666 B per point with grids of
+# psi_grid: its tracemalloc peak was 318-627 B per point with grids of
 # 4,096 to 65,536 on the configs/ files, one of them (the other 64) or both,
-# and 600-608 B with both grids 64; most of it is the root kernel's working
+# and 552 B with both grids 64; most of it is the root kernel's working
 # set, both scans' cubics at once
-_SCAN_POINT_BYTES = 320
+_SCAN_POINT_BYTES = 300
 _LINE_BLOCK = 2 ** 12  # cluster-scan writes its tables this many lines at a time
-# a table line's flag by code: see _table_texts
-_ALPHA_FLAGS = np.array(["0", "1", "none", "identically-zero"])
-_PSI_FLAGS = np.array(["root", "root", "none", "identically-zero"])
+# a table line's flag by code, and an alpha line's "label, flag" words by
+# 4 * the index of its sync label in _SYNC_LABELS (sorted) + code: see
+# _table_texts; object arrays, so indexing them gives Python strings
+_ALPHA_FLAGS = np.array(["0", "1", "none", "identically-zero"], dtype=object)
+_PSI_FLAGS = np.array(["root", "root", "none", "identically-zero"], dtype=object)
+_SYNC_LABELS = np.array(["degenerate", "stable", "unstable"])
+_ALPHA_WORDS = np.array([f"{label}, {flag}" for label in _SYNC_LABELS
+                         for flag in _ALPHA_FLAGS], dtype=object)
 
 
 def _unwritable(path: Path, reason: str) -> ConfigError:
@@ -110,7 +115,8 @@ def _step(cfg: RunConfig, t_end: float, subject: str, bytes_per_osc: int,
           coupling=None) -> float:
     """cfg's step, refused before any work, in order, if it is 0 or passes t_end,
     if subject (bytes_per_osc bytes a step and oscillator) overflows its step
-    count or memory, or if, given the phase coupling, it can turn a phase past pi."""
+    count or memory, or if, given the phase coupling, its bound on the phase speed
+    overflows or it can turn a phase past pi."""
     dt = cfg.resolved_dt()
     if dt == 0.0:  # only the default min(0.01/lambda, 2 pi/(50 |Omega|)) can be
         raise ConfigError("the default step 'dt' is 0: 50 |Omega| overflows; set 'dt'")
@@ -118,7 +124,13 @@ def _step(cfg: RunConfig, t_end: float, subject: str, bytes_per_osc: int,
         raise ConfigError(f"step 'dt' = {dt!r} exceeds the horizon "
                           f"'t_end' = {t_end!r}; shorten dt or extend t_end")
     _budget_steps(subject, dt, t_end, cfg.n_osc, bytes_per_osc)
-    if coupling is not None and dt * (speed := coupling.speed_bound()) > math.pi:
+    if coupling is None:
+        return dt
+    speed = coupling.speed_bound()
+    if speed == math.inf:  # finite terms can sum past the largest float
+        raise ConfigError("the reduced phase coupling overflows: the bound B "
+                          "on its phase speed is inf")
+    if dt * speed > math.pi:
         raise ConfigError(
             f"step 'dt' = {dt!r} can advance a phase by dt*B = {dt * speed:.6g}, "
             f"more than half a turn, where B = {speed:.6g} bounds the phase "
@@ -133,6 +145,13 @@ def _coupling(params):
         coupling._harmonic_phasors  # derives, and so checks, every harmonic
     except ValueError as exc:
         raise ConfigError(f"the reduced phase coupling overflows: {exc}") from exc
+    # indices 4 and 5 only shift the common frequency, so no harmonic checks them
+    shifts = {"omega_tilde_const": coupling.omega_tilde_const,
+              "mean_field_freq_amp": coupling.mean_field_freq_amp}
+    if not all(map(math.isfinite, shifts.values())):
+        raise ConfigError("the reduced phase coupling overflows: the frequency shifts "
+                          + ", ".join(f"{k} = {v!r}" for k, v in shifts.items())
+                          + " must be finite")
     return coupling
 
 
@@ -156,6 +175,9 @@ def cmd_derive(cfg: RunConfig, args) -> int:
         ],
         "sync_frequency": sync_frequency(coupling),
     }
+    if not math.isfinite(doc["sync_frequency"]):  # finite terms can sum to inf
+        raise ConfigError("the reduced phase coupling overflows: its sync "
+                          f"frequency is {doc['sync_frequency']!r}")
     _write(out, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
     return 0
 
@@ -215,8 +237,8 @@ def _table_texts(head, points, scan, words):
     """head, then the table of a root_scans scan over its points,
     _LINE_BLOCK lines a text: "point, root, words" for each root of a point,
     or "point, nan, words" for a point with none, the numbers from the %.17g
-    text kernel. words(owner, code) gives the lines' words by point and
-    code: 0 or 1 a root (1 tangential), 2 none, 3 vanishing."""
+    text kernel. words(owner, code) gives the lines' words, strings, by point
+    and code: 0 or 1 a root (1 tangential), 2 none, 3 vanishing."""
     yield head
     lists, values, tangential, vanishing = scan
     bare = np.flatnonzero(np.bincount(lists, minlength=vanishing.size) == 0)
@@ -227,8 +249,8 @@ def _table_texts(head, points, scan, words):
     for start in range(0, owner.size, _LINE_BLOCK):
         own, kind, root = (a[start:start + _LINE_BLOCK] for a in (owner, code, value))
         numbers = "".join(_value_texts(np.stack([points[own], root], axis=1).ravel(), 2))
-        yield "".join(map("{}, {}\n".format, numbers.split("\n")[:-1],
-                          words(own, kind).tolist()))
+        yield "".join(chain.from_iterable(zip(numbers.split("\n")[:-1], repeat(", "),
+                                              words(own, kind), repeat("\n"))))
 
 
 def cmd_cluster_scan(cfg: RunConfig, args) -> int:
@@ -246,14 +268,14 @@ def cmd_cluster_scan(cfg: RunConfig, args) -> int:
     rows = _coefficients_at(alphas, polys)
     if not np.isfinite(rows).all():  # as they are if the polynomials are not
         raise ConfigError("the two-cluster coefficients A1, B1, A2, B2 overflow")
-    labels = sync_stability(rows)
+    sync = 4 * np.searchsorted(_SYNC_LABELS, sync_stability(rows))
     alpha_scan, psi_scan = root_scans(rows, psis, polys)
     del rows
     _write(out, chain(
         [f"# seed={cfg.seed}\n# model=cluster-scan\n"],
         _table_texts("# section=alpha-scan\n# columns: alpha, psi_root, "
                      "stability_of_sync, tangential_flag\n", alphas, alpha_scan,
-                     lambda own, code: labels[own] + ", " + _ALPHA_FLAGS[code]),
+                     lambda own, code: _ALPHA_WORDS[sync[own] + code]),
         _table_texts("# section=psi-scan\n# columns: psi, alpha_root, flag\n",
                      psis, psi_scan, lambda own, code: _PSI_FLAGS[code])))
     return 0

@@ -37,6 +37,8 @@ _DOUBLE_ROOT = 1e-12
 # a negligible coefficient over its row's scale, or row over its scan's
 _NEGLIGIBLE = 1e-14
 _BRACKET = 1e-12  # width the bisection narrows each bracket to
+# 1e14 as the sum of two doubles of at most 26 significant bits each
+_E14_HI, _E14_LO = 99999998279680.0, 1720320.0
 # x^k of a chart cubic on (-1, 1) is (2x)^k of the cubic in tan or cot(Psi/2)
 _CHART_SCALE = np.array([1.0, 2.0, 4.0, 8.0])
 
@@ -190,7 +192,7 @@ def sync_stability(cc):
     |coefficient|, as a double root is, so the label ignores scale."""
     rows = np.asarray(cc, dtype=float)
     s = rows[..., 0] + rows[..., 2]
-    labels = np.where(np.abs(s) <= _DOUBLE_ROOT * np.max(np.abs(rows), axis=-1),
+    labels = np.where(np.abs(s) <= _DOUBLE_ROOT * _row_scale(rows),
                       "degenerate", np.where(s < 0, "stable", "unstable"))
     return str(labels) if labels.ndim == 0 else labels
 
@@ -222,7 +224,12 @@ def _bisect(coef, lo, hi, f_lo):
     lo, hi, f_lo, coef = lo[live], hi[live], f_lo[live], coef[live]
     while live.size:
         mid = 0.5 * (lo + hi)
-        f_mid = _poly_rows(mid, coef)
+        # Horner from the leading coefficient: only f's sign and zeros are
+        # used, and a zero's sign is all that starting from 0.0 could change
+        f_mid = coef[:, 3] * mid + coef[:, 2]
+        for k in (1, 0):
+            f_mid *= mid
+            f_mid += coef[:, k]
         # an exact zero collapses the bracket onto mid, which ends it
         zero = f_mid == 0.0
         flip = (f_lo < 0) != (f_mid < 0)
@@ -289,6 +296,34 @@ def _poly_rows(x, coef):
     return acc
 
 
+def _row_scale(q):
+    """np.max(np.abs(q), axis=-1) bit for bit, for one row, (n, 4) rows or
+    any stack of them, in one pass over the short axis: a reduce along a
+    length-4 axis costs about 50 ns a row."""
+    return np.abs(np.moveaxis(q, -1, 0), order="C").max(axis=0)
+
+
+def _round14(x):
+    """round(v, 14) of each v of the array x, bit for bit, for |v| < 1 (the
+    alpha roots): x * 1e14 = hi + lo exactly, by Dekker's product of 26-bit
+    halves; k = rint(hi), moved one unit away from a tie that lo breaks;
+    then k / 1e14 is the double nearest k * 10**-14, as round returns it.
+    np.round(x, 14) divides a rounded x * 1e14 and differs on some ties."""
+    hi = x * 1e14
+    t = x * 134217729.0
+    x_hi = t - (t - x)
+    x_lo = x - x_hi
+    lo = x_hi * _E14_HI - hi
+    lo += x_hi * _E14_LO
+    lo += x_lo * _E14_HI
+    lo += x_lo * _E14_LO
+    k = np.rint(hi)
+    d = hi - k
+    k += (d == 0.5) & (lo > 0.0)
+    k -= (d == -0.5) & (lo < 0.0)
+    return np.copysign(k / 1e14, x)
+
+
 def polynomial_alpha_roots_batch(psis, a1_poly, b1_poly, a2_poly,
                                  b2_poly) -> list:
     """Roots in alpha of A1(a)cos(Psi/2) + B1(a)sin(Psi/2) + A2(a)cos(3Psi/2)
@@ -329,26 +364,27 @@ def root_scans(ccs, psis, polys):
     if not (np.isfinite(coef).all() and np.isfinite(polys).all()):
         raise ValueError("coefficients must be finite")
     # rows, and the polynomials as one, scaled into [0.5, 1) so no product overflows
-    coef = np.ldexp(coef, -np.frexp(np.max(np.abs(coef), axis=1, keepdims=True))[1])
+    coef = np.ldexp(coef, -np.frexp(_row_scale(coef))[1][:, None])
     polys = np.ldexp(polys, -np.frexp(np.max(np.abs(polys)))[1])
     # P of each row, (A1 + A2, B1 + 3 B2, A1 - 3 A2, B1 - B2), in one
     # expression, so no copy of the rows stays alive through the scan
     p = coef[:, [0, 1, 0, 1]] + coef[:, [2, 3, 2, 3]] * np.array([1.0, 3.0, -3.0, -1.0])
     # the harmonics come from libm through math, as they always have: numpy's
     # SIMD sin/cos may round differently on some CPUs and move the roots
-    c1, s1, c3, s3 = np.array([
-        (math.cos(h), math.sin(h), math.cos(3.0 * h), math.sin(3.0 * h))
-        for h in (0.5 * psis).tolist()]).reshape(-1, 4).T[:, :, None]
+    half = 0.5 * psis
+    c1, s1, c3, s3 = (np.fromiter(map(f, h), float, m)[:, None]
+                      for h in (half.tolist(), (3.0 * half).tolist())
+                      for f in (math.cos, math.sin))
     coeffs = polys[0] * c1 + polys[1] * s1 + polys[2] * c3 + polys[3] * s3
     # a row of ccs is its own scale, so only a zero row vanishes
     vanishing = np.concatenate([
         ~coef.any(axis=1),
-        np.max(np.abs(coeffs), axis=1) <= _NEGLIGIBLE * np.max(np.abs(polys))])
+        _row_scale(coeffs) <= _NEGLIGIBLE * np.max(np.abs(polys))])
 
     def to_var(x, rows):
         var = _chart_psi(x, rows >= n)
         alpha = rows >= 2 * n
-        var[alpha] = [round(v, 14) for v in x[alpha].tolist()]
+        var[alpha] = _round14(x[alpha])
         return var
 
     lists, values, tangential = _cubic_roots(
@@ -394,7 +430,7 @@ def _cubic_roots(q, owner, lo, hi, to_var):
     tangential candidate if it has one, and tangential then, else at its
     first.
     """
-    scale, power = np.frexp(np.max(np.abs(q), axis=1))
+    scale, power = np.frexp(_row_scale(q))
     q = _trim(np.ldexp(q, -power[:, None]), scale)
     r, k, x, crits = _monotone_roots(q)
     var = to_var(x, r)

@@ -1138,3 +1138,51 @@ def test_a_reduced_coupling_that_overflows_exits_2(tmp_path, capsys, monkeypatch
         assert err.startswith("config error: the reduced phase coupling overflows: "
                               "amplitude must be finite")
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("shift", [{"a4": [0.0, 1e308]}, {"a5": [1e308, 0.0]}])
+@pytest.mark.parametrize("verb", ALL_VERBS)
+def test_a_frequency_shift_that_overflows_exits_2(tmp_path, capsys, verb, shift):
+    # epsilon r*^2 beta_4 (or beta_5) overflows at r*^2 = 100, though every
+    # harmonic is finite; derive wrote Infinity, which is not JSON, and
+    # compare asked for a step of at most 0
+    cfg = write_config(tmp_path, n_osc=4, t_end=2.0, dt=0.1, **{"lambda": 100.0},
+                       coefficients={"a1": [-1.0, 0.0], **shift})
+    out = tmp_path / "x"
+    code = run([*verb, "--config", cfg, "--out", out])
+    err = capsys.readouterr().err
+    assert not out.exists() and "Traceback" not in err
+    if verb == ["simulate", "--model", "full"]:
+        # the full model builds no coupling, and its state overflows
+        assert code == 3
+        assert err.splitlines()[-1].startswith("numerical failure: ")
+    else:
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("config error: the reduced phase coupling overflows: "
+                              "the frequency shifts omega_tilde_const = ")
+        assert "inf" in err and err.rstrip().endswith("must be finite")
+
+
+@pytest.mark.parametrize("verb", ALL_VERBS)
+def test_frequency_terms_that_overflow_in_sum_exit_2(tmp_path, capsys, verb):
+    # both shifts are finite, 1.5e308 each, but the sync frequency and the
+    # phase-speed bound sum them past the largest float; G has neither, so
+    # cluster-scan runs
+    cfg = write_config(tmp_path, n_osc=4, t_end=2.0, dt=0.1, **{"lambda": 100.0},
+                       coefficients={"a1": [-1.0, 0.0], "a4": [0.0, 3e306],
+                                     "a5": [0.0, 3e306]})
+    out = tmp_path / "x"
+    code = run([*verb, "--config", cfg, "--out", out])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    want = {"derive": "its sync frequency is inf",
+            "compare": "the bound B on its phase speed is inf",
+            "simulate": "the bound B on its phase speed is inf"}
+    if verb == ["cluster-scan"]:
+        assert code == 0 and err == ""
+    elif verb == ["simulate", "--model", "full"]:
+        assert code == 3 and not out.exists()
+    else:
+        assert code == 2 and not out.exists()
+        assert err == ("config error: the reduced phase coupling overflows: "
+                       f"{want[verb[0]]}\n")

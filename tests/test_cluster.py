@@ -18,7 +18,7 @@ from hopfphase import (ClusterCoefficients, ClusterConfig, PsiRoot,
                        phase_rhs_naive, parse_config,
                        polynomial_alpha_roots_batch, root_scans,
                        sync_frequency, sync_stability, two_cluster_H)
-from hopfphase.cluster import _coefficients_at
+from hopfphase.cluster import _coefficients_at, _round14, _row_scale
 
 from companion import companion_psi_roots
 from conftest import make_rng, random_coupling, random_params
@@ -586,6 +586,48 @@ def test_sync_labels_ignore_the_rows_scale():
         assert np.array_equal(sync_stability(np.ldexp(rows, k)), base)
         assert [sync_stability(ClusterCoefficients(*r))
                 for r in np.ldexp(rows[:61], k).tolist()] == base[:61].tolist()
+
+
+def test_row_scale_is_the_rows_largest_modulus():
+    # one pass over the short axis in place of a reduce along it: the same
+    # bits on one row, and on rows with zeros, -0.0 and subnormals
+    rng = make_rng(41)
+    rows = rng.normal(size=(300, 4)) * 10.0 ** rng.uniform(-310, 300, size=(300, 4))
+    rows[rng.uniform(size=rows.shape) < 0.3] = 0.0
+    rows[rng.uniform(size=rows.shape) < 0.1] = -0.0
+    rows[:40] = rng.choice([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310],
+                           size=(40, 4))
+    size = np.abs(rows)
+    assert np.count_nonzero((size > 0.0) & (size < np.finfo(float).tiny)) > 40
+    for q in (rows, rows[:1], np.zeros((0, 4)), rows.reshape(3, 100, 4), *rows[:45]):
+        assert _row_scale(q).tobytes() == np.max(np.abs(q), axis=-1).tobytes()
+    # so the sync labels are those of the reduce along the row
+    s = rows[:, 0] + rows[:, 2]
+    want = np.where(np.abs(s) <= 1e-12 * np.max(np.abs(rows), axis=-1),
+                    "degenerate", np.where(s < 0, "stable", "unstable"))
+    assert sync_stability(rows).tolist() == want.tolist()
+    assert [sync_stability(r) for r in rows] == want.tolist()
+    assert sync_stability(rows.reshape(3, 100, 4)).tolist() == want.reshape(3, 100).tolist()
+
+
+def test_round14_is_pythons_round_bit_for_bit():
+    # the psi scan's alpha roots are rounded to 14 decimals as Python's
+    # round does, on the cases where a rounded x * 1e14 is not enough:
+    # near-ties (k + 1/2) 1e-14 and both their neighbours, ties of odd
+    # multiples of 2^-41 (2^-15 is an exact tie), tiny magnitudes and zeros
+    rng = make_rng(43)
+    ties = (rng.integers(-10 ** 14, 10 ** 14, 30_000) + 0.5) * 1e-14
+    x = np.concatenate([
+        rng.uniform(-1.0, 1.0, 30_000),
+        ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf),
+        rng.integers(-2 ** 41, 2 ** 41, 20_000) * 2.0 ** -41,
+        rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(-300, 0, 20_000),
+        [0.0, -0.0, 2.0 ** -15, -3 * 2.0 ** -15, 5e-324, -5e-324, 1.0, -1.0]])
+    assert x.size >= 10 ** 5
+    want = np.array([round(v, 14) for v in x.tolist()])
+    assert _round14(x).tobytes() == want.tobytes()
+    # numpy's round is not Python's on these values
+    assert np.round(x, 14).tobytes() != want.tobytes()
 
 
 def test_sync_frequency_zero_coupling():
